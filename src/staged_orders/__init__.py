@@ -136,7 +136,6 @@ from .serialize import (
     load_snapshot,
     snapshot_from_obj,
     snapshot_to_obj,
-    write_family_run,
     write_run,
 )
 

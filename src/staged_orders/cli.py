@@ -9,19 +9,14 @@ verdicts use exit code 1.
 from __future__ import annotations
 
 import functools
-import json
 import os
-import random
 import sys
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import click
 
-from . import family as family_mod
-from . import jump as jump_mod
-from . import sigma2 as sigma2_mod
-from . import spectrum as spectrum_mod
-from .generators import removals_from_horizon
+from .family import FAMILY
+from .jump import JUMP_ANTICHAIN, JUMP_COCHAIN
 from .kernel import (
     ConfigError,
     Kind,
@@ -32,44 +27,39 @@ from .kernel import (
     check_partial_order,
     transitive_reduction,
 )
-from .roles import sigma2_encode, Sigma2Const
 from .serialize import (
     CONFIG_NAME,
-    FAMILY_NAME,
     canonical_dumps,
+    is_natural,
     load_json,
     load_run,
     load_snapshot,
-    write_family_run,
     write_run,
 )
-from .solvers import longest_chain, solve_ads, solve_ads_preorder, solve_cac
+from .sigma2 import SIGMA2
+from .solvers import solve_ads, solve_ads_preorder, solve_cac
+from .spectrum import SPECTRUM_CE, SPECTRUM_COCE
 
-CONSTRUCTIONS = (
-    "sigma2",
-    "family",
-    "jump-cochain",
-    "jump-antichain",
-    "spectrum-ce",
-    "spectrum-coce",
-)
+# Every construction by name; kernel.Construction says what each provides.
+CONSTRUCTIONS = {
+    c.name: c
+    for c in (SIGMA2, FAMILY, JUMP_COCHAIN, JUMP_ANTICHAIN, SPECTRUM_CE, SPECTRUM_COCE)
+}
+NAMES = tuple(CONSTRUCTIONS)
 
 RESERVED_KEYS = ("construction", "stages", "domain_bound", "seed")
 
 
-def _fail(exc: Exception) -> None:
-    payload = {"error": type(exc).__name__, "message": str(exc)}
-    sys.stderr.write(canonical_dumps(payload))
-    sys.exit(2)
-
-
 def _tool_errors(f):
+    """Failures of the tool: one JSON object on stderr, exit code 2."""
+
     @functools.wraps(f)
     def wrapper(*args, **kwargs):
         try:
             return f(*args, **kwargs)
         except (StagedOrderError, OSError, ValueError, KeyError) as exc:
-            _fail(exc)
+            sys.stderr.write(canonical_dumps({"error": type(exc).__name__, "message": str(exc)}))
+            sys.exit(2)
 
     return wrapper
 
@@ -83,7 +73,7 @@ class RunPlan:
 
     The file may carry the reserved keys construction/stages/domain_bound/
     seed next to the payload, or keep the payload under a nested "config"
-    key; explicit flags always win.
+    key; explicit flags always win. The construction fills in the rest.
     """
 
     def __init__(self, blob: dict, construction, stages, domain, seed):
@@ -91,108 +81,32 @@ class RunPlan:
             raise ConfigError("config file must hold a JSON object")
         nested = blob.get("config")
         if isinstance(nested, dict):
-            payload = dict(nested)
+            self.payload = dict(nested)
         else:
-            payload = {k: v for k, v in blob.items() if k not in RESERVED_KEYS}
-        self.payload = payload
+            self.payload = {k: v for k, v in blob.items() if k not in RESERVED_KEYS}
         self.construction = construction or blob.get("construction")
-        if self.construction not in CONSTRUCTIONS:
-            raise ConfigError(
-                f"construction must be one of {', '.join(CONSTRUCTIONS)}"
-            )
+        if self.construction not in NAMES:
+            raise ConfigError(f"construction must be one of {', '.join(NAMES)}")
         self.stages = stages if stages is not None else blob.get("stages")
         self.domain = domain if domain is not None else blob.get("domain_bound")
         self.seed = seed if seed is not None else blob.get("seed")
         for name, value in (("stages", self.stages), ("domain_bound", self.domain)):
-            if value is not None and (not isinstance(value, int) or value < 0):
+            if value is not None and not is_natural(value):
                 raise ConfigError(f"{name} must be a natural")
 
+    def stages_or(self, default: int) -> int:
+        """The stage budget, defaulting to what the construction needs."""
+        if self.stages is None:
+            self.stages = default
+        return self.stages
+
     def resolved(self) -> dict:
-        out = dict(self.payload)
-        out["construction"] = self.construction
-        out["stages"] = self.stages
-        if self.domain is not None:
-            out["domain_bound"] = self.domain
-        if self.seed is not None:
-            out["seed"] = self.seed
+        """The config written beside the snapshots: payload plus run keys."""
+        out = dict(self.payload, construction=self.construction, stages=self.stages)
+        for key, value in (("domain_bound", self.domain), ("seed", self.seed)):
+            if value is not None:
+                out[key] = value
         return out
-
-
-def _need_stages(plan: RunPlan, default: Optional[int]) -> int:
-    if plan.stages is None:
-        if default is None:
-            raise ConfigError("this construction needs --stages")
-        plan.stages = default
-    return plan.stages
-
-
-def _build_sigma2(plan: RunPlan, out: str) -> dict:
-    pred = sigma2_mod.predicate_from_config(plan.payload)
-    if plan.domain is None:
-        plan.domain = sigma2_mod.required_domain_bound(pred)
-    stages = _need_stages(plan, sigma2_mod.stabilization_stage(pred, plan.domain))
-    order, _ = sigma2_mod.build_run(pred, plan.domain, stages)
-    return write_run(
-        out, "sigma2", plan.resolved(), Kind.COCE, order.snapshots, stages, plan.seed
-    )
-
-
-def _build_family(plan: RunPlan, out: str) -> dict:
-    payload = dict(plan.payload)
-    horizon = payload.pop("removal_horizon", None)
-    if "removals" not in payload:
-        if horizon is None:
-            raise ConfigError("family config needs 'removals' or 'removal_horizon'")
-        if plan.seed is None:
-            raise ConfigError("drawing removals from a horizon needs --seed")
-        payload["removals"] = removals_from_horizon(
-            random.Random(plan.seed),
-            payload.get("n", 0),
-            payload.get("limit_pairs", []),
-            horizon,
-        )
-    plan.payload = payload
-    pre = family_mod.preorder_from_config(payload)
-    stages = _need_stages(plan, family_mod.sufficient_stages(pre))
-    fam = family_mod.build_family(pre, stages)
-    return write_family_run(out, plan.resolved(), fam.to_obj(), stages, plan.seed)
-
-
-def _jump_inputs(plan: RunPlan) -> Tuple[jump_mod.EnumerationSchedule, int]:
-    sched = jump_mod.schedule_from_config(plan.payload)
-    n = plan.domain if plan.domain is not None else plan.payload.get("n")
-    if not isinstance(n, int) or n < 0:
-        raise ConfigError("jump configs need a natural 'n' (or --domain)")
-    plan.payload.setdefault("n", n)
-    return sched, n
-
-
-def _build_jump(plan: RunPlan, out: str) -> dict:
-    sched, n = _jump_inputs(plan)
-    stages = _need_stages(plan, sched.max_entry_stage)
-    if plan.construction == "jump-cochain":
-        order = jump_mod.build_cochain_order(sched, n, stages)
-    else:
-        order = jump_mod.build_antichain_order(sched, n, stages)
-    return write_run(
-        out, plan.construction, plan.resolved(), order.kind, order.snapshots,
-        stages, plan.seed,
-    )
-
-
-def _build_spectrum(plan: RunPlan, out: str) -> dict:
-    graph = spectrum_mod.graph_from_config(plan.payload)
-    if plan.domain is None:
-        plan.domain = spectrum_mod.required_domain_bound(graph)
-    stages = _need_stages(
-        plan, spectrum_mod.required_stages(graph, plan.domain)
-    )
-    kind = Kind.CE if plan.construction == "spectrum-ce" else Kind.COCE
-    order = spectrum_mod.build_spectrum_run(kind, graph, plan.domain, stages)
-    return write_run(
-        out, plan.construction, plan.resolved(), kind, order.snapshots, stages,
-        plan.seed,
-    )
 
 
 @click.group()
@@ -201,7 +115,7 @@ def main():
 
 
 @main.command()
-@click.option("--construction", type=click.Choice(CONSTRUCTIONS), default=None)
+@click.option("--construction", type=click.Choice(NAMES), default=None)
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--stages", type=int, default=None)
 @click.option("--domain", type=int, default=None)
@@ -210,152 +124,58 @@ def main():
 @_tool_errors
 def build(construction, config_path, stages, domain, seed, out_dir):
     """Run a construction and write snapshots plus a manifest."""
-    blob = load_json(config_path)
-    plan = RunPlan(blob, construction, stages, domain, seed)
-    builders = {
-        "sigma2": _build_sigma2,
-        "family": _build_family,
-        "jump-cochain": _build_jump,
-        "jump-antichain": _build_jump,
-        "spectrum-ce": _build_spectrum,
-        "spectrum-coce": _build_spectrum,
-    }
-    manifest = builders[plan.construction](plan, out_dir)
-    _emit(manifest)
+    plan = RunPlan(load_json(config_path), construction, stages, domain, seed)
+    con = CONSTRUCTIONS[plan.construction]
+    snapshots, family = con.build(plan)
+    _emit(write_run(
+        out_dir, con.name, plan.resolved(), con.kind, snapshots, plan.stages,
+        plan.seed, family,
+    ))
 
 
-def _verdict(lines: List[str], passed: bool) -> None:
-    for line in lines:
-        click.echo(line)
-    click.echo("PASS" if passed else "FAIL")
-    sys.exit(0 if passed else 1)
+class Run(NamedTuple):
+    """A loaded run directory, as the verify suites read it."""
+
+    dir: str
+    manifest: dict
+    config: dict
+    snapshots: List[Snapshot]
+    kind: Kind
+
+    @property
+    def final(self) -> Snapshot:
+        if not self.snapshots:
+            raise ConfigError("run has no snapshots to decode")
+        return self.snapshots[-1]
 
 
-def _suite_poset(manifest, config, snapshots, kind) -> Tuple[List[str], bool]:
-    if not snapshots:
-        return ["no snapshots in run (set family); nothing to check"], True
+def _suite_poset(run: Run) -> Tuple[List[str], bool]:
     lines, ok = [], True
-    for snap in snapshots:
-        report = check_partial_order(snap)
-        if report.passed:
+    for snap in run.snapshots:
+        failed = [c for c in check_partial_order(snap).checks() if not c.passed]
+        ok = ok and not failed
+        lines += [f"stage {snap.stage}: {c.axiom} fails at {c.witness}" for c in failed]
+        if not failed:
             lines.append(f"stage {snap.stage}: ok")
-        else:
-            ok = False
-            for check in report.checks():
-                if not check.passed:
-                    lines.append(
-                        f"stage {snap.stage}: {check.axiom} fails at {check.witness}"
-                    )
     return lines, ok
 
 
-def _suite_monotone(manifest, config, snapshots, kind) -> Tuple[List[str], bool]:
-    if not snapshots:
-        return ["no snapshots in run (set family); nothing to check"], True
-    report = check_monotone(snapshots, kind)
+def _suite_monotone(run: Run) -> Tuple[List[str], bool]:
+    report = check_monotone(run.snapshots, run.kind)
     lines = [
         f"stage {stage}: pair {pair} moved the wrong way"
         for stage, pair in report.failures
     ]
-    lines.append(f"direction {kind.value} over {len(snapshots)} snapshots")
+    lines.append(f"direction {run.kind.value} over {len(run.snapshots)} snapshots")
     return lines, report.passed
 
 
-def _suite_decode(manifest, config, snapshots, kind) -> Tuple[List[str], bool]:
-    construction = manifest.get("construction")
-    if construction == "family":
-        raise ConfigError("family runs are verified with --suite isomorphism")
-    if not snapshots:
-        raise ConfigError("run has no snapshots to decode")
-    final = snapshots[-1]
-    lines, ok = [], True
-    if construction == "sigma2":
-        pred = sigma2_mod.predicate_from_config(config)
-        truth = pred.membership()
-        for i in range(pred.bound):
-            got = sigma2_mod.membership_query(final, sigma2_mod.DEFAULT_CONSTS, i)
-            match = got == truth[i]
-            ok = ok and match
-            lines.append(
-                f"index {i}: decoded {'member' if got else 'nonmember'}"
-                + ("" if match else f", expected {'member' if truth[i] else 'nonmember'}")
-            )
-    elif construction in ("jump-cochain", "jump-antichain"):
-        sched = jump_mod.schedule_from_config(config)
-        if construction == "jump-cochain":
-            probe = longest_chain(final)
-            decode = jump_mod.decode_chain
-        else:
-            probe = jump_mod.greedy_antichain(final)
-            decode = jump_mod.decode_antichain
-        width = len(probe) - 2
-        if width < 0:
-            raise ConfigError("run too small to carry any bits")
-        for i in range(width + 1):
-            got = decode(final, probe, sched, i)
-            want = sched.true_prefix(i)
-            match = got == want
-            ok = ok and match
-            lines.append(
-                f"prefix {i}: {''.join(map(str, got))}"
-                + ("" if match else f" expected {''.join(map(str, want))}")
-            )
-    elif construction in ("spectrum-ce", "spectrum-coce"):
-        graph = spectrum_mod.graph_from_config(config)
-        got = spectrum_mod.decode_graph(final, kind)
-        decoded = sorted(
-            tuple(sorted((spectrum_mod.element_to_vertex(x), spectrum_mod.element_to_vertex(y))))
-            for x, y in got
-        )
-        want = sorted(tuple(e) for e in graph.edges)
-        match = decoded == want
-        ok = match
-        lines.append(f"decoded edges {decoded}")
-        if not match:
-            lines.append(f"expected edges {want}")
-        comp = spectrum_mod.comparability_graph(final)
-        got2 = spectrum_mod.decode_from_comparability(comp, kind)
-        if got2 != got:
-            ok = False
-            lines.append("comparability readout disagrees with order readout")
-    else:
-        raise ConfigError(f"no decode suite for construction {construction!r}")
-    return lines, ok
-
-
-def _suite_isomorphism(manifest, config, run_dir) -> Tuple[List[str], bool]:
-    if manifest.get("construction") != "family":
-        raise ConfigError("--suite isomorphism only applies to family runs")
-    pre = family_mod.preorder_from_config(config)
-    fam = family_mod.SetFamily.from_obj(load_json(os.path.join(run_dir, FAMILY_NAME)))
-    report = family_mod.verify_isomorphism(pre, fam)
-    lines = [
-        f"pair ({i}, {j}): order and inclusion disagree"
-        for i, j in report.mismatches
-    ]
-    lines.append(f"{pre.n} indices against {fam.element_count} elements")
-    return lines, report.passed
-
-
-def _suite_witness(manifest, config, snapshots, kind) -> Tuple[List[str], bool]:
-    construction = manifest.get("construction")
-    if construction not in ("jump-cochain", "jump-antichain"):
-        raise ConfigError("--suite witness only applies to jump runs")
-    sched = jump_mod.schedule_from_config(config)
-    final = snapshots[-1]
-    if construction == "jump-cochain":
-        report = jump_mod.no_infinite_antichain_witness(final, sched)
-        lines = [f"pair {pair} escapes its bound" for pair in report.failures]
-        lines.append("kept: every element is below all late elements")
-    else:
-        report = jump_mod.finite_chain_witness(
-            final, sched, manifest.get("stages", 0)
-        )
-        lines = [
-            f"longest chain {got}, predicted {want}" for got, want in report.failures
-        ]
-        lines.append("kept: chains stay inside merged entry windows")
-    return lines, report.passed
+GENERIC_SUITES = {"poset": _suite_poset, "monotone": _suite_monotone}
+MISFITS = {
+    "decode": "no decode suite for construction {!r}",
+    "isomorphism": "--suite isomorphism only applies to family runs",
+    "witness": "--suite witness only applies to jump runs",
+}
 
 
 @main.command()
@@ -368,29 +188,32 @@ def _suite_witness(manifest, config, snapshots, kind) -> Tuple[List[str], bool]:
 @_tool_errors
 def verify(run_dir, suite):
     """Check a built run; exit 0 on PASS, 1 on FAIL."""
-    manifest, config, snapshots, kind = load_run(run_dir)
-    if suite == "isomorphism":
-        lines, ok = _suite_isomorphism(manifest, config, run_dir)
+    run = Run(run_dir, *load_run(run_dir))
+    if suite in GENERIC_SUITES and not run.snapshots:
+        lines, ok = ["no snapshots in run (set family); nothing to check"], True
+    elif suite in GENERIC_SUITES:
+        lines, ok = GENERIC_SUITES[suite](run)
     else:
-        suites = {
-            "poset": _suite_poset,
-            "monotone": _suite_monotone,
-            "decode": _suite_decode,
-            "witness": _suite_witness,
-        }
-        lines, ok = suites[suite](manifest, config, snapshots, kind)
-    _verdict(lines, ok)
+        name = run.manifest.get("construction")
+        con = CONSTRUCTIONS.get(name) if isinstance(name, str) else None
+        if con is None or suite not in con.suites:
+            raise ConfigError(MISFITS[suite].format(name))
+        lines, ok = getattr(con, suite)(run)
+    click.echo("\n".join(lines + ["PASS" if ok else "FAIL"]))
+    sys.exit(0 if ok else 1)
 
 
-def _parse_consts(text: Optional[str], count: int, default) -> Tuple[int, ...]:
+def _parse_consts(text: Optional[str], default: Tuple[int, ...], n: int) -> Tuple[int, ...]:
     if text is None:
         return default
     try:
         values = tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise ConfigError(f"--consts must be {count} comma-separated integers")
-    if len(values) != count:
-        raise ConfigError(f"--consts must name exactly {count} elements")
+        raise ConfigError(f"--consts must be {len(default)} comma-separated integers")
+    if len(values) != len(default):
+        raise ConfigError(f"--consts must name exactly {len(default)} elements")
+    if not all(0 <= value < n for value in values):
+        raise ConfigError(f"--consts must name elements of 0..{n - 1}")
     return values
 
 
@@ -398,87 +221,36 @@ def _load_perm(path: Optional[str], n: int) -> Optional[List[int]]:
     if path is None:
         return None
     perm = load_json(path)
-    if not isinstance(perm, list) or sorted(perm) != list(range(n)):
+    integers = isinstance(perm, list) and all(type(x) is int for x in perm)
+    if not integers or sorted(perm) != list(range(n)):
         raise ConfigError(f"--perm file must hold a permutation of 0..{n - 1}")
     return perm
 
 
 @main.command()
 @click.option("--snapshot", "snapshot_path", required=True, type=click.Path())
-@click.option("--construction", required=True, type=click.Choice(CONSTRUCTIONS))
+@click.option("--construction", required=True, type=click.Choice(NAMES))
 @click.option("--consts", default=None, help="comma-separated constants, canonical order")
 @click.option("--perm", "perm_path", default=None, type=click.Path())
 @_tool_errors
 def decode(snapshot_path, construction, consts, perm_path):
     """Read the coded content back out of one snapshot."""
     snap, kind = load_snapshot(snapshot_path)
-    sibling_config = os.path.join(os.path.dirname(snapshot_path), CONFIG_NAME)
     perm = _load_perm(perm_path, snap.domain_size)
-    if construction == "sigma2":
-        base = _parse_consts(consts, 5, tuple(sigma2_mod.DEFAULT_CONSTS))
-        if perm is not None:
-            snap = apply_permutation(snap, perm)
+    con = CONSTRUCTIONS[construction]
+    if con.checks_kind and kind is not con.kind:
+        raise ConfigError(f"snapshot is a {kind.value} run, not {con.kind.value}")
+    base = None if con.consts is None else _parse_consts(consts, con.consts, snap.domain_size)
+    original = None
+    if perm is not None:
+        snap = apply_permutation(snap, perm)
+        if base is not None:
             base = tuple(perm[c] for c in base)
-        pred = sigma2_mod.predicate_from_config(load_json(sibling_config))
-        cs = sigma2_mod.Sigma2Consts(*base)
-        bits = [
-            1 if sigma2_mod.membership_query(snap, cs, i) else 0
-            for i in range(pred.bound)
-        ]
-        _emit({"construction": "sigma2", "membership": bits})
-    elif construction in ("jump-cochain", "jump-antichain"):
-        if perm is not None:
-            raise ConfigError(
-                "jump decoding reads stage bounds off element names; "
-                "it does not survive relabeling"
-            )
-        sched = jump_mod.schedule_from_config(load_json(sibling_config))
-        if construction == "jump-cochain":
-            probe = longest_chain(snap)
-            reader = jump_mod.decode_chain
-        else:
-            probe = jump_mod.greedy_antichain(snap)
-            reader = jump_mod.decode_antichain
-        i = len(probe) - 2
-        if i < 0:
-            raise ConfigError("snapshot too small to carry any bits")
-        bits = list(reader(snap, probe, sched, i))
-        _emit({"construction": construction, "i": i, "bits": bits})
-    elif construction in ("spectrum-ce", "spectrum-coce"):
-        want_kind = Kind.CE if construction == "spectrum-ce" else Kind.COCE
-        if kind is not want_kind:
-            raise ConfigError(
-                f"snapshot is a {kind.value} run, not {want_kind.value}"
-            )
-        base = _parse_consts(
-            consts, 4, tuple(spectrum_mod.DEFAULT_SPECTRUM_CONSTS)
-        )
-        inverse = None
-        if perm is not None:
-            snap = apply_permutation(snap, perm)
-            base = tuple(perm[c] for c in base)
-            inverse = {perm[x]: x for x in range(len(perm))}
-        cs = spectrum_mod.SpectrumConsts(*base)
-        pairs = spectrum_mod.decode_graph(snap, kind, cs)
-        edges = set()
-        for x, y in pairs:
-            if inverse is not None:
-                x, y = inverse[x], inverse[y]
-            edges.add(
-                tuple(
-                    sorted(
-                        (
-                            spectrum_mod.element_to_vertex(x),
-                            spectrum_mod.element_to_vertex(y),
-                        )
-                    )
-                )
-            )
-        _emit(
-            {"construction": construction, "edges": [list(e) for e in sorted(edges)]}
-        )
-    else:
-        raise ConfigError("family runs decode via 'verify --suite isomorphism'")
+        original = {p: x for x, p in enumerate(perm)}
+    config = functools.partial(
+        load_json, os.path.join(os.path.dirname(snapshot_path), CONFIG_NAME)
+    )
+    _emit(con.readout(snap, kind, base, config, original))
 
 
 @main.command()
@@ -491,23 +263,13 @@ def decode(snapshot_path, construction, consts, perm_path):
 def solve(order_path, principle, threshold):
     """Extract the combinatorial object a principle promises."""
     snap, _ = load_snapshot(order_path)
-    if principle == "ads":
-        sol = solve_ads(snap)
-        _emit(
-            {"principle": "ads", "direction": sol.direction, "elements": list(sol.elements)}
-        )
-    elif principle == "cac":
+    if principle == "cac":
         sol = solve_cac(snap)
-        _emit({"principle": "cac", "kind": sol.kind, "elements": list(sol.elements)})
+        shape = {"kind": sol.kind}
     else:
-        sol = solve_ads_preorder(snap, threshold)
-        _emit(
-            {
-                "principle": "ads-preorder",
-                "direction": sol.direction,
-                "elements": list(sol.elements),
-            }
-        )
+        sol = solve_ads(snap) if principle == "ads" else solve_ads_preorder(snap, threshold)
+        shape = {"direction": sol.direction}
+    _emit(dict(shape, principle=principle, elements=list(sol.elements)))
 
 
 @main.command("export-dot")
@@ -517,10 +279,7 @@ def solve(order_path, principle, threshold):
 def export_dot(snapshot_path, reduction):
     """Print the strict relation (optionally its transitive reduction) as DOT."""
     snap, _ = load_snapshot(snapshot_path)
-    if reduction:
-        edges = sorted(transitive_reduction(snap))
-    else:
-        edges = sorted(snap.strict)
+    edges = sorted(transitive_reduction(snap) if reduction else snap.strict)
     out = ["digraph order {"]
     for x in range(snap.domain_size):
         label = snap.labels.get(x)

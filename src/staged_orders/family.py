@@ -10,19 +10,24 @@ of A_j.
 
 from __future__ import annotations
 
+import os
+import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .generators import removals_from_horizon
 from .kernel import (
     ConfigError,
+    Construction,
     Kind,
     Snapshot,
     StagedOrderError,
     check_preorder,
     close_matrix,
 )
+from .serialize import FAMILY_NAME, load_json
 
 
 class SpeedupBudgetExceeded(StagedOrderError):
@@ -204,3 +209,47 @@ def verify_isomorphism(pre: CoCEPreorder, fam: SetFamily) -> IsomorphismReport:
             if bool(pre.limit.matrix[i, j]) != fam.included(i, j):
                 bad.append((i, j))
     return IsomorphismReport(not bad, tuple(bad))
+
+
+class FamilyConstruction(Construction):
+    """The set family, as the command line drives it. Its run holds
+    family.json instead of snapshots, so there is nothing to decode."""
+
+    suites = ("decode", "isomorphism")
+
+    def build(self, plan):
+        """A `removal_horizon` in place of `removals` is drawn from the
+        seed, and the drawn list replaces it in the resolved config."""
+        payload = plan.payload = dict(plan.payload)
+        horizon = payload.pop("removal_horizon", None)
+        if "removals" not in payload:
+            if horizon is None:
+                raise ConfigError("family config needs 'removals' or 'removal_horizon'")
+            if plan.seed is None:
+                raise ConfigError("drawing removals from a horizon needs --seed")
+            payload["removals"] = removals_from_horizon(
+                random.Random(plan.seed),
+                payload.get("n", 0),
+                payload.get("limit_pairs", []),
+                horizon,
+            )
+        pre = preorder_from_config(payload)
+        stages = plan.stages_or(sufficient_stages(pre))
+        return [], build_family(pre, stages).to_obj()
+
+    def readout(self, snap, kind, consts, config, original) -> dict:
+        raise ConfigError("family runs decode via 'verify --suite isomorphism'")
+
+    def decode(self, run):
+        raise ConfigError("family runs are verified with --suite isomorphism")
+
+    def isomorphism(self, run):
+        pre = preorder_from_config(run.config)
+        fam = SetFamily.from_obj(load_json(os.path.join(run.dir, FAMILY_NAME)))
+        report = verify_isomorphism(pre, fam)
+        lines = [f"pair ({i}, {j}): order and inclusion disagree" for i, j in report.mismatches]
+        lines.append(f"{pre.n} indices against {fam.element_count} elements")
+        return lines, report.passed
+
+
+FAMILY = FamilyConstruction("family", Kind.COCE)

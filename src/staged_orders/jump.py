@@ -12,11 +12,11 @@ the first i bits of K.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .kernel import ConfigError, Kind, Snapshot, StagedOrder, StagedOrderError
+from .kernel import ConfigError, Construction, Kind, Snapshot, StagedOrder, StagedOrderError
 from .solvers import longest_chain
 
 
@@ -44,12 +44,6 @@ class EnumerationSchedule:
     @property
     def max_entry_stage(self) -> int:
         return max((s for _, s in self.entries), default=0)
-
-    def entry_stage(self, e: int) -> Optional[int]:
-        for elem, s in self.entries:
-            if elem == e:
-                return s
-        return None
 
     def members(self, s: int) -> frozenset:
         """K as seen at stage s (entries at stage s included)."""
@@ -236,3 +230,67 @@ def greedy_antichain(order_or_snap: Union[StagedOrder, Snapshot]) -> Tuple[int, 
         if all(not snap.holds(x, y) and not snap.holds(y, x) for y in picked):
             picked.append(x)
     return tuple(picked)
+
+
+class JumpConstruction(Construction):
+    """One enumeration coding, as the command line drives it: the cochain
+    order is read along a chain, the antichain order along an antichain."""
+
+    suites = ("decode", "witness")
+
+    def build(self, plan):
+        sched = schedule_from_config(plan.payload)
+        n = plan.domain if plan.domain is not None else plan.payload.get("n")
+        if not isinstance(n, int) or n < 0:
+            raise ConfigError("jump configs need a natural 'n' (or --domain)")
+        plan.payload.setdefault("n", n)
+        stages = plan.stages_or(sched.max_entry_stage)
+        builder = build_cochain_order if self.kind is Kind.COCE else build_antichain_order
+        return builder(sched, n, stages).snapshots, None
+
+    def _prefixes(self, snap, sched, holder: str, every: bool):
+        """(i, bits) read off the probe: the widest prefix, or all of them."""
+        cochain = self.kind is Kind.COCE
+        probe = longest_chain(snap) if cochain else greedy_antichain(snap)
+        read = decode_chain if cochain else decode_antichain
+        if len(probe) < 2:
+            raise ConfigError(f"{holder} too small to carry any bits")
+        widths = range(len(probe) - 1) if every else (len(probe) - 2,)
+        return [(i, read(snap, probe, sched, i)) for i in widths]
+
+    def readout(self, snap, kind, consts, config, original) -> dict:
+        if original is not None:
+            raise ConfigError(
+                "jump decoding reads stage bounds off element names; it does not survive relabeling"
+            )
+        [(i, bits)] = self._prefixes(snap, schedule_from_config(config()), "snapshot", False)
+        return {"construction": self.name, "i": i, "bits": list(bits)}
+
+    def decode(self, run):
+        final = run.final
+        sched = schedule_from_config(run.config)
+        lines, ok = [], True
+        for i, got in self._prefixes(final, sched, "run", True):
+            want = sched.true_prefix(i)
+            ok = ok and got == want
+            lines.append(
+                f"prefix {i}: {''.join(map(str, got))}"
+                + ("" if got == want else f" expected {''.join(map(str, want))}")
+            )
+        return lines, ok
+
+    def witness(self, run):
+        sched = schedule_from_config(run.config)
+        if self.kind is Kind.COCE:
+            report = no_infinite_antichain_witness(run.final, sched)
+            lines = [f"pair {pair} escapes its bound" for pair in report.failures]
+            kept = "kept: every element is below all late elements"
+        else:
+            report = finite_chain_witness(run.final, sched, run.manifest.get("stages", 0))
+            lines = [f"longest chain {got}, predicted {want}" for got, want in report.failures]
+            kept = "kept: chains stay inside merged entry windows"
+        return lines + [kept], report.passed
+
+
+JUMP_COCHAIN = JumpConstruction("jump-cochain", Kind.COCE)
+JUMP_ANTICHAIN = JumpConstruction("jump-antichain", Kind.CE)

@@ -329,22 +329,6 @@ class StagedOrder:
         self.domain_size = initial.domain_size
         self._snapshots = [initial]
 
-    @classmethod
-    def from_history(cls, kind: Kind, snapshots: Sequence[Snapshot]) -> "StagedOrder":
-        """Wrap an existing snapshot sequence without monotonicity checks.
-
-        Each snapshot is still not validated here either; this exists so
-        that loaded or hand-spliced histories can be fed to the check_*
-        functions.
-        """
-        if not snapshots:
-            raise StagedOrderError("history must contain at least one snapshot")
-        order = cls.__new__(cls)
-        order.kind = kind
-        order.domain_size = snapshots[0].domain_size
-        order._snapshots = list(snapshots)
-        return order
-
     @property
     def snapshots(self) -> Tuple[Snapshot, ...]:
         return tuple(self._snapshots)
@@ -432,3 +416,28 @@ def transitive_reduction(snapshot: Snapshot) -> frozenset:
     via = (strict.astype(np.uint8) @ strict.astype(np.uint8)) > 0
     reduced = strict & ~via
     return frozenset((int(i), int(j)) for i, j in np.argwhere(reduced))
+
+
+class Construction:
+    """One construction as the command line drives it: cli.CONSTRUCTIONS
+    holds one instance per name, each defined beside its construction.
+
+    name, kind   the --construction name and the kind of run it builds
+    suites       verify suites beyond poset and monotone; each is a method
+                 taking the loaded run and returning (lines, passed)
+    consts       default constants for decode --consts; None if it takes none
+    checks_kind  whether decode refuses snapshots of the other kind
+    build(plan)  fill in the plan's defaults; return (snapshots, family
+                 object or None) for serialize.write_run
+    readout(snapshot, kind, consts, config, original)
+                 the object decode prints; config() loads the sibling
+                 config.json, original maps relabeled elements back
+    """
+
+    suites: Tuple[str, ...] = ("decode",)
+    consts: Optional[Tuple[int, ...]] = None
+    checks_kind = False
+
+    def __init__(self, name: str, kind: Kind):
+        self.name = name
+        self.kind = kind

@@ -44,6 +44,11 @@ def snapshot_to_obj(snapshot: Snapshot, kind: Kind) -> dict:
     return obj
 
 
+def is_natural(value) -> bool:
+    """A JSON natural number; true and false do not count."""
+    return type(value) is int and value >= 0
+
+
 def _expect(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
@@ -55,13 +60,13 @@ def snapshot_from_obj(obj) -> Tuple[Snapshot, Kind]:
     stage = obj.get("stage")
     kind_raw = obj.get("kind")
     pairs = obj.get("pairs")
-    _expect(isinstance(n, int) and n >= 0, "domain_size must be a natural number")
-    _expect(isinstance(stage, int) and stage >= 0, "stage must be a natural number")
+    _expect(is_natural(n), "domain_size must be a natural number")
+    _expect(is_natural(stage), "stage must be a natural number")
     _expect(kind_raw in ("ce", "coce"), "kind must be 'ce' or 'coce'")
     _expect(isinstance(pairs, list), "pairs must be a list")
     for p in pairs:
         _expect(
-            isinstance(p, list) and len(p) == 2 and all(isinstance(x, int) for x in p),
+            isinstance(p, list) and len(p) == 2 and type(p[0]) is int and type(p[1]) is int,
             f"malformed pair {p!r}",
         )
         _expect(0 <= p[0] < n and 0 <= p[1] < n, f"pair {p!r} outside domain")
@@ -112,9 +117,17 @@ def write_run(
     snapshots: List[Snapshot],
     stages: int,
     seed: Optional[int] = None,
+    family: Optional[dict] = None,
 ) -> dict:
+    """Write config, snapshots (or, for a set family, family.json) and the
+    manifest; return the manifest."""
     os.makedirs(out_dir, exist_ok=True)
     save_json(os.path.join(out_dir, CONFIG_NAME), config_obj)
+    if family is not None:
+        save_json(os.path.join(out_dir, FAMILY_NAME), family)
+        domain_size = family["n"]
+    else:
+        domain_size = snapshots[0].domain_size if snapshots else 0
     last = snapshots[-1].stage if snapshots else 0
     for snapshot in snapshots:
         path = os.path.join(out_dir, _snapshot_name(snapshot.stage, last))
@@ -123,32 +136,9 @@ def write_run(
         "construction": construction,
         "config_hash": config_hash(config_obj),
         "kind": kind.value,
-        "domain_size": snapshots[0].domain_size if snapshots else 0,
+        "domain_size": domain_size,
         "stages": stages,
         "snapshot_count": len(snapshots),
-        "seed": seed,
-    }
-    save_json(os.path.join(out_dir, MANIFEST_NAME), manifest)
-    return manifest
-
-
-def write_family_run(
-    out_dir: str,
-    config_obj,
-    family_obj,
-    stages: int,
-    seed: Optional[int] = None,
-) -> dict:
-    os.makedirs(out_dir, exist_ok=True)
-    save_json(os.path.join(out_dir, CONFIG_NAME), config_obj)
-    save_json(os.path.join(out_dir, FAMILY_NAME), family_obj)
-    manifest = {
-        "construction": "family",
-        "config_hash": config_hash(config_obj),
-        "kind": Kind.COCE.value,
-        "domain_size": family_obj["n"],
-        "stages": stages,
-        "snapshot_count": 0,
         "seed": seed,
     }
     save_json(os.path.join(out_dir, MANIFEST_NAME), manifest)
@@ -171,4 +161,15 @@ def load_run(run_dir: str) -> Tuple[dict, dict, List[Snapshot], Kind]:
         _expect(snap_kind is kind, f"{name} kind disagrees with manifest")
         snapshots.append(snapshot)
     snapshots.sort(key=lambda s: s.stage)
+    # Files lost, spliced in or edited must not pass as a shorter run.
+    count = manifest.get("snapshot_count")
+    _expect(
+        is_natural(count) and count == len(snapshots),
+        f"run holds {len(snapshots)} snapshots but the manifest lists {count!r}",
+    )
+    _expect([s.stage for s in snapshots] == list(range(count)), "snapshot stages have gaps")
+    _expect(
+        all(s.domain_size == manifest.get("domain_size") for s in snapshots),
+        "a snapshot's domain size disagrees with the manifest",
+    )
     return manifest, config, snapshots, kind

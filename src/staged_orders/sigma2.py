@@ -29,6 +29,7 @@ import numpy as np
 
 from .kernel import (
     ConfigError,
+    Construction,
     DomainTooSmall,
     Kind,
     Snapshot,
@@ -401,3 +402,36 @@ def membership_query(
     m = snapshot.matrix
     _, b_set, _ = identify_regions(snapshot, consts)
     return any(all(m[b, x] for x in row) for b in sorted(b_set))
+
+
+class Sigma2Construction(Construction):
+    """The membership coding, as the command line drives it."""
+
+    consts = tuple(DEFAULT_CONSTS)
+
+    def build(self, plan):
+        pred = predicate_from_config(plan.payload)
+        if plan.domain is None:
+            plan.domain = required_domain_bound(pred)
+        stages = plan.stages_or(stabilization_stage(pred, plan.domain))
+        return build_run(pred, plan.domain, stages)[0].snapshots, None
+
+    def readout(self, snap, kind, consts, config, original) -> dict:
+        pred = predicate_from_config(config())
+        cs = Sigma2Consts(*consts)
+        bits = [1 if membership_query(snap, cs, i) else 0 for i in range(pred.bound)]
+        return {"construction": self.name, "membership": bits}
+
+    def decode(self, run):
+        final = run.final
+        truth = predicate_from_config(run.config).membership()
+        bits = self.readout(final, run.kind, self.consts, lambda: run.config, None)["membership"]
+        word = ("nonmember", "member")
+        lines = [
+            f"index {i}: decoded {word[got]}" + ("" if got == want else f", expected {word[want]}")
+            for i, (got, want) in enumerate(zip(bits, truth))
+        ]
+        return lines, bits == [int(want) for want in truth]
+
+
+SIGMA2 = Sigma2Construction("sigma2", Kind.COCE)

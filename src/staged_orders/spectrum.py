@@ -19,6 +19,7 @@ import numpy as np
 
 from .kernel import (
     ConfigError,
+    Construction,
     DomainTooSmall,
     Kind,
     Snapshot,
@@ -351,3 +352,47 @@ def decode_from_comparability(
             if marked[0] in nbr.get(r1, set()):
                 out.add((x, y))
     return frozenset(out)
+
+
+class SpectrumConstruction(Construction):
+    """One graph coding, as the command line drives it. Decoding needs the
+    snapshot and the four constants, never the run's config."""
+
+    consts = tuple(DEFAULT_SPECTRUM_CONSTS)
+    checks_kind = True
+
+    def build(self, plan):
+        graph = graph_from_config(plan.payload)
+        if plan.domain is None:
+            plan.domain = required_domain_bound(graph)
+        stages = plan.stages_or(required_stages(graph, plan.domain))
+        return build_spectrum_run(self.kind, graph, plan.domain, stages).snapshots, None
+
+    def _read(self, snap, kind, consts, original=None):
+        """The decoded element pairs, and the same as sorted vertex pairs;
+        `original` maps a relabeled snapshot's elements back first."""
+        pairs = decode_graph(snap, kind, SpectrumConsts(*consts))
+        named = pairs if original is None else [(original[x], original[y]) for x, y in pairs]
+        edges = {tuple(sorted((element_to_vertex(x), element_to_vertex(y)))) for x, y in named}
+        return pairs, sorted(edges)
+
+    def readout(self, snap, kind, consts, config, original) -> dict:
+        _, edges = self._read(snap, kind, consts, original)
+        return {"construction": self.name, "edges": [list(e) for e in edges]}
+
+    def decode(self, run):
+        """The order readout against the config, then against the
+        comparability readout, which is independent code on purpose."""
+        final = run.final
+        want = sorted(tuple(e) for e in graph_from_config(run.config).edges)
+        pairs, decoded = self._read(final, run.kind, self.consts)
+        ok = decoded == want
+        lines = [f"decoded edges {decoded}"] + ([] if ok else [f"expected edges {want}"])
+        if decode_from_comparability(comparability_graph(final), run.kind) != pairs:
+            ok = False
+            lines.append("comparability readout disagrees with order readout")
+        return lines, ok
+
+
+SPECTRUM_CE = SpectrumConstruction("spectrum-ce", Kind.CE)
+SPECTRUM_COCE = SpectrumConstruction("spectrum-coce", Kind.COCE)
