@@ -28,9 +28,9 @@ from .kernel import (
     transitive_reduction,
 )
 from .serialize import (
-    CONFIG_NAME,
     canonical_dumps,
     is_natural,
+    load_config,
     load_json,
     load_run,
     load_snapshot,
@@ -247,9 +247,7 @@ def decode(snapshot_path, construction, consts, perm_path):
         if base is not None:
             base = tuple(perm[c] for c in base)
         original = {p: x for x, p in enumerate(perm)}
-    config = functools.partial(
-        load_json, os.path.join(os.path.dirname(snapshot_path), CONFIG_NAME)
-    )
+    config = functools.partial(load_config, os.path.dirname(snapshot_path))
     _emit(con.readout(snap, kind, base, config, original))
 
 

@@ -24,10 +24,14 @@ from .kernel import (
     Kind,
     Snapshot,
     StagedOrderError,
+    _find_transitivity_witness,
+    _matrix_of,
+    _pairs_of,
+    _strict,
     check_preorder,
     close_matrix,
 )
-from .serialize import FAMILY_NAME, load_json
+from .serialize import FAMILY_NAME, is_natural, load_json
 
 
 class SpeedupBudgetExceeded(StagedOrderError):
@@ -47,13 +51,7 @@ class CoCEPreorder:
         covered = {pair for pair, _ in self.removal_stage}
         if len(covered) != len(self.removal_stage):
             raise ConfigError("duplicate removal entries")
-        complement = {
-            (i, j)
-            for i in range(self.n)
-            for j in range(self.n)
-            if i != j and not self.limit.matrix[i, j]
-        }
-        if covered != complement:
+        if covered != _pairs_of(~self.limit.matrix):
             raise ConfigError(
                 "removal schedule must cover exactly the pairs outside the limit"
             )
@@ -73,20 +71,26 @@ class CoCEPreorder:
         return matrix
 
 
-def preorder_from_config(blob: dict) -> CoCEPreorder:
+def _limit_pairs(blob: dict) -> Tuple[int, list]:
+    """The config's n and limit pairs, each pair checked against n."""
     n = blob.get("n")
     if not isinstance(n, int) or n < 0:
         raise ConfigError("config needs a natural 'n'")
     limit_pairs = blob.get("limit_pairs", [])
-    removals = blob.get("removals")
-    if not isinstance(limit_pairs, list) or not isinstance(removals, list):
+    if not isinstance(limit_pairs, list):
         raise ConfigError("config needs 'limit_pairs' and 'removals' lists")
-    matrix = np.eye(n, dtype=bool)
     for p in limit_pairs:
-        if not (isinstance(p, list) and len(p) == 2 and 0 <= p[0] < n and 0 <= p[1] < n):
+        if not (isinstance(p, list) and len(p) == 2 and all(is_natural(v) and v < n for v in p)):
             raise ConfigError(f"malformed limit pair {p!r}")
-        matrix[p[0], p[1]] = True
-    close_matrix(matrix)
+    return n, limit_pairs
+
+
+def preorder_from_config(blob: dict) -> CoCEPreorder:
+    n, limit_pairs = _limit_pairs(blob)
+    removals = blob.get("removals")
+    if not isinstance(removals, list):
+        raise ConfigError("config needs 'limit_pairs' and 'removals' lists")
+    matrix = close_matrix(_matrix_of(limit_pairs, n))
     schedule = []
     for entry in removals:
         if not (
@@ -101,15 +105,9 @@ def preorder_from_config(blob: dict) -> CoCEPreorder:
 
 
 def preorder_to_config(pre: CoCEPreorder) -> dict:
-    pairs = sorted(p for p in pre.limit.pairs if p[0] != p[1])
+    pairs = np.argwhere(_strict(pre.limit.matrix)).tolist()
     removals = sorted([i, j, stage] for (i, j), stage in pre.removal_stage)
-    return {"n": pre.n, "limit_pairs": [list(p) for p in pairs], "removals": removals}
-
-
-def _transitive_on(matrix: np.ndarray, bound: int) -> bool:
-    sub = matrix[:bound, :bound]
-    via = (sub.astype(np.uint8) @ sub.astype(np.uint8)) > 0
-    return not bool((via & ~sub).any())
+    return {"n": pre.n, "limit_pairs": pairs, "removals": removals}
 
 
 def speedup(pre: CoCEPreorder, s: int, horizon: Optional[int] = None) -> int:
@@ -120,7 +118,7 @@ def speedup(pre: CoCEPreorder, s: int, horizon: Optional[int] = None) -> int:
     budget = limit_stage if horizon is None else horizon
     t = s
     while True:
-        if _transitive_on(pre.view(t), window):
+        if _find_transitivity_witness(pre.view(t)[:window, :window]) is None:
             return t
         t += 1
         if t > budget:
@@ -227,11 +225,11 @@ class FamilyConstruction(Construction):
                 raise ConfigError("family config needs 'removals' or 'removal_horizon'")
             if plan.seed is None:
                 raise ConfigError("drawing removals from a horizon needs --seed")
+            if not is_natural(horizon):
+                raise ConfigError("removal_horizon must be a natural")
+            n, limit_pairs = _limit_pairs(payload)
             payload["removals"] = removals_from_horizon(
-                random.Random(plan.seed),
-                payload.get("n", 0),
-                payload.get("limit_pairs", []),
-                horizon,
+                random.Random(plan.seed), n, limit_pairs, horizon
             )
         pre = preorder_from_config(payload)
         stages = plan.stages_or(sufficient_stages(pre))

@@ -11,7 +11,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .kernel import Snapshot, apply_permutation, close_matrix
+from .kernel import Snapshot, _matrix_of, apply_permutation, close_matrix
 
 
 def random_permutation(rng: random.Random, n: int) -> List[int]:
@@ -65,16 +65,8 @@ def removals_from_horizon(
 ) -> List[List[int]]:
     """One removal stage per pair outside the closed limit, drawn uniformly
     from [0, horizon] in lexicographic pair order."""
-    matrix = np.eye(n, dtype=bool)
-    for i, j in limit_pairs:
-        matrix[i, j] = True
-    close_matrix(matrix)
-    out = []
-    for i in range(n):
-        for j in range(n):
-            if i != j and not matrix[i, j]:
-                out.append([i, j, rng.randint(0, horizon)])
-    return out
+    matrix = close_matrix(_matrix_of(limit_pairs, n))
+    return [[i, j, rng.randint(0, horizon)] for i, j in np.argwhere(~matrix).tolist()]
 
 
 def random_coce_preorder_config(

@@ -93,26 +93,52 @@ def _close_in_place(matrix: np.ndarray) -> None:
             matrix[rows] |= matrix[k]
 
 
+def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Relation composition: [i, k] holds iff a[i, j] and b[j, k] for some j.
+    Read as > 0 the float32 product is exact at every size: a float sum of
+    non-negative terms that includes a 1 never rounds to 0."""
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+
+
+def _strict(matrix: np.ndarray) -> np.ndarray:
+    """The relation without its diagonal, as a new matrix."""
+    return matrix & ~np.eye(matrix.shape[0], dtype=bool)
+
+
+def _pairs_of(matrix: np.ndarray) -> frozenset:
+    """The (i, j) pairs a relation matrix holds."""
+    return frozenset(map(tuple, np.argwhere(matrix).tolist()))
+
+
+def _first_pair(matrix: np.ndarray) -> Optional[Tuple[int, int]]:
+    """The lexicographically least pair a relation matrix holds, or None."""
+    idx = np.argwhere(matrix)  # row-major, so already in lexicographic order
+    return tuple(idx[0].tolist()) if idx.size else None
+
+
+def _matrix_of(pairs: Iterable[Tuple[int, int]], n: int, reflexive: bool = True) -> np.ndarray:
+    """A relation matrix holding `pairs`; the cap is checked before anything
+    is allocated, and every pair must lie inside the domain."""
+    _check_domain_size(n)
+    matrix = np.zeros((n, n), dtype=bool)
+    np.fill_diagonal(matrix, reflexive)
+    for i, j in pairs:
+        if not (0 <= i < n and 0 <= j < n):
+            raise DomainTooSmall(f"pair ({i}, {j}) outside domain of size {n}")
+        matrix[i, j] = True
+    return matrix
+
+
 def _find_antisymmetry_witness(matrix: np.ndarray) -> Optional[Tuple[int, int]]:
-    bad = matrix & matrix.T
-    np.fill_diagonal(bad, False)
-    idx = np.argwhere(bad)
-    if idx.size == 0:
-        return None
-    # lexicographically least witness, reported with i < j
-    i, j = idx[np.lexsort((idx[:, 1], idx[:, 0]))][0]
-    return (int(i), int(j)) if i < j else (int(j), int(i))
+    return _first_pair(np.triu(matrix & matrix.T, 1))
 
 
 def _find_transitivity_witness(matrix: np.ndarray) -> Optional[Tuple[int, int, int]]:
-    reach2 = (matrix.astype(np.uint8) @ matrix.astype(np.uint8)) > 0
-    missing = reach2 & ~matrix
-    idx = np.argwhere(missing)
-    if idx.size == 0:
+    missing = _first_pair(_compose(matrix, matrix) & ~matrix)
+    if missing is None:
         return None
-    i, k = idx[np.lexsort((idx[:, 1], idx[:, 0]))][0]
-    js = np.nonzero(matrix[i] & matrix[:, k])[0]
-    return (int(i), int(js[0]), int(k))
+    i, k = missing
+    return (i, int(np.flatnonzero(matrix[i] & matrix[:, k])[0]), k)
 
 
 def close_matrix(matrix: np.ndarray) -> np.ndarray:
@@ -129,17 +155,12 @@ def transitive_close(
     Raises AntisymmetryViolation if the closure contains a 2-cycle, and
     DomainTooSmall if a pair mentions an element outside the domain.
     """
-    _check_domain_size(domain_size)
-    matrix = np.eye(domain_size, dtype=bool)
-    for i, j in pairs:
-        if not (0 <= i < domain_size and 0 <= j < domain_size):
-            raise DomainTooSmall(f"pair ({i}, {j}) outside domain of size {domain_size}")
-        matrix[i, j] = True
+    matrix = _matrix_of(pairs, domain_size)
     _close_in_place(matrix)
     witness = _find_antisymmetry_witness(matrix)
     if witness is not None:
         raise AntisymmetryViolation(*witness)
-    return frozenset((int(i), int(j)) for i, j in np.argwhere(matrix))
+    return _pairs_of(matrix)
 
 
 class Snapshot:
@@ -179,30 +200,18 @@ class Snapshot:
         labels: Optional[Mapping[int, str]] = None,
         reflexive: bool = True,
     ) -> "Snapshot":
-        _check_domain_size(domain_size)
-        matrix = np.eye(domain_size, dtype=bool) if reflexive else np.zeros(
-            (domain_size, domain_size), dtype=bool
-        )
-        for i, j in pairs:
-            if not (0 <= i < domain_size and 0 <= j < domain_size):
-                raise DomainTooSmall(
-                    f"pair ({i}, {j}) outside domain of size {domain_size}"
-                )
-            matrix[i, j] = True
-        return cls(domain_size, stage, matrix, labels)
+        return cls(domain_size, stage, _matrix_of(pairs, domain_size, reflexive), labels)
 
     def holds(self, i: int, j: int) -> bool:
         return bool(self.matrix[i, j])
 
     @property
     def pairs(self) -> frozenset:
-        return frozenset((int(i), int(j)) for i, j in np.argwhere(self.matrix))
+        return _pairs_of(self.matrix)
 
     @property
     def strict(self) -> frozenset:
-        off_diag = self.matrix.copy()
-        np.fill_diagonal(off_diag, False)
-        return frozenset((int(i), int(j)) for i, j in np.argwhere(off_diag))
+        return _pairs_of(_strict(self.matrix))
 
     def with_stage(self, stage: int) -> "Snapshot":
         return Snapshot(self.domain_size, stage, self.matrix, self.labels)
@@ -248,32 +257,41 @@ class PosetReport:
         return (self.reflexive, self.antisymmetric, self.transitive)
 
 
-def _reflexive_check(matrix: np.ndarray) -> AxiomCheck:
-    diag = np.diagonal(matrix)
-    missing = np.nonzero(~diag)[0]
-    if missing.size:
-        i = int(missing[0])
-        return AxiomCheck("reflexive", False, (i,))
-    return AxiomCheck("reflexive", True)
+def _report(matrix: np.ndarray, antisymmetric: bool) -> PosetReport:
+    unreflexive = np.flatnonzero(~np.diagonal(matrix))
+    rw = (int(unreflexive[0]),) if unreflexive.size else None
+    aw = _find_antisymmetry_witness(matrix) if antisymmetric else None
+    tw = _find_transitivity_witness(matrix)
+    return PosetReport(
+        AxiomCheck("reflexive", rw is None, rw),
+        AxiomCheck("antisymmetric", aw is None, aw),
+        AxiomCheck("transitive", tw is None, tw),
+    )
 
 
 def check_preorder(snapshot: Snapshot) -> PosetReport:
     """Reflexivity and transitivity only; antisymmetry reported vacuously true."""
-    matrix = snapshot.matrix
-    refl = _reflexive_check(matrix)
-    tw = _find_transitivity_witness(matrix)
-    trans = AxiomCheck("transitive", tw is None, tw)
-    return PosetReport(refl, AxiomCheck("antisymmetric", True), trans)
+    return _report(snapshot.matrix, antisymmetric=False)
 
 
 def check_partial_order(snapshot: Snapshot) -> PosetReport:
-    matrix = snapshot.matrix
-    refl = _reflexive_check(matrix)
-    aw = _find_antisymmetry_witness(matrix)
-    anti = AxiomCheck("antisymmetric", aw is None, aw)
-    tw = _find_transitivity_witness(matrix)
-    trans = AxiomCheck("transitive", tw is None, tw)
-    return PosetReport(refl, anti, trans)
+    return _report(snapshot.matrix, antisymmetric=True)
+
+
+def _require(report: PosetReport, error) -> None:
+    """Raise error(check) for the first axiom the report fails, if any."""
+    for check in report.checks():
+        if not check.passed:
+            raise error(check)
+
+
+def _violation(check: AxiomCheck) -> StagedOrderError:
+    """What StagedOrder raises for an initial snapshot that fails `check`."""
+    if check.axiom == "antisymmetric":
+        return AntisymmetryViolation(*check.witness)
+    if check.axiom == "transitive":
+        return TransitivityViolation(*check.witness)
+    return StagedOrderError(f"initial snapshot not reflexive at {check.witness}")
 
 
 @dataclass(frozen=True)
@@ -302,8 +320,7 @@ def check_monotone(order, kind: Optional[Kind] = None) -> MonotoneReport:
             lost = prev.matrix & ~cur.matrix
         else:
             lost = cur.matrix & ~prev.matrix
-        for i, j in np.argwhere(lost):
-            failures.append((cur.stage, (int(i), int(j))))
+        failures += [(cur.stage, tuple(p)) for p in np.argwhere(lost).tolist()]
     return MonotoneReport(kind, not failures, tuple(failures))
 
 
@@ -317,14 +334,7 @@ class StagedOrder:
     """
 
     def __init__(self, kind: Kind, initial: Snapshot):
-        report = check_partial_order(initial)
-        for check in report.checks():
-            if not check.passed:
-                if check.axiom == "antisymmetric":
-                    raise AntisymmetryViolation(*check.witness)
-                if check.axiom == "transitive":
-                    raise TransitivityViolation(*check.witness)
-                raise StagedOrderError(f"initial snapshot not reflexive at {check.witness}")
+        _require(check_partial_order(initial), _violation)
         self.kind = kind
         self.domain_size = initial.domain_size
         self._snapshots = [initial]
@@ -351,12 +361,9 @@ class StagedOrder:
                 raise AntisymmetryViolation(min(u, v), max(u, v))
             # x <= u and v <= y gives x <= y; includes (u,v) itself.
             new = np.logical_and.outer(matrix[:, u], matrix[v, :])
-            cycle = new & matrix.T
-            np.fill_diagonal(cycle, False)
-            bad = np.argwhere(cycle)
-            if bad.size:
-                i, j = bad[0]
-                raise AntisymmetryViolation(int(min(i, j)), int(max(i, j)))
+            bad = _first_pair(_strict(new & matrix.T))
+            if bad is not None:
+                raise AntisymmetryViolation(min(bad), max(bad))
             matrix |= new
         snapshot = Snapshot(n, self.current.stage + 1, matrix, self.current.labels)
         self._snapshots.append(snapshot)
@@ -393,29 +400,23 @@ def apply_permutation(snapshot: Snapshot, perm: Sequence[int]) -> Snapshot:
     perm = list(perm)
     if sorted(perm) != list(range(n)):
         raise BadPermutation(f"not a permutation of 0..{n - 1}")
-    inverse = [0] * n
-    for i, p in enumerate(perm):
-        inverse[p] = i
-    matrix = snapshot.matrix[np.ix_(inverse, inverse)].copy()
+    inverse = np.argsort(perm)
+    matrix = snapshot.matrix[np.ix_(inverse, inverse)]
     labels = {perm[i]: lab for i, lab in snapshot.labels.items()}
     return Snapshot(n, snapshot.stage, matrix, labels)
 
 
 def transitive_reduction(snapshot: Snapshot) -> frozenset:
     """Covering pairs of a partial order (minimal strict pairs)."""
-    report = check_partial_order(snapshot)
-    if not report.passed:
-        for check in report.checks():
-            if not check.passed:
-                raise StagedOrderError(
-                    f"transitive reduction needs a partial order; "
-                    f"{check.axiom} fails at {check.witness}"
-                )
-    strict = snapshot.matrix.copy()
-    np.fill_diagonal(strict, False)
-    via = (strict.astype(np.uint8) @ strict.astype(np.uint8)) > 0
-    reduced = strict & ~via
-    return frozenset((int(i), int(j)) for i, j in np.argwhere(reduced))
+    _require(
+        check_partial_order(snapshot),
+        lambda check: StagedOrderError(
+            f"transitive reduction needs a partial order; "
+            f"{check.axiom} fails at {check.witness}"
+        ),
+    )
+    strict = _strict(snapshot.matrix)
+    return _pairs_of(strict & ~_compose(strict, strict))
 
 
 class Construction:

@@ -16,7 +16,9 @@ import json
 import os
 from typing import List, Optional, Tuple
 
-from .kernel import ConfigError, Kind, Snapshot
+import numpy as np
+
+from .kernel import ConfigError, Kind, Snapshot, _strict
 
 MANIFEST_NAME = "manifest.json"
 CONFIG_NAME = "config.json"
@@ -32,12 +34,11 @@ def config_hash(config_obj) -> str:
 
 
 def snapshot_to_obj(snapshot: Snapshot, kind: Kind) -> dict:
-    pairs = sorted(p for p in snapshot.pairs if p[0] != p[1])
     obj = {
         "domain_size": snapshot.domain_size,
         "stage": snapshot.stage,
         "kind": kind.value,
-        "pairs": [list(p) for p in pairs],
+        "pairs": np.argwhere(_strict(snapshot.matrix)).tolist(),
     }
     if snapshot.labels:
         obj["labels"] = {str(k): v for k, v in snapshot.labels.items()}
@@ -81,7 +82,7 @@ def snapshot_from_obj(obj) -> Tuple[Snapshot, Kind]:
             raise ConfigError(f"label key {k!r} is not a decimal element index")
         _expect(0 <= idx < n, f"label key {k!r} outside domain")
         labels[idx] = v
-    snapshot = Snapshot.from_pairs(n, [tuple(p) for p in pairs], stage, labels or None)
+    snapshot = Snapshot.from_pairs(n, pairs, stage, labels or None)
     return snapshot, Kind(kind_raw)
 
 
@@ -98,6 +99,13 @@ def load_json(path: str):
         raise ConfigError(f"no such file: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}")
+
+
+def load_config(run_dir: str) -> dict:
+    """The config.json of a run directory; it must hold a JSON object."""
+    config = load_json(os.path.join(run_dir, CONFIG_NAME))
+    _expect(isinstance(config, dict), f"{CONFIG_NAME} must hold a JSON object")
+    return config
 
 
 def load_snapshot(path: str) -> Tuple[Snapshot, Kind]:
@@ -148,7 +156,7 @@ def write_run(
 def load_run(run_dir: str) -> Tuple[dict, dict, List[Snapshot], Kind]:
     manifest = load_json(os.path.join(run_dir, MANIFEST_NAME))
     _expect(isinstance(manifest, dict), "manifest must be an object")
-    config = load_json(os.path.join(run_dir, CONFIG_NAME))
+    config = load_config(run_dir)
     names = sorted(
         name
         for name in os.listdir(run_dir)

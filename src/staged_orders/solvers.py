@@ -16,7 +16,14 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .kernel import Snapshot, StagedOrderError, check_partial_order, check_preorder
+from .kernel import (
+    Snapshot,
+    StagedOrderError,
+    _first_pair,
+    _strict,
+    check_partial_order,
+    check_preorder,
+)
 
 
 class NotTotal(StagedOrderError):
@@ -50,13 +57,14 @@ def ceil_sqrt(n: int) -> int:
     return math.isqrt(n - 1) + 1
 
 
+def _require_partial_order(snapshot: Snapshot) -> None:
+    report = check_partial_order(snapshot)
+    if not report.passed:
+        raise NotPartialOrder(f"input is not a partial order: {report}")
+
+
 def _incomparable_witness(matrix: np.ndarray) -> Optional[Tuple[int, int]]:
-    either = matrix | matrix.T
-    missing = np.argwhere(~either)
-    for i, j in missing:
-        if i < j:
-            return int(i), int(j)
-    return None
+    return _first_pair(np.triu(~(matrix | matrix.T), 1))
 
 
 def _longest_monotone(values: Sequence[int]) -> List[int]:
@@ -94,9 +102,7 @@ def solve_ads(lin: Snapshot) -> AdsSolution:
     the longest increasing/decreasing subsequences of the rank permutation
     is returned as positions; ties go to ascending.
     """
-    report = check_partial_order(lin)
-    if not report.passed:
-        raise NotPartialOrder(f"input is not a partial order: {report}")
+    _require_partial_order(lin)
     witness = _incomparable_witness(lin.matrix)
     if witness is not None:
         raise NotTotal(*witness)
@@ -123,39 +129,34 @@ def sequence_valid(snapshot: Snapshot, direction: str, elements: Sequence[int]) 
     return True
 
 
-def _heights(matrix: np.ndarray) -> List[int]:
-    n = matrix.shape[0]
-    order = sorted(range(n), key=lambda x: (int(matrix[:, x].sum()), x))
-    h = [1] * n
-    strict = matrix.copy()
-    np.fill_diagonal(strict, False)
-    for x in order:
+def _heights(strict: np.ndarray) -> List[int]:
+    """Height of each element (1 for minimal ones) in a strict order."""
+    h = [1] * strict.shape[0]
+    for x in np.argsort(strict.sum(axis=0), kind="stable").tolist():
         below = np.nonzero(strict[:, x])[0]
         if below.size:
             h[x] = 1 + max(h[int(y)] for y in below)
     return h
 
 
-def longest_chain(snapshot: Snapshot) -> Tuple[int, ...]:
-    """One longest chain of a partial order, listed bottom to top."""
-    report = check_partial_order(snapshot)
-    if not report.passed:
-        raise NotPartialOrder(f"input is not a partial order: {report}")
-    n = snapshot.domain_size
-    if n == 0:
-        return ()
-    strict = snapshot.matrix.copy()
-    np.fill_diagonal(strict, False)
-    h = _heights(snapshot.matrix)
-    top = min(x for x in range(n) if h[x] == max(h))
+def _chain(strict: np.ndarray, h: List[int]) -> Tuple[int, ...]:
+    """Down from the least highest element, one height at a time."""
+    top = min(x for x in range(len(h)) if h[x] == max(h))
     chain = [top]
     while h[chain[-1]] > 1:
         want = h[chain[-1]] - 1
         below = np.nonzero(strict[:, chain[-1]])[0]
-        nxt = min(int(y) for y in below if h[int(y)] == want)
-        chain.append(nxt)
-    chain.reverse()
-    return tuple(chain)
+        chain.append(min(int(y) for y in below if h[int(y)] == want))
+    return tuple(reversed(chain))
+
+
+def longest_chain(snapshot: Snapshot) -> Tuple[int, ...]:
+    """One longest chain of a partial order, listed bottom to top."""
+    _require_partial_order(snapshot)
+    if snapshot.domain_size == 0:
+        return ()
+    strict = _strict(snapshot.matrix)
+    return _chain(strict, _heights(strict))
 
 
 def chain_valid(snapshot: Snapshot, elements: Sequence[int]) -> bool:
@@ -177,16 +178,15 @@ def antichain_valid(snapshot: Snapshot, elements: Sequence[int]) -> bool:
 def solve_cac(snapshot: Snapshot) -> CacSolution:
     """A chain of maximum length if that reaches ceil(sqrt(n)), else the
     largest height layer, which is then an antichain of at least that size."""
-    report = check_partial_order(snapshot)
-    if not report.passed:
-        raise NotPartialOrder(f"input is not a partial order: {report}")
+    _require_partial_order(snapshot)
     n = snapshot.domain_size
     if n == 0:
         return CacSolution("antichain", ())
-    h = _heights(snapshot.matrix)
+    strict = _strict(snapshot.matrix)
+    h = _heights(strict)
     maxh = max(h)
     if maxh >= ceil_sqrt(n):
-        return CacSolution("chain", longest_chain(snapshot))
+        return CacSolution("chain", _chain(strict, h))
     best = max(range(1, maxh + 1), key=lambda level: (sum(1 for x in h if x == level), -level))
     layer = tuple(x for x in range(n) if h[x] == best)
     return CacSolution("antichain", layer)
@@ -222,12 +222,8 @@ def condense(pre: Snapshot) -> CondensationResult:
     classes = tuple(
         tuple(x for x in range(n) if m[x, r] and m[r, x]) for r in reps
     )
-    size = len(reps)
-    induced = np.zeros((size, size), dtype=bool)
-    for t, r in enumerate(reps):
-        for u, q in enumerate(reps):
-            induced[t, u] = m[r, q]
-    return CondensationResult(classes, tuple(reps), Snapshot(size, pre.stage, induced))
+    induced = m[np.ix_(reps, reps)]
+    return CondensationResult(classes, tuple(reps), Snapshot(len(reps), pre.stage, induced))
 
 
 def pigeonhole_extract(pre: Snapshot, classes: Sequence[Sequence[int]]) -> Tuple[int, ...]:

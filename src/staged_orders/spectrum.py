@@ -25,6 +25,7 @@ from .kernel import (
     Snapshot,
     StagedOrder,
     StagedOrderError,
+    _pairs_of,
     close_matrix,
 )
 from .roles import SpectrumA, SpectrumG, spectrum_encode, spectrum_label
@@ -305,13 +306,7 @@ def decode_graph(
 
 def comparability_graph(snapshot: Snapshot) -> FrozenSet[Tuple[int, int]]:
     """Forget direction: unordered pairs related one way or the other."""
-    m = snapshot.matrix
-    sym = m | m.T
-    out = set()
-    for x, y in np.argwhere(sym):
-        if x < y:
-            out.add((int(x), int(y)))
-    return frozenset(out)
+    return _pairs_of(np.triu(snapshot.matrix | snapshot.matrix.T, 1))
 
 
 def decode_from_comparability(

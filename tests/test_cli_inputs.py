@@ -1,16 +1,19 @@
 """Outside input that is wrong must end in a JSON error with exit 2:
-never a traceback, never a silent PASS."""
+never a traceback, never a silent PASS. Input that is right gets an
+exact answer at every domain size."""
 
 import json
 import os
+import random
 import shutil
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from staged_orders.cli import main
-from staged_orders.kernel import ConfigError
-from staged_orders.serialize import canonical_dumps, load_json, snapshot_from_obj
+from staged_orders.kernel import ConfigError, Kind, Snapshot
+from staged_orders.serialize import canonical_dumps, load_json, snapshot_from_obj, snapshot_to_obj
 
 from conftest import run_snapshot_paths
 
@@ -112,3 +115,67 @@ def test_run_with_a_resized_snapshot_does_not_pass(shipped_runs, tmp_path):
     obj = load_json(victim)
     _write(victim, dict(obj, domain_size=obj["domain_size"] + 1))
     _config_error(_invoke("verify", "--dir", run, "--suite", "poset"), "domain size")
+
+
+@pytest.mark.parametrize(
+    "run_name, suite",
+    [
+        ("jump_cochain", "decode"),
+        ("spectrum_ce", "decode"),
+        ("jump_cochain", "witness"),
+        ("family", "isomorphism"),
+    ],
+)
+def test_run_config_must_be_an_object(shipped_runs, tmp_path, run_name, suite):
+    run = _copy_run(shipped_runs, run_name, tmp_path)
+    _write(os.path.join(run, "config.json"), [1, 2])
+    _config_error(_invoke("verify", "--dir", run, "--suite", suite), "config.json")
+
+
+def test_decode_config_must_be_an_object(shipped_runs, tmp_path):
+    run = _copy_run(shipped_runs, "jump_cochain", tmp_path)
+    _write(os.path.join(run, "config.json"), [1, 2])
+    snap_path = run_snapshot_paths(run)[-1]
+    result = _invoke("decode", "--snapshot", snap_path, "--construction", "jump-cochain")
+    _config_error(result, "config.json")
+
+
+@pytest.mark.parametrize(
+    "change, needle",
+    [
+        ({"limit_pairs": [[0, 99]]}, "limit pair"),
+        ({"limit_pairs": [["a", 1]]}, "limit pair"),
+        ({"limit_pairs": [["a", 1]], "removals": []}, "limit pair"),
+        ({"removal_horizon": "3"}, "removal_horizon"),
+        ({"removal_horizon": -1}, "removal_horizon"),
+    ],
+)
+def test_family_config_is_checked(tmp_path, change, needle):
+    cfg = dict({"construction": "family", "n": 3, "limit_pairs": [], "removal_horizon": 3}, **change)
+    path = _write(tmp_path / "cfg.json", cfg)
+    result = _invoke("build", "--config", path, "--seed", "1", "--out", str(tmp_path / "run"))
+    _config_error(result, needle)
+
+
+def test_family_horizon_checks_the_cap_before_drawing(tmp_path, monkeypatch):
+    def draw(*args):
+        raise AssertionError("a removal stage was drawn")
+
+    monkeypatch.setenv("STAGED_ORDERS_MAX_DOMAIN", "100")
+    monkeypatch.setattr(random.Random, "randint", draw)
+    cfg = {"construction": "family", "n": 1500, "limit_pairs": [], "removal_horizon": 3}
+    path = _write(tmp_path / "cfg.json", cfg)
+    result = _invoke("build", "--config", path, "--seed", "1", "--out", str(tmp_path / "run"))
+    assert result.exit_code == 2 and result.exception is not None, result.exception
+    assert json.loads(result.stderr)["error"] == "DomainLimitExceeded"
+
+
+def test_export_dot_reduction_past_256_intermediates(tmp_path):
+    """(0, 257) has 256 intermediates, so it is no covering pair."""
+    m = np.eye(258, dtype=bool)
+    m[0, 1:] = m[1:257, 257] = True
+    path = _write(tmp_path / "fan.json", snapshot_to_obj(Snapshot(258, 0, m), Kind.CE))
+    result = _invoke("export-dot", "--snapshot", path, "--reduction")
+    assert result.exit_code == 0, result.stderr
+    assert '"0" -> "1";' in result.output and '"256" -> "257";' in result.output
+    assert '"0" -> "257"' not in result.output

@@ -48,6 +48,15 @@ def test_speedup_skips_intransitive_views():
     with pytest.raises(SpeedupBudgetExceeded):
         speedup(pre, 1, horizon=2)
 
+    # n=258: at stage 256 the window is everything, and it still holds 0
+    # below 1..256 below 257 without 0 below 257 (256 intermediates)
+    fan = {(0, i) for i in range(1, 257)} | {(i, 257) for i in range(1, 257)}
+    removals = [
+        [i, j, 257 if (i, j) in fan else 0] for i in range(258) for j in range(258) if i != j
+    ]
+    wide = preorder_from_config({"n": 258, "limit_pairs": [], "removals": removals})
+    assert speedup(wide, 256) == 257
+
 
 def test_schedule_must_cover_exactly_the_complement():
     with pytest.raises(ConfigError):

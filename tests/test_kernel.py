@@ -33,6 +33,15 @@ def _matrix(pairs, n):
     return m
 
 
+def _fan(with_top_pair):
+    """0 below 1..256 and all of those below 257: (0, 257) has 256
+    intermediates, a count that a uint8 product wraps to zero."""
+    m = np.eye(258, dtype=bool)
+    m[0, 1:257] = m[1:257, 257] = True
+    m[0, 257] = with_top_pair
+    return Snapshot(258, 0, m)
+
+
 def pair_lists(max_n=8, acyclic=False):
     def pairs_for(n):
         pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
@@ -108,6 +117,10 @@ def test_check_partial_order_witnesses():
     axioms2 = {c.axiom: c for c in report2.checks()}
     assert not axioms2["antisymmetric"].passed
     assert check_preorder(Snapshot(2, 0, m2)).passed
+
+    fan = _fan(with_top_pair=False)
+    assert check_partial_order(fan).transitive.witness == (0, 1, 257)
+    assert not check_preorder(fan).passed
 
 
 def test_reflexivity_required():
@@ -194,6 +207,8 @@ def test_apply_permutation_relabels():
 def test_transitive_reduction_covers():
     snap = Snapshot(4, 0, _matrix([(0, 1), (1, 2), (2, 3)], 4))
     assert transitive_reduction(snap) == {(0, 1), (1, 2), (2, 3)}
+    covers = {(0, i) for i in range(1, 257)} | {(i, 257) for i in range(1, 257)}
+    assert transitive_reduction(_fan(with_top_pair=True)) == covers
 
 
 def test_max_domain_env(monkeypatch):

@@ -9,7 +9,8 @@ from staged_orders.generators import (
     random_preorder,
     random_total_preorder,
 )
-from staged_orders.kernel import Snapshot, close_matrix
+from staged_orders import solvers
+from staged_orders.kernel import Snapshot, check_partial_order, close_matrix
 from staged_orders.solvers import (
     NotPartialOrder,
     NotTotal,
@@ -178,3 +179,15 @@ def test_ads_preorder_rejects_incomparability():
     m = np.eye(2, dtype=bool)
     with pytest.raises(NotTotalPreorder):
         solve_ads_preorder(Snapshot(2, 0, m))
+
+
+@pytest.mark.parametrize("n, pairs", [(9, [(i, i + 1) for i in range(8)]), (9, [])])
+def test_solve_cac_checks_its_input_once(monkeypatch, n, pairs):
+    """Once on the chain branch (a 9-chain) and on the antichain branch."""
+    calls = []
+    monkeypatch.setattr(
+        solvers, "check_partial_order", lambda snap: calls.append(snap) or check_partial_order(snap)
+    )
+    snap = Snapshot(n, 0, close_matrix(Snapshot.from_pairs(n, pairs).matrix.copy()))
+    assert solve_cac(snap).kind == ("chain" if pairs else "antichain")
+    assert len(calls) == 1
