@@ -69,3 +69,15 @@ def largest_antichain_floor(holds, n: int) -> int:
         if all(not holds(x, y) and not holds(y, x) for y in picked if y != x):
             picked.append(x)
     return len(picked)
+
+
+def snapshot_relation(pairs, n: int):
+    """The snapshot loader's per-pair rules, pair by pair in file order:
+    (relation, None) with the reflexive pairs added, or (None, message)
+    for the first pair that is not two ints inside 0..n-1."""
+    for p in pairs:
+        if not (isinstance(p, list) and len(p) == 2 and type(p[0]) is int and type(p[1]) is int):
+            return None, f"malformed pair {p!r}"
+        if not (0 <= p[0] < n and 0 <= p[1] < n):
+            return None, f"pair {p!r} outside domain"
+    return {(i, i) for i in range(n)} | {(i, j) for i, j in pairs}, None

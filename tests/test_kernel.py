@@ -8,10 +8,12 @@ from staged_orders.kernel import (
     AntisymmetryViolation,
     DomainLimitExceeded,
     Kind,
+    DomainTooSmall,
     Snapshot,
     StagedOrder,
     StagedOrderError,
     TransitivityViolation,
+    _matrix_of,
     apply_permutation,
     check_monotone,
     check_partial_order,
@@ -219,3 +221,49 @@ def test_max_domain_env(monkeypatch):
     monkeypatch.setenv("STAGED_ORDERS_MAX_DOMAIN", "banana")
     with pytest.raises(DomainLimitExceeded):
         max_domain()
+
+
+@pytest.mark.parametrize(
+    "pairs, culprit",
+    [
+        ([(0, 1), (-1, 2), (0, 5)], "(-1, 2)"),
+        ([(0, 1), (1, 3), (-1, 2)], "(1, 3)"),
+        ([[2, 0], [0, -5]], "(0, -5)"),
+        ([(0, 2), (0, 2**63), (3, 0)], "(0, 9223372036854775808)"),
+        ([(-(2**63) - 1, 0)], "(-9223372036854775809, 0)"),
+    ],
+)
+def test_matrix_of_names_the_first_pair_outside_the_domain(pairs, culprit):
+    message = f"pair {culprit} outside domain of size 3"
+    for build in (
+        lambda: _matrix_of(iter(pairs), 3),
+        lambda: Snapshot.from_pairs(3, pairs),
+        lambda: transitive_close(pairs, 3),
+    ):
+        with pytest.raises(DomainTooSmall) as caught:
+            build()
+        assert str(caught.value) == message
+
+
+def test_matrix_of_empty_and_irreflexive():
+    assert np.array_equal(_matrix_of([], 3), np.eye(3, dtype=bool))
+    assert not _matrix_of([], 3, reflexive=False).any()
+    assert _matrix_of([], 0).shape == (0, 0)
+    snap = Snapshot.from_pairs(3, [(2, 0), (0, 1), (2, 0), (1, 1)], reflexive=False)
+    assert snap.pairs == {(0, 1), (1, 1), (2, 0)}
+
+
+def test_matrix_of_checks_the_cap_before_allocating(monkeypatch):
+    def untouched():
+        raise AssertionError("the pairs were read")
+        yield
+
+    def allocate(*args, **kwargs):
+        raise AssertionError("a matrix was allocated")
+
+    monkeypatch.setenv("STAGED_ORDERS_MAX_DOMAIN", "10")
+    monkeypatch.setattr(np, "zeros", allocate)
+    with pytest.raises(DomainLimitExceeded):
+        _matrix_of(untouched(), 11)
+    with pytest.raises(DomainLimitExceeded):
+        Snapshot.from_pairs(11, untouched())

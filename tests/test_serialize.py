@@ -1,7 +1,9 @@
 import json
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from staged_orders.kernel import ConfigError, Kind, Snapshot, StagedOrder
 from staged_orders.serialize import (
@@ -15,6 +17,8 @@ from staged_orders.serialize import (
     snapshot_to_obj,
     write_run,
 )
+
+from _oracles import snapshot_relation
 
 
 def _order():
@@ -62,6 +66,46 @@ def test_snapshot_from_obj_rejects_garbage():
         obj = dict(good, **breakage)
         with pytest.raises(ConfigError):
             snapshot_from_obj(obj)
+
+
+@st.composite
+def _spoiled_pair_lists(draw):
+    """A domain size and a list of good pairs with a few bad entries put in
+    at random places: as a whole pair or as one element of a pair."""
+    n = draw(st.integers(0, 6))
+    good = st.lists(st.integers(0, max(n - 1, 0)), min_size=2, max_size=2)
+    pairs = draw(st.lists(good, max_size=10 if n else 0))
+    bad = st.sampled_from(
+        [True, False, 1.0, "1", None, [[0]], [0], [0, 1, 2], -1, n, 2**63, -(2**63) - 1, 2**64]
+    )
+    for value in draw(st.lists(bad, max_size=3)):
+        at = draw(st.integers(0, len(pairs)))
+        slot = draw(st.sampled_from(["pair", 0, 1]))
+        if slot == "pair":
+            entry = value
+        else:
+            entry = [0, 0]
+            entry[slot] = value
+        pairs.insert(at, entry)
+    return n, pairs
+
+
+@given(_spoiled_pair_lists())
+@settings(max_examples=400, deadline=None)
+def test_snapshot_loader_matches_per_pair_rules(case):
+    n, pairs = case
+    obj = json.loads(canonical_dumps({"domain_size": n, "stage": 0, "kind": "ce", "pairs": pairs}))
+    relation, message = snapshot_relation(obj["pairs"], n)
+    if message is not None:
+        with pytest.raises(ConfigError) as caught:
+            snapshot_from_obj(obj)
+        assert str(caught.value) == message
+    else:
+        snap, _ = snapshot_from_obj(obj)
+        expected = np.zeros((n, n), dtype=bool)
+        for i, j in relation:
+            expected[i, j] = True
+        assert np.array_equal(snap.matrix, expected)
 
 
 def test_load_json_errors(tmp_path):
