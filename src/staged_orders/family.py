@@ -74,7 +74,7 @@ class CoCEPreorder:
 def _limit_pairs(blob: dict) -> Tuple[int, list]:
     """The config's n and limit pairs, each pair checked against n."""
     n = blob.get("n")
-    if not isinstance(n, int) or n < 0:
+    if not is_natural(n):
         raise ConfigError("config needs a natural 'n'")
     limit_pairs = blob.get("limit_pairs", [])
     if not isinstance(limit_pairs, list):
@@ -96,7 +96,7 @@ def preorder_from_config(blob: dict) -> CoCEPreorder:
         if not (
             isinstance(entry, list)
             and len(entry) == 3
-            and all(isinstance(v, int) for v in entry)
+            and all(is_natural(v) for v in entry)
         ):
             raise ConfigError(f"malformed removal {entry!r}")
         i, j, stage = entry

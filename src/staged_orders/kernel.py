@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -116,12 +117,38 @@ def _first_pair(matrix: np.ndarray) -> Optional[Tuple[int, int]]:
     return tuple(idx[0].tolist()) if idx.size else None
 
 
+def _pair_array(pairs, n: int) -> Optional[np.ndarray]:
+    """`pairs` as an int64 (k, 2) array if every pair is a list or tuple of
+    two ints inside 0..n-1, else None; an int64 (k, 2) array is only
+    range-checked. Whole-list passes only. Entries must be ints, because
+    numpy would read True, 1.0 or "1" as 1."""
+    if not isinstance(pairs, np.ndarray):
+        if not (set(map(type, pairs)) <= {list, tuple} and set(map(len, pairs)) <= {2}):
+            return None
+        entries = list(chain.from_iterable(pairs))
+        if not set(map(type, entries)) <= {int}:
+            return None
+        try:
+            pairs = np.fromiter(entries, np.int64, len(entries)).reshape(-1, 2)
+        except OverflowError:  # beyond int64, so outside every domain
+            return None
+    return pairs if not pairs.size or (pairs.min() >= 0 and pairs.max() < n) else None
+
+
 def _matrix_of(pairs: Iterable[Tuple[int, int]], n: int, reflexive: bool = True) -> np.ndarray:
-    """A relation matrix holding `pairs`; the cap is checked before anything
-    is allocated, and every pair must lie inside the domain."""
+    """A relation matrix holding `pairs`, an iterable of pairs or an array
+    from `_pair_array`. The cap is checked before anything is allocated,
+    and every pair must lie inside the domain."""
     _check_domain_size(n)
     matrix = np.zeros((n, n), dtype=bool)
     np.fill_diagonal(matrix, reflexive)
+    if not isinstance(pairs, np.ndarray):
+        pairs = list(pairs)
+    idx = _pair_array(pairs, n)
+    if idx is not None:
+        matrix[idx[:, 0], idx[:, 1]] = True
+        return matrix
+    # Some pair failed a whole-list check: go pair by pair to name the first.
     for i, j in pairs:
         if not (0 <= i < n and 0 <= j < n):
             raise DomainTooSmall(f"pair ({i}, {j}) outside domain of size {n}")
@@ -200,7 +227,9 @@ class Snapshot:
         labels: Optional[Mapping[int, str]] = None,
         reflexive: bool = True,
     ) -> "Snapshot":
-        return cls(domain_size, stage, _matrix_of(pairs, domain_size, reflexive), labels)
+        matrix = _matrix_of(pairs, domain_size, reflexive)
+        matrix.setflags(write=False)  # fresh, so the snapshot takes it uncopied
+        return cls(domain_size, stage, matrix, labels)
 
     def holds(self, i: int, j: int) -> bool:
         return bool(self.matrix[i, j])

@@ -7,6 +7,12 @@ Snapshot schema:
 
 All files are emitted with sorted keys, compact separators and a trailing
 newline so reruns are byte-identical.
+
+Writers emit the strict pairs, sorted. Readers also accept pairs in any
+order, duplicate pairs and reflexive pairs. Every other pair list is
+rejected with a ConfigError (exit 2 on the command line): a pair that is
+not a list of two ints (JSON true and false are not ints) or that lies
+outside 0..n-1. The first bad pair in file order is named.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .kernel import ConfigError, Kind, Snapshot, _strict
+from .kernel import ConfigError, Kind, Snapshot, _pair_array, _strict
 
 MANIFEST_NAME = "manifest.json"
 CONFIG_NAME = "config.json"
@@ -65,12 +71,15 @@ def snapshot_from_obj(obj) -> Tuple[Snapshot, Kind]:
     _expect(is_natural(stage), "stage must be a natural number")
     _expect(kind_raw in ("ce", "coce"), "kind must be 'ce' or 'coce'")
     _expect(isinstance(pairs, list), "pairs must be a list")
-    for p in pairs:
-        _expect(
-            isinstance(p, list) and len(p) == 2 and type(p[0]) is int and type(p[1]) is int,
-            f"malformed pair {p!r}",
-        )
-        _expect(0 <= p[0] < n and 0 <= p[1] < n, f"pair {p!r} outside domain")
+    checked = _pair_array(pairs, n)
+    if checked is None:  # some pair is bad: name the first, in file order
+        for p in pairs:
+            _expect(
+                isinstance(p, list) and len(p) == 2 and type(p[0]) is int and type(p[1]) is int,
+                f"malformed pair {p!r}",
+            )
+            _expect(0 <= p[0] < n and 0 <= p[1] < n, f"pair {p!r} outside domain")
+        checked = pairs  # only a domain_size beyond int64 gets here; the cap refuses it
     labels = {}
     raw_labels = obj.get("labels", {})
     _expect(isinstance(raw_labels, dict), "labels must be an object")
@@ -82,7 +91,7 @@ def snapshot_from_obj(obj) -> Tuple[Snapshot, Kind]:
             raise ConfigError(f"label key {k!r} is not a decimal element index")
         _expect(0 <= idx < n, f"label key {k!r} outside domain")
         labels[idx] = v
-    snapshot = Snapshot.from_pairs(n, pairs, stage, labels or None)
+    snapshot = Snapshot.from_pairs(n, checked, stage, labels or None)
     return snapshot, Kind(kind_raw)
 
 

@@ -140,6 +140,10 @@ def test_decode_config_must_be_an_object(shipped_runs, tmp_path):
     _config_error(result, "config.json")
 
 
+# A chain 0 < 1 < 2: the removals must cover exactly (1, 0), (2, 0), (2, 1).
+_LIMIT = {"limit_pairs": [[0, 1], [0, 2], [1, 2]]}
+
+
 @pytest.mark.parametrize(
     "change, needle",
     [
@@ -148,6 +152,9 @@ def test_decode_config_must_be_an_object(shipped_runs, tmp_path):
         ({"limit_pairs": [["a", 1]], "removals": []}, "limit pair"),
         ({"removal_horizon": "3"}, "removal_horizon"),
         ({"removal_horizon": -1}, "removal_horizon"),
+        ({"n": True}, "natural 'n'"),
+        (_LIMIT | {"removals": [[1, 0, 1], [2, 0, 1], [2, 1, True]]}, "malformed removal"),
+        (_LIMIT | {"removals": [[True, 0, 11], [2, 0, 1], [2, 1, 1]]}, "malformed removal"),
     ],
 )
 def test_family_config_is_checked(tmp_path, change, needle):
