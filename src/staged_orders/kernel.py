@@ -118,12 +118,12 @@ def _first_pair(matrix: np.ndarray) -> Optional[Tuple[int, int]]:
 
 
 def _pair_array(pairs, n: int) -> Optional[np.ndarray]:
-    """`pairs` as an int64 (k, 2) array if every pair is a list or tuple of
-    two ints inside 0..n-1, else None; an int64 (k, 2) array is only
-    range-checked. Whole-list passes only. Entries must be ints, because
-    numpy would read True, 1.0 or "1" as 1."""
+    """`pairs` as an int64 (k, 2) array if every pair is a list of two ints
+    inside 0..n-1, as JSON gives them, else None; an int64 (k, 2) array is
+    only range-checked. Whole-list passes only. Entries must be ints,
+    because numpy would read True, 1.0 or "1" as 1."""
     if not isinstance(pairs, np.ndarray):
-        if not (set(map(type, pairs)) <= {list, tuple} and set(map(len, pairs)) <= {2}):
+        if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
             return None
         entries = list(chain.from_iterable(pairs))
         if not set(map(type, entries)) <= {int}:
@@ -148,7 +148,8 @@ def _matrix_of(pairs: Iterable[Tuple[int, int]], n: int, reflexive: bool = True)
     if idx is not None:
         matrix[idx[:, 0], idx[:, 1]] = True
         return matrix
-    # Some pair failed a whole-list check: go pair by pair to name the first.
+    # Tuples, numpy ints or a pair outside the domain: go pair by pair, as
+    # the error must name the first pair outside it.
     for i, j in pairs:
         if not (0 <= i < n and 0 <= j < n):
             raise DomainTooSmall(f"pair ({i}, {j}) outside domain of size {n}")

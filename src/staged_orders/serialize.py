@@ -79,7 +79,7 @@ def snapshot_from_obj(obj) -> Tuple[Snapshot, Kind]:
                 f"malformed pair {p!r}",
             )
             _expect(0 <= p[0] < n and 0 <= p[1] < n, f"pair {p!r} outside domain")
-        checked = pairs  # only a domain_size beyond int64 gets here; the cap refuses it
+        checked = pairs  # good pair by pair, so from_pairs reads the list itself
     labels = {}
     raw_labels = obj.get("labels", {})
     _expect(isinstance(raw_labels, dict), "labels must be an object")

@@ -60,6 +60,7 @@ def test_snapshot_from_obj_rejects_garbage():
         {"kind": "xx"},
         {"pairs": [[0]]},
         {"pairs": [[0, 9]]},
+        {"pairs": [(0, 1)]},
         {"domain_size": -1},
         {"stage": "one"},
     ):
