@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from staged_orders.kernel import (
     AntisymmetryViolation,
     DomainLimitExceeded,
-    Kind,
     DomainTooSmall,
+    Kind,
     Snapshot,
     StagedOrder,
     StagedOrderError,
@@ -229,8 +229,8 @@ def test_max_domain_env(monkeypatch):
         ([(0, 1), (-1, 2), (0, 5)], "(-1, 2)"),
         ([(0, 1), (1, 3), (-1, 2)], "(1, 3)"),
         ([[2, 0], [0, -5]], "(0, -5)"),
-        ([(0, 2), (0, 2**63), (3, 0)], "(0, 9223372036854775808)"),
-        ([(-(2**63) - 1, 0)], "(-9223372036854775809, 0)"),
+        ([[0, 2], [0, 2**63], [3, 0]], "(0, 9223372036854775808)"),
+        ([[-(2**63) - 1, 0]], "(-9223372036854775809, 0)"),
     ],
 )
 def test_matrix_of_names_the_first_pair_outside_the_domain(pairs, culprit):
