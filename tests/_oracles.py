@@ -81,3 +81,33 @@ def snapshot_relation(pairs, n: int):
         if not (0 <= p[0] < n and 0 <= p[1] < n):
             return None, f"pair {p!r} outside domain"
     return {(i, i) for i in range(n)} | {(i, j) for i, j in pairs}, None
+
+
+def add_pairs_reference(rows: List[int], pairs, n: int):
+    """StagedOrder.add_pairs' per-pair rules on a closed order whose rows
+    are int bitmasks (bit j of rows[i] for i <= j). Returns (rows, None)
+    with the pairs closed in one at a time, or (None, (error name, text))
+    for the first pair that breaks a rule: one outside the domain, one
+    whose reverse is held, or one whose closure makes a 2-cycle, named by
+    the lexicographically least pair of the cycle."""
+    rows = list(rows)
+    for u, v in pairs:
+        if not (0 <= u < n and 0 <= v < n):
+            return None, ("DomainTooSmall", f"pair ({u}, {v}) outside domain of size {n}")
+        if rows[u] >> v & 1:
+            continue
+        if rows[v] >> u & 1:
+            return None, _antisymmetry(min(u, v), max(u, v))
+        below_u = [x for x in range(n) if rows[x] >> u & 1]
+        above_v = rows[v]
+        for x in below_u:  # x <= u and v <= y: is y <= x already?
+            for y in range(n):
+                if y != x and above_v >> y & 1 and rows[y] >> x & 1:
+                    return None, _antisymmetry(min(x, y), max(x, y))
+        for x in below_u:
+            rows[x] |= above_v
+    return rows, None
+
+
+def _antisymmetry(i: int, j: int):
+    return "AntisymmetryViolation", f"antisymmetry violated: {i} <= {j} and {j} <= {i} with {i} != {j}"

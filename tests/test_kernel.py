@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from staged_orders.kernel import (
     AntisymmetryViolation,
@@ -24,7 +24,7 @@ from staged_orders.kernel import (
     transitive_reduction,
 )
 
-from _oracles import fw_close, is_antisymmetric, is_transitive
+from _oracles import add_pairs_reference, fw_close, is_antisymmetric, is_transitive
 
 
 def _matrix(pairs, n):
@@ -167,6 +167,54 @@ def test_wrong_direction_is_rejected():
     coce = StagedOrder(Kind.COCE, Snapshot.from_pairs(2, []))
     with pytest.raises(StagedOrderError):
         coce.add_pairs([(0, 1)])
+
+
+@st.composite
+def add_histories(draw):
+    """A domain size and up to six batches for add_pairs. Batches come as
+    tuples or lists; one in four carries a pair outside the domain
+    (negative, or n and beyond) at a random place."""
+    n = draw(st.integers(1, 9))
+    inside = st.integers(0, n - 1)
+    outside = st.sampled_from([-1, -3, n, n + 2])
+    history = []
+    for _ in range(draw(st.integers(1, 6))):
+        batch = draw(st.lists(st.tuples(inside, inside), max_size=8))
+        if draw(st.integers(0, 3)) == 0:
+            bad = draw(st.tuples(inside | outside, outside))
+            bad = bad[::-1] if draw(st.booleans()) else bad
+            batch.insert(draw(st.integers(0, len(batch))), bad)
+        history.append([list(p) for p in batch] if draw(st.booleans()) else batch)
+    return n, history
+
+
+def _rows(matrix):
+    return [sum(1 << int(j) for j in np.flatnonzero(row)) for row in matrix]
+
+
+@given(add_histories())
+@example((3, [[], [(0, 1), (0, 1), (1, 1), (0, 0)], [(0, 1)], []]))  # empty, duplicate, reflexive, held
+@example((4, [[(0, 1), (1, 2), (2, 0), (-1, 0)]]))  # 2-cycle mid-batch, then a negative pair
+@example((4, [[[0, 1], [2, 3], [3, 0], [1, 2], [0, 4]]]))  # 2-cycle through the closure, then n
+@example((3, [[(0, 1)], [(1, 2), (2, 3)], [(2, 0)]]))  # reversed pair of a held one
+@settings(max_examples=400, deadline=None)
+def test_add_pairs_matches_per_pair_rules(case):
+    n, history = case
+    order = StagedOrder(Kind.CE, Snapshot.from_pairs(n, []))
+    rows = _rows(order.current.matrix)
+    for batch in history:
+        before = order.snapshots
+        want, error = add_pairs_reference(rows, batch, n)
+        if error is None:
+            snap = order.add_pairs(batch)
+            assert _rows(snap.matrix) == want
+            assert snap.stage == before[-1].stage + 1 and order.current is snap
+            rows = want
+        else:
+            with pytest.raises(StagedOrderError) as caught:
+                order.add_pairs(batch)
+            assert (type(caught.value).__name__, str(caught.value)) == error
+            assert order.snapshots == before  # a failed batch appends nothing
 
 
 def test_check_monotone_flags_backsliding():
