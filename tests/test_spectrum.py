@@ -8,6 +8,7 @@ from staged_orders.kernel import (
     ConfigError,
     DomainTooSmall,
     Kind,
+    Snapshot,
     apply_permutation,
     check_monotone,
     check_partial_order,
@@ -167,3 +168,50 @@ def test_config_round_trip():
     g = graph_from_config(blob)
     again = graph_from_config(graph_to_config(g))
     assert again.edges == g.edges and again.flips == g.flips and again.n == g.n
+
+
+def _set_mark(m, w, kind, marked):
+    """Make gadget w marked (below exactly one flag) or neutral (below
+    both flags when growing, neither when shrinking)."""
+    r0, r1 = DEFAULT_SPECTRUM_CONSTS.r0, DEFAULT_SPECTRUM_CONSTS.r1
+    if kind is Kind.CE:
+        m[w, r0], m[w, r1] = not marked, True
+    else:
+        m[w, r0], m[w, r1] = False, marked
+
+
+@pytest.mark.parametrize("kind", [Kind.CE, Kind.COCE])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_decoder_names_the_first_bad_pair_and_its_gadgets(kind, reverse):
+    g = LimitGraph(3, [(0, 1)], {})
+    dom = max(_gc(i, j, 2) for i, j in itertools.combinations(range(3), 2)) + 1
+    final = build_spectrum_run(kind, g, dom, required_stages(g, dom)).current
+    perm = list(range(dom))[::-1] if reverse else list(range(dom))
+    consts = SpectrumConsts(*(perm[c] for c in DEFAULT_SPECTRUM_CONSTS))
+
+    def decode(defects):
+        m = final.matrix.copy()
+        for w, marked in defects:
+            _set_mark(m, w, kind, marked)
+        snap = apply_permutation(Snapshot(dom, final.stage, m), perm)
+        return decode_graph(snap, kind, consts)
+
+    def pair(i, j):
+        return tuple(sorted((perm[_vc(i)], perm[_vc(j)])))
+
+    assert decode([]) == frozenset({pair(0, 1)})
+    # two more rungs of (1, 2) marked beside the live one, listed ascending
+    with pytest.raises(MultipleWitnesses) as caught:
+        decode([(_gc(1, 2, 1), True), (_gc(1, 2, 2), True)])
+    gadgets = sorted(perm[_gc(1, 2, k)] for k in range(3))
+    assert str(caught.value) == f"gadgets {gadgets} all marked for vertex pair {pair(1, 2)}"
+    # the live rung of (0, 2) neutralized
+    with pytest.raises(NoWitness) as caught:
+        decode([(_gc(0, 2, 0), False)])
+    assert str(caught.value) == f"no marked gadget for vertex pair {pair(0, 2)}"
+    # both at once: the pair first in ascending vertex order is named
+    first = min(pair(0, 2), pair(1, 2))
+    error = NoWitness if first == pair(0, 2) else MultipleWitnesses
+    with pytest.raises(error) as caught:
+        decode([(_gc(1, 2, 1), True), (_gc(0, 2, 0), False)])
+    assert f"for vertex pair {first}" in str(caught.value)
