@@ -85,10 +85,11 @@ class Kind(Enum):
     COCE = "coce"
 
 
-def _close_in_place(matrix: np.ndarray) -> None:
-    # Warshall, vectorized one pivot at a time. Rows that reach k inherit row k.
-    n = matrix.shape[0]
-    for k in range(n):
+def _close_in_place(matrix: np.ndarray, pivots: Iterable[int]) -> None:
+    """Warshall over the given pivots, vectorized one pivot at a time: rows
+    that reach k inherit row k. Afterwards the matrix holds every path
+    whose inner elements are all pivots; over range(n) that is the closure."""
+    for k in pivots:
         rows = np.nonzero(matrix[:, k])[0]
         if rows.size:
             matrix[rows] |= matrix[k]
@@ -118,12 +119,12 @@ def _first_pair(matrix: np.ndarray) -> Optional[Tuple[int, int]]:
 
 
 def _pair_array(pairs, n: int) -> Optional[np.ndarray]:
-    """`pairs` as an int64 (k, 2) array if every pair is a list of two ints
-    inside 0..n-1, as JSON gives them, else None; an int64 (k, 2) array is
-    only range-checked. Whole-list passes only. Entries must be ints,
-    because numpy would read True, 1.0 or "1" as 1."""
+    """`pairs` as an int64 (k, 2) array if every pair is a list or tuple of
+    two ints inside 0..n-1, else None; an int64 (k, 2) array is only
+    range-checked. Whole-list passes only. Entries must be ints, because
+    numpy would read True, 1.0 or "1" as 1."""
     if not isinstance(pairs, np.ndarray):
-        if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
+        if not (set(map(type, pairs)) <= {list, tuple} and set(map(len, pairs)) <= {2}):
             return None
         entries = list(chain.from_iterable(pairs))
         if not set(map(type, entries)) <= {int}:
@@ -148,8 +149,8 @@ def _matrix_of(pairs: Iterable[Tuple[int, int]], n: int, reflexive: bool = True)
     if idx is not None:
         matrix[idx[:, 0], idx[:, 1]] = True
         return matrix
-    # Tuples, numpy ints or a pair outside the domain: go pair by pair, as
-    # the error must name the first pair outside it.
+    # Numpy ints or a pair outside the domain: go pair by pair, as the
+    # error must name the first pair outside it.
     for i, j in pairs:
         if not (0 <= i < n and 0 <= j < n):
             raise DomainTooSmall(f"pair ({i}, {j}) outside domain of size {n}")
@@ -171,7 +172,7 @@ def _find_transitivity_witness(matrix: np.ndarray) -> Optional[Tuple[int, int, i
 
 def close_matrix(matrix: np.ndarray) -> np.ndarray:
     """Transitively close a boolean relation matrix in place and return it."""
-    _close_in_place(matrix)
+    _close_in_place(matrix, range(matrix.shape[0]))
     return matrix
 
 
@@ -184,7 +185,7 @@ def transitive_close(
     DomainTooSmall if a pair mentions an element outside the domain.
     """
     matrix = _matrix_of(pairs, domain_size)
-    _close_in_place(matrix)
+    _close_in_place(matrix, range(domain_size))
     witness = _find_antisymmetry_witness(matrix)
     if witness is not None:
         raise AntisymmetryViolation(*witness)
@@ -354,6 +355,53 @@ def check_monotone(order, kind: Optional[Kind] = None) -> MonotoneReport:
     return MonotoneReport(kind, not failures, tuple(failures))
 
 
+def _close_batch(matrix: np.ndarray, idx: np.ndarray) -> Optional[np.ndarray]:
+    """The closure of the closed order `matrix` with the pairs of the int64
+    (k, 2) array `idx` added, or None if that closure has a 2-cycle.
+
+    Let R be the order and B the pairs R does not hold yet. R is reflexive
+    and transitive, so every path in R and B is a run of "R-step, then a
+    B-pair" segments and one last R-step, and each segment ends on a head
+    of B. Hence R | R.B, closed over B's heads only, is the closure; R.B
+    needs R's columns at B's tails only, and fills columns at heads only.
+    A 2-cycle in the closure uses a B-pair, so it puts that pair's head on
+    a 2-cycle too: checking the heads' rows is enough."""
+    fresh = idx[~matrix[idx[:, 0], idx[:, 1]]]
+    if not fresh.size:
+        return matrix
+    tails, row = np.unique(fresh[:, 0], return_inverse=True)
+    heads, col = np.unique(fresh[:, 1], return_inverse=True)
+    batch = np.zeros((tails.size, heads.size), dtype=bool)
+    batch[row, col] = True
+    closed = matrix.copy()
+    closed[:, heads] |= _compose(matrix[:, tails], batch)
+    _close_in_place(closed, heads)
+    # reflexive, so a head is on no 2-cycle iff it meets the transpose only at itself
+    if np.count_nonzero(closed[heads] & closed[:, heads].T) != heads.size:
+        return None
+    return closed
+
+
+def _add_pair_by_pair(matrix: np.ndarray, pairs, n: int) -> np.ndarray:
+    """Add the pairs to a closed order one at a time, raising for the first
+    one outside the domain or making a 2-cycle; that first error is what
+    add_pairs reports. Changes and returns `matrix`."""
+    for u, v in pairs:
+        if not (0 <= u < n and 0 <= v < n):
+            raise DomainTooSmall(f"pair ({u}, {v}) outside domain of size {n}")
+        if matrix[u, v]:
+            continue
+        if matrix[v, u]:
+            raise AntisymmetryViolation(min(u, v), max(u, v))
+        # x <= u and v <= y gives x <= y; includes (u,v) itself.
+        new = np.logical_and.outer(matrix[:, u], matrix[v, :])
+        bad = _first_pair(_strict(new & matrix.T))
+        if bad is not None:
+            raise AntisymmetryViolation(min(bad), max(bad))
+        matrix |= new
+    return matrix
+
+
 class StagedOrder:
     """Append-only history of snapshots, mutated via add_pairs/remove_pairs.
 
@@ -361,6 +409,11 @@ class StagedOrder:
     transitively closed relation; each mutation appends one snapshot with
     the stage incremented by 1. Mutations are atomic: on error nothing is
     appended.
+
+    A ce stage is closed in one pass over its batch's heads
+    (`_close_batch`) and checked for antisymmetry once. The pairs are
+    walked one at a time only when that pass refuses the batch, to name
+    the first error (`_add_pair_by_pair`).
     """
 
     def __init__(self, kind: Kind, initial: Snapshot):
@@ -380,21 +433,13 @@ class StagedOrder:
     def add_pairs(self, pairs: Iterable[Tuple[int, int]]) -> Snapshot:
         if self.kind is not Kind.CE:
             raise StagedOrderError("add_pairs is only valid on a growing (ce) order")
-        matrix = self.current.matrix.copy()
+        pairs = list(pairs)
         n = self.domain_size
-        for u, v in pairs:
-            if not (0 <= u < n and 0 <= v < n):
-                raise DomainTooSmall(f"pair ({u}, {v}) outside domain of size {n}")
-            if matrix[u, v]:
-                continue
-            if matrix[v, u]:
-                raise AntisymmetryViolation(min(u, v), max(u, v))
-            # x <= u and v <= y gives x <= y; includes (u,v) itself.
-            new = np.logical_and.outer(matrix[:, u], matrix[v, :])
-            bad = _first_pair(_strict(new & matrix.T))
-            if bad is not None:
-                raise AntisymmetryViolation(min(bad), max(bad))
-            matrix |= new
+        idx = _pair_array(pairs, n)
+        matrix = None if idx is None else _close_batch(self.current.matrix, idx)
+        if matrix is None:
+            matrix = _add_pair_by_pair(self.current.matrix.copy(), pairs, n)
+        matrix.setflags(write=False)  # fresh or the current one: no copy needed
         snapshot = Snapshot(n, self.current.stage + 1, matrix, self.current.labels)
         self._snapshots.append(snapshot)
         return snapshot

@@ -71,7 +71,8 @@ def snapshot_from_obj(obj) -> Tuple[Snapshot, Kind]:
     _expect(is_natural(stage), "stage must be a natural number")
     _expect(kind_raw in ("ce", "coce"), "kind must be 'ce' or 'coce'")
     _expect(isinstance(pairs, list), "pairs must be a list")
-    checked = _pair_array(pairs, n)
+    # JSON gives pairs as lists; a tuple pair is refused like any other shape
+    checked = _pair_array(pairs, n) if set(map(type, pairs)) <= {list} else None
     if checked is None:  # some pair is bad: name the first, in file order
         for p in pairs:
             _expect(
