@@ -178,39 +178,48 @@ def required_domain_bound(graph: LimitGraph) -> int:
     return bound
 
 
-def _window_gadgets(graph: LimitGraph, i: int, j: int, domain_bound: int) -> List[int]:
-    """Gadget rungs of the pair that fit under the domain bound."""
-    out = []
-    k = 0
-    while _gadget_code(i, j, k) < domain_bound:
-        out.append(k)
-        k += 1
+Windows = Dict[Tuple[int, int], List[Tuple[int, int]]]
+
+
+def _windows(graph: LimitGraph, domain_bound: int) -> Windows:
+    """Each vertex pair's gadget rungs that fit under the domain bound, as
+    (rung, element code) in rung order, pairs in lexicographic order."""
+    out = {}
+    for i, j in graph._pairs():
+        rungs = []
+        code = _gadget_code(i, j, 0)
+        while code < domain_bound:
+            rungs.append((len(rungs), code))
+            code = _gadget_code(i, j, len(rungs))
+        out[(i, j)] = rungs
     return out
+
+
+def _stages_needed(graph: LimitGraph, windows: Windows) -> int:
+    need = max(graph.n - 1, graph.max_modulus, 0)
+    return max([need] + [rungs[-1][0] for rungs in windows.values() if rungs])
 
 
 def required_stages(graph: LimitGraph, domain_bound: int) -> int:
     """Stages needed so every pair is processed, every flip has passed,
     and every in-window gadget rung has been marked or neutralized."""
-    need = max(graph.n - 1, graph.max_modulus, 0)
-    for i, j in graph._pairs():
-        rungs = _window_gadgets(graph, i, j, domain_bound)
-        if rungs:
-            need = max(need, rungs[-1])
-    return need
+    return _stages_needed(graph, _windows(graph, domain_bound))
 
 
-def build_spectrum_initial(kind: Kind, graph: LimitGraph, domain_bound: int) -> Snapshot:
-    if domain_bound < required_domain_bound(graph):
-        raise DomainTooSmall(
-            f"domain {domain_bound} below required {required_domain_bound(graph)}"
-        )
+def build_spectrum_initial(
+    kind: Kind, graph: LimitGraph, domain_bound: int, windows: Windows
+) -> Snapshot:
+    """Stage 0: every in-window gadget below g and its two vertices, and
+    below both flags when shrinking; `windows` is _windows(graph, domain_bound)."""
+    required = required_domain_bound(graph)
+    if domain_bound < required:
+        raise DomainTooSmall(f"domain {domain_bound} below required {required}")
     a, g, r0, r1 = DEFAULT_SPECTRUM_CONSTS
     matrix = np.eye(domain_bound, dtype=bool)
     for i in range(graph.n):
         matrix[_vertex_code(i), a] = True
-    for i, j in graph._pairs():
-        for k in _window_gadgets(graph, i, j, domain_bound):
-            code = _gadget_code(i, j, k)
+    for (i, j), rungs in windows.items():
+        for _, code in rungs:
             matrix[code, g] = True
             matrix[code, _vertex_code(i)] = True
             matrix[code, _vertex_code(j)] = True
@@ -222,49 +231,38 @@ def build_spectrum_initial(kind: Kind, graph: LimitGraph, domain_bound: int) -> 
     return Snapshot(domain_bound, 0, matrix, labels)
 
 
-def run_spectrum_stage(order: StagedOrder, graph: LimitGraph, s: int) -> Snapshot:
-    if s != order.current.stage + 1:
-        raise StagedOrderError(f"expected stage {order.current.stage + 1}, got {s}")
-    _, _, r0, r1 = DEFAULT_SPECTRUM_CONSTS
-    bound = order.domain_size
-    touched: List[Tuple[int, int]] = []
-    for i, j in graph._pairs():
-        if j > min(s, graph.n - 1):
-            continue
-        active = graph.active_index(i, j, s)
-        fval = graph.value(i, j, s)
-        keep = r1 if fval else r0
-        drop = r0 if fval else r1
-        for k in _window_gadgets(graph, i, j, bound):
-            code = _gadget_code(i, j, k)
-            if k == active:
-                touched.append((code, keep if order.kind is Kind.CE else drop))
-            elif k <= s:
-                touched.append((code, r0))
-                touched.append((code, r1))
-    if order.kind is Kind.CE:
-        return order.add_pairs(touched)
-    return order.remove_pairs(touched)
-
-
 def build_spectrum_run(
     kind: Kind, graph: LimitGraph, domain_bound: int, stages: int
 ) -> StagedOrder:
-    need = required_stages(graph, domain_bound)
+    """The run through `stages` stages. Stage s marks each processed pair's
+    active rung against the flag its current value keeps (growing) or
+    drops (shrinking), and neutralizes its other rungs up to s."""
+    windows = _windows(graph, domain_bound)
+    need = _stages_needed(graph, windows)
     if stages < need:
         raise InsufficientStages(f"stages {stages} below required {need}")
-    order = StagedOrder(kind, build_spectrum_initial(kind, graph, domain_bound))
+    order = StagedOrder(kind, build_spectrum_initial(kind, graph, domain_bound, windows))
+    _, _, r0, r1 = DEFAULT_SPECTRUM_CONSTS
     for s in range(1, stages + 1):
-        run_spectrum_stage(order, graph, s)
+        touched: List[Tuple[int, int]] = []
+        for (i, j), rungs in windows.items():
+            if j > min(s, graph.n - 1):
+                continue
+            active = graph.active_index(i, j, s)
+            fval = graph.value(i, j, s)
+            keep = r1 if fval else r0
+            drop = r0 if fval else r1
+            for k, code in rungs:
+                if k == active:
+                    touched.append((code, keep if kind is Kind.CE else drop))
+                elif k <= s:
+                    touched.append((code, r0))
+                    touched.append((code, r1))
+        if kind is Kind.CE:
+            order.add_pairs(touched)
+        else:
+            order.remove_pairs(touched)
     return order
-
-
-def _distinguished(
-    below_r0: bool, below_r1: bool, kind: Kind
-) -> bool:
-    if kind is Kind.CE:
-        return not (below_r0 and below_r1)
-    return below_r0 or below_r1
 
 
 def decode_graph(
@@ -273,35 +271,37 @@ def decode_graph(
     consts: Optional[SpectrumConsts] = None,
 ) -> FrozenSet[Tuple[int, int]]:
     """Recover the coded graph as pairs of vertex elements. Only the four
-    constants need to be named; everything else is read off the order."""
+    constants need to be named; everything else is read off the order.
+
+    Vertices sit below a but not g; pool gadgets below both. Growing, a
+    pool gadget is marked unless it sits below both flags; shrinking, when
+    it sits below either. Each vertex pair needs exactly one marked gadget
+    below both its vertices, and is an edge when that gadget sits below r1."""
     consts = consts or DEFAULT_SPECTRUM_CONSTS
     a, g, r0, r1 = consts
     m = snapshot.matrix
-    n = snapshot.domain_size
-    vertices = [
-        x for x in range(n) if x != a and m[x, a] and not m[x, g]
-    ]
-    pool = [
-        x for x in range(n) if x not in (a, g) and m[x, a] and m[x, g]
-    ]
-    edges = set()
-    for ai in range(len(vertices)):
-        for aj in range(ai + 1, len(vertices)):
-            x, y = vertices[ai], vertices[aj]
-            marked = [
-                w
-                for w in pool
-                if m[w, x] and m[w, y] and _distinguished(m[w, r0], m[w, r1], kind)
-            ]
-            if not marked:
-                raise NoWitness(f"no marked gadget for vertex pair ({x}, {y})")
-            if len(marked) > 1:
-                raise MultipleWitnesses(
-                    f"gadgets {marked} all marked for vertex pair ({x}, {y})"
-                )
-            if m[marked[0], r1]:
-                edges.add((x, y))
-    return frozenset(edges)
+    vertex = m[:, a] & ~m[:, g]
+    vertex[a] = False
+    pool = m[:, a] & m[:, g]
+    pool[[a, g]] = False
+    below_r0, below_r1 = m[:, r0], m[:, r1]
+    distinguished = ~(below_r0 & below_r1) if kind is Kind.CE else below_r0 | below_r1
+    marked = np.flatnonzero(pool & distinguished)
+    vertices = np.flatnonzero(vertex)
+    below = m[np.ix_(marked, vertices)].astype(np.float32)
+    # counts of at most the domain size, so exact in float32
+    witnesses = below.T @ below
+    bad = np.argwhere(np.triu(witnesses != 1, 1))
+    if bad.size:
+        ai, aj = bad[0]
+        x, y = vertices[ai].item(), vertices[aj].item()
+        found = marked[(below[:, ai] > 0) & (below[:, aj] > 0)].tolist()
+        if not found:
+            raise NoWitness(f"no marked gadget for vertex pair ({x}, {y})")
+        raise MultipleWitnesses(f"gadgets {found} all marked for vertex pair ({x}, {y})")
+    edge_witnesses = (below * below_r1[marked, None]).T @ below
+    edges = np.argwhere(np.triu(edge_witnesses > 0, 1))
+    return frozenset(zip(vertices[edges[:, 0]].tolist(), vertices[edges[:, 1]].tolist()))
 
 
 def comparability_graph(snapshot: Snapshot) -> FrozenSet[Tuple[int, int]]:
