@@ -204,7 +204,13 @@ def verify(run_dir, suite):
 
 
 def _parse_consts(text: Optional[str], default: Tuple[int, ...], n: int) -> Tuple[int, ...]:
+    """The --consts values, or the defaults; either way elements of 0..n-1."""
     if text is None:
+        if not all(0 <= value < n for value in default):
+            raise ConfigError(
+                f"default constants {list(default)} are not all elements of 0..{n - 1}; "
+                "name them with --consts"
+            )
         return default
     try:
         values = tuple(int(part) for part in text.split(","))

@@ -61,6 +61,17 @@ def test_decode_consts_outside_the_domain(shipped_runs, tmp_path, run_name, cons
     _config_error(_invoke(*args), "--consts")
 
 
+@pytest.mark.parametrize("construction", ["sigma2", "spectrum-coce"])
+def test_decode_default_consts_outside_a_small_domain(tmp_path, construction):
+    """sigma2's five default constants, or spectrum's four, do not fit a
+    3-element snapshot: a ConfigError, not an IndexError or empty edges."""
+    snap = {"domain_size": 3, "stage": 0, "kind": "coce", "pairs": [[2, 0]], "labels": {}}
+    path = _write(tmp_path / "snapshot_000.json", snap)
+    _write(tmp_path / "config.json", {"construction": "sigma2", "indices": [{"i": 0, "member": True}]})
+    result = _invoke("decode", "--snapshot", path, "--construction", construction)
+    _config_error(result, "default constants")
+
+
 @pytest.mark.parametrize("head", [["a", 1], [True, False]])
 def test_decode_perm_must_hold_integers(shipped_runs, tmp_path, head):
     snap_path = run_snapshot_paths(shipped_runs["sigma2"])[-1]
