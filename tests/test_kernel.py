@@ -196,7 +196,7 @@ def _rows(matrix):
 @example((3, [[], [(0, 1), (0, 1), (1, 1), (0, 0)], [(0, 1)], []]))  # empty, duplicate, reflexive, held
 @example((4, [[(0, 1), (1, 2), (2, 0), (-1, 0)]]))  # 2-cycle mid-batch, then a negative pair
 @example((4, [[[0, 1], [2, 3], [3, 0], [1, 2], [0, 4]]]))  # 2-cycle through the closure, then n
-@example((3, [[(0, 1)], [(1, 2), (2, 3)], [(2, 0)]]))  # reversed pair of a held one
+@example((4, [[(0, 1)], [(1, 2), (2, 3)], [(2, 0)]]))  # reverses a pair held through closure
 @settings(max_examples=400, deadline=None)
 def test_add_pairs_matches_per_pair_rules(case):
     n, history = case
