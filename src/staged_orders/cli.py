@@ -93,6 +93,8 @@ class RunPlan:
         for name, value in (("stages", self.stages), ("domain_bound", self.domain)):
             if value is not None and not is_natural(value):
                 raise ConfigError(f"{name} must be a natural")
+        if self.seed is not None and type(self.seed) is not int:
+            raise ConfigError("seed must be an integer")
 
     def stages_or(self, default: int) -> int:
         """The stage budget, defaulting to what the construction needs."""

@@ -7,7 +7,7 @@ a seed alone; nothing here touches global RNG state.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 

@@ -17,6 +17,7 @@ from typing import List, Sequence, Tuple, Union
 import numpy as np
 
 from .kernel import ConfigError, Construction, Kind, Snapshot, StagedOrder, StagedOrderError
+from .serialize import is_natural
 from .solvers import longest_chain
 
 
@@ -35,7 +36,7 @@ class EnumerationSchedule:
     def __post_init__(self):
         seen = set()
         for e, s in self.entries:
-            if not (isinstance(e, int) and isinstance(s, int) and e >= 0 and s >= 0):
+            if not (is_natural(e) and is_natural(s)):
                 raise ConfigError(f"malformed entry ({e!r}, {s!r})")
             if e in seen:
                 raise ConfigError(f"element {e} enumerated twice")
@@ -241,7 +242,7 @@ class JumpConstruction(Construction):
     def build(self, plan):
         sched = schedule_from_config(plan.payload)
         n = plan.domain if plan.domain is not None else plan.payload.get("n")
-        if not isinstance(n, int) or n < 0:
+        if not is_natural(n):
             raise ConfigError("jump configs need a natural 'n' (or --domain)")
         plan.payload.setdefault("n", n)
         stages = plan.stages_or(sched.max_entry_stage)

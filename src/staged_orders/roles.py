@@ -108,12 +108,7 @@ def _tri(n: int) -> int:
 
 def _tri_row_leq(q: int) -> int:
     # largest i with i(i+1)/2 <= q
-    i = (math.isqrt(8 * q + 1) - 1) // 2
-    while _tri(i + 1) <= q:
-        i += 1
-    while _tri(i) > q:
-        i -= 1
-    return i
+    return (math.isqrt(8 * q + 1) - 1) // 2
 
 
 def sigma2_encode(role: Sigma2Role) -> int:
@@ -142,10 +137,6 @@ def sigma2_decode(n: int) -> Sigma2Role:
         return Sigma2A(i, q - _tri(i))
     # rows of c_{i,k} have i entries, offsets i(i-1)/2 = tri(i-1)
     i = _tri_row_leq(q) + 1
-    while i * (i - 1) // 2 > q:
-        i -= 1
-    while i * (i + 1) // 2 <= q:
-        i += 1
     return Sigma2C(i, q - i * (i - 1) // 2)
 
 
@@ -167,11 +158,7 @@ def cantor_pair(p: int, k: int) -> int:
 
 
 def cantor_unpair(t: int) -> tuple:
-    w = (math.isqrt(8 * t + 1) - 1) // 2
-    while _tri(w + 1) <= t:
-        w += 1
-    while _tri(w) > t:
-        w -= 1
+    w = _tri_row_leq(t)
     k = t - _tri(w)
     return w - k, k
 
@@ -183,10 +170,6 @@ def pair_rank(i: int, j: int) -> int:
 
 def pair_unrank(p: int) -> tuple:
     j = _tri_row_leq(p) + 1
-    while j * (j - 1) // 2 > p:
-        j -= 1
-    while j * (j + 1) // 2 <= p:
-        j += 1
     return p - j * (j - 1) // 2, j
 
 

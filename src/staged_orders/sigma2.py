@@ -46,6 +46,7 @@ from .roles import (
     sigma2_encode,
     sigma2_label,
 )
+from .serialize import is_natural
 
 
 class NotFound(StagedOrderError):
@@ -69,9 +70,11 @@ class MemberIndex:
     defeats: Tuple[int, ...]  # defeat stage of x, for each x < witness
 
     def __post_init__(self):
-        if self.witness < 0 or len(self.defeats) != self.witness:
+        if not is_natural(self.witness):
+            raise ConfigError("witness is a natural")
+        if len(self.defeats) != self.witness:
             raise ConfigError("member index needs one defeat stage per witness below it")
-        if any(d < 0 for d in self.defeats):
+        if not all(is_natural(d) for d in self.defeats):
             raise ConfigError("defeat stages are naturals")
 
 
@@ -82,9 +85,9 @@ class NonmemberIndex:
     horizon: Optional[int] = None  # declared coverage of the rule, in witnesses
 
     def __post_init__(self):
-        if self.offset < 0 or self.step < 0:
+        if not (is_natural(self.offset) and is_natural(self.step)):
             raise ConfigError("defeat rule coefficients are naturals")
-        if self.horizon is not None and self.horizon < 0:
+        if self.horizon is not None and not is_natural(self.horizon):
             raise ConfigError("defeat_horizon is a natural")
 
 
@@ -128,16 +131,19 @@ def predicate_from_config(blob: dict) -> SyntheticSigma2Predicate:
         raise ConfigError("config needs a nonempty 'indices' list")
     by_i = {}
     for entry in raw:
-        if not isinstance(entry, dict) or "i" not in entry:
+        if not isinstance(entry, dict) or not is_natural(entry.get("i")):
             raise ConfigError(f"malformed index entry {entry!r}")
         i = entry["i"]
         if i in by_i:
             raise ConfigError(f"duplicate index {i}")
-        if entry.get("member"):
-            by_i[i] = MemberIndex(
-                witness=entry.get("witness", 0),
-                defeats=tuple(entry.get("defeats", ())),
-            )
+        member = entry.get("member", False)
+        if type(member) is not bool:
+            raise ConfigError(f"index {i}: 'member' must be true or false")
+        if member:
+            defeats = entry.get("defeats", [])
+            if not isinstance(defeats, list):
+                raise ConfigError(f"member index {i} needs a 'defeats' list")
+            by_i[i] = MemberIndex(witness=entry.get("witness", 0), defeats=tuple(defeats))
         else:
             rule = entry.get("defeat_rule")
             if not isinstance(rule, dict):

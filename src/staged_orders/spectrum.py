@@ -13,7 +13,7 @@ comparability graph once the four constants are pointed out.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .kernel import (
     close_matrix,
 )
 from .roles import SpectrumA, SpectrumG, spectrum_encode, spectrum_label
+from .serialize import is_natural
 
 
 class NoWitness(StagedOrderError):
@@ -68,12 +69,12 @@ class LimitGraph:
         edges,
         flips: Optional[Dict[Tuple[int, int], Tuple[int, ...]]] = None,
     ):
-        if not isinstance(n, int) or n < 0:
+        if not is_natural(n):
             raise ConfigError("vertex count must be a natural")
         self.n = n
         self.edges = frozenset(tuple(e) for e in edges)
         for i, j in self.edges:
-            if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < j < n):
+            if not (is_natural(i) and is_natural(j) and i < j < n):
                 raise ConfigError(f"bad edge ({i!r}, {j!r})")
         self.flips = {}
         for pair, stages in (flips or {}).items():
@@ -81,7 +82,7 @@ class LimitGraph:
             if not (0 <= i < j < n):
                 raise ConfigError(f"flip schedule for non-pair {pair!r}")
             stages = tuple(stages)
-            if any(not isinstance(s, int) or s < 1 for s in stages):
+            if not all(is_natural(s) and s >= 1 for s in stages):
                 raise ConfigError(f"flip stages for {pair!r} must be >= 1")
             if list(stages) != sorted(set(stages)):
                 raise ConfigError(f"flip stages for {pair!r} must be sorted and distinct")

@@ -151,6 +151,56 @@ def test_decode_config_must_be_an_object(shipped_runs, tmp_path):
     _config_error(result, "config.json")
 
 
+def _build(tmp_path, cfg):
+    path = _write(tmp_path / "cfg.json", cfg)
+    return _invoke("build", "--config", path, "--out", str(tmp_path / "run"))
+
+
+_MEMBER = {"i": 0, "member": True}
+
+
+@pytest.mark.parametrize(
+    "indices, needle",
+    [
+        ([{"i": 0, "member": True, "witness": "1"}], "witness"),
+        ([{"i": 0, "member": True, "witness": True, "defeats": [1]}], "witness"),
+        ([{"i": 0, "member": True, "witness": 1, "defeats": ["a"]}], "defeat stages"),
+        ([{"i": 0, "member": True, "witness": 1, "defeats": "a"}], "defeats"),
+        ([{"i": 0, "member": False, "defeat_rule": {"offset": "x", "step": 1}}], "defeat rule"),
+        ([{"i": 0, "member": False, "defeat_rule": {"offset": True, "step": 1.5}}], "defeat rule"),
+        ([{"i": 0, "member": False, "defeat_rule": {"offset": 0, "step": 1}, "defeat_horizon": "2"}],
+         "defeat_horizon"),
+        ([_MEMBER, {"i": "1", "member": True}], "index entry"),
+        ([_MEMBER, {"i": True, "member": True}], "index entry"),
+        ([{"i": 0, "member": "no", "witness": 0}], "'member'"),
+        ([{"i": 0, "member": 1, "defeat_rule": {"offset": 0, "step": 1}}], "'member'"),
+    ],
+)
+def test_sigma2_config_fields_are_checked(tmp_path, indices, needle):
+    _config_error(_build(tmp_path, {"construction": "sigma2", "indices": indices}), needle)
+
+
+@pytest.mark.parametrize(
+    "cfg, needle",
+    [
+        ({"construction": "jump-cochain", "entries": [[True, 2]], "n": 5}, "malformed entry"),
+        ({"construction": "jump-antichain", "entries": [[0, 2]], "n": True}, "natural 'n'"),
+        ({"construction": "spectrum-ce", "n": True, "edges": []}, "vertex count"),
+        ({"construction": "spectrum-coce", "n": 2, "edges": [[False, True]]}, "bad edge"),
+        ({"construction": "spectrum-ce", "n": 2, "edges": [], "flips": {"0,1": [True]}}, "flip stages"),
+    ],
+)
+def test_jump_and_spectrum_configs_reject_booleans(tmp_path, cfg, needle):
+    _config_error(_build(tmp_path, cfg), needle)
+
+
+@pytest.mark.parametrize("seed", ["x", True, 1.5])
+def test_config_seed_must_be_an_integer(tmp_path, seed):
+    cfg = {"construction": "jump-cochain", "entries": [[0, 1]], "n": 5, "seed": seed}
+    _config_error(_build(tmp_path, cfg), "seed")
+    assert not os.path.exists(tmp_path / "run")
+
+
 # A chain 0 < 1 < 2: the removals must cover exactly (1, 0), (2, 0), (2, 1).
 _LIMIT = {"limit_pairs": [[0, 1], [0, 2], [1, 2]]}
 
