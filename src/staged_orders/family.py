@@ -153,10 +153,15 @@ class SetFamily:
         n = obj.get("n")
         count = obj.get("elements")
         membership = obj.get("membership")
-        if not (isinstance(n, int) and isinstance(count, int) and isinstance(membership, list)):
+        if not (is_natural(n) and is_natural(count) and isinstance(membership, list)):
             raise ConfigError("family JSON needs n, elements, membership")
-        if len(membership) != n or any(len(row) != count for row in membership):
-            raise ConfigError("membership must be n rows of 'elements' bits")
+        if len(membership) != n or not all(
+            isinstance(row, list)
+            and len(row) == count
+            and all(type(bit) is int and bit in (0, 1) for bit in row)
+            for row in membership
+        ):
+            raise ConfigError("membership must be n rows of 'elements' bits, each 0 or 1")
         rows = tuple(
             frozenset(e for e in range(count) if membership[i][e]) for i in range(n)
         )

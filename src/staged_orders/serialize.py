@@ -173,7 +173,8 @@ def load_run(run_dir: str) -> Tuple[dict, dict, List[Snapshot], Kind]:
         if name.startswith("snapshot_") and name.endswith(".json")
     )
     snapshots = []
-    kind = Kind(manifest.get("kind", "ce"))
+    _expect(manifest.get("kind") in ("ce", "coce"), "manifest kind must be 'ce' or 'coce'")
+    kind = Kind(manifest["kind"])
     for name in names:
         snapshot, snap_kind = load_snapshot(os.path.join(run_dir, name))
         _expect(snap_kind is kind, f"{name} kind disagrees with manifest")
@@ -186,6 +187,12 @@ def load_run(run_dir: str) -> Tuple[dict, dict, List[Snapshot], Kind]:
         f"run holds {len(snapshots)} snapshots but the manifest lists {count!r}",
     )
     _expect([s.stage for s in snapshots] == list(range(count)), "snapshot stages have gaps")
+    stages = manifest.get("stages")
+    _expect(is_natural(stages), f"manifest stages must be a natural, not {stages!r}")
+    _expect(
+        not count or stages == count - 1,
+        f"manifest lists {stages} stages but the run holds {count} snapshots",
+    )
     _expect(
         all(s.domain_size == manifest.get("domain_size") for s in snapshots),
         "a snapshot's domain size disagrees with the manifest",

@@ -22,8 +22,9 @@ in the window are built but never mutated.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .kernel import (
     Snapshot,
     StagedOrder,
     StagedOrderError,
+    _compose,
     close_matrix,
 )
 from .roles import (
@@ -114,15 +116,6 @@ class SyntheticSigma2Predicate:
 
     def membership(self) -> Tuple[bool, ...]:
         return tuple(isinstance(spec, MemberIndex) for spec in self.indices)
-
-
-@dataclass(frozen=True)
-class WitnessTable:
-    witnesses: Tuple[int, ...]
-
-    @classmethod
-    def initial(cls, count: int) -> "WitnessTable":
-        return cls((0,) * count)
 
 
 def predicate_from_config(blob: dict) -> SyntheticSigma2Predicate:
@@ -217,6 +210,26 @@ def validate_predicate(pred: SyntheticSigma2Predicate, domain_bound: int) -> Non
                 )
 
 
+def _witness_stages(pred: SyntheticSigma2Predicate):
+    """The witness dynamics: for stages 1, 2, ..., yield the (i, x) pairs
+    defeated at that stage and the witnesses after it.
+
+    Index i is eligible once s >= i. Witness x of index i is defeated at s
+    when its defeat stage is at or before s; the witness then advances to
+    x+1. Each index moves at most one witness per stage.
+    """
+    witnesses = [0] * pred.bound
+    for s in itertools.count(1):
+        defeated = []
+        for i in range(min(s, pred.bound - 1) + 1):
+            x = witnesses[i]
+            d = pred.defeat_stage(i, x)
+            if d is not None and d <= s:
+                defeated.append((i, x))
+                witnesses[i] = x + 1
+        yield defeated, tuple(witnesses)
+
+
 def stabilization_stage(pred: SyntheticSigma2Predicate, domain_bound: int) -> int:
     """First stage after which no removal can touch the window again.
 
@@ -229,28 +242,23 @@ def stabilization_stage(pred: SyntheticSigma2Predicate, domain_bound: int) -> in
         spec.witness if isinstance(spec, MemberIndex) else count
         for spec in pred.indices
     ]
-    witnesses = [0] * pred.bound
     relevant = [0]
-    for i, spec in enumerate(pred.indices):
+    for spec in pred.indices:
         if isinstance(spec, MemberIndex):
             relevant.extend(spec.defeats)
         else:
             relevant.append(spec.offset + spec.step * max(count - 1, 0))
     cap = max(relevant) + count + pred.bound + 2
-    s = 0
-    while any(w < t for w, t in zip(witnesses, targets)):
-        s += 1
-        if s > cap:
-            raise StagedOrderError("witness dynamics failed to stabilize")
-        for i in range(min(s, pred.bound - 1) + 1):
-            x = witnesses[i]
-            d = pred.defeat_stage(i, x)
-            if d is not None and d <= s:
-                witnesses[i] = x + 1
-    return s
+    witnesses = (0,) * pred.bound
+    stages = _witness_stages(pred)
+    for s in range(cap + 1):
+        if all(w >= t for w, t in zip(witnesses, targets)):
+            return s
+        _, witnesses = next(stages)
+    raise StagedOrderError("witness dynamics failed to stabilize")
 
 
-def build_initial(domain_bound: int, pred: Optional[SyntheticSigma2Predicate] = None) -> Snapshot:
+def build_initial(domain_bound: int, pred: SyntheticSigma2Predicate) -> Snapshot:
     """Scaffold before any removals: the closure of the fixed conditions.
 
     Conditions: every A-element below a, every B-element below b, every
@@ -258,8 +266,7 @@ def build_initial(domain_bound: int, pred: Optional[SyntheticSigma2Predicate] = 
     below l, and a_{i,k}, a_{i,k+1} below c_{i,k}. Only conditions whose
     endpoints both fit the window apply.
     """
-    if pred is not None:
-        validate_predicate(pred, domain_bound)
+    validate_predicate(pred, domain_bound)
     n = domain_bound
     matrix = np.eye(n, dtype=bool)
     a_codes = []
@@ -294,46 +301,25 @@ def build_initial(domain_bound: int, pred: Optional[SyntheticSigma2Predicate] = 
     return Snapshot(n, 0, matrix, labels)
 
 
-def run_stage(
-    order: StagedOrder,
-    witnesses: WitnessTable,
-    pred: SyntheticSigma2Predicate,
-    s: int,
-) -> Tuple[StagedOrder, WitnessTable]:
-    """One stage: defeated witnesses lose their row and advance by one.
-
-    Index i is eligible once s >= i. A defeat of witness x at or before s
-    removes (b_x, a_{i,k}) for every k <= i that fits the window and bumps
-    the witness to x+1; each index moves at most one witness per stage.
-    """
-    if s < 1 or s != order.current.stage + 1:
-        raise StagedOrderError(f"stages must be applied in order; expected {order.current.stage + 1}")
-    n = order.domain_size
-    gone = []
-    new_witnesses = list(witnesses.witnesses)
-    for i in range(min(s, pred.bound - 1) + 1):
-        x = new_witnesses[i]
-        d = pred.defeat_stage(i, x)
-        if d is not None and d <= s:
-            b = sigma2_encode(Sigma2B(x))
-            if b < n:
-                for k in range(i + 1):
-                    a = sigma2_encode(Sigma2A(i, k))
-                    if a < n:
-                        gone.append((b, a))
-            new_witnesses[i] = x + 1
-    order.remove_pairs(gone)
-    return order, WitnessTable(tuple(new_witnesses))
-
-
 def build_run(
     pred: SyntheticSigma2Predicate, domain_bound: int, stages: int
-) -> Tuple[StagedOrder, WitnessTable]:
-    initial = build_initial(domain_bound, pred)
-    order = StagedOrder(Kind.COCE, initial)
-    witnesses = WitnessTable.initial(pred.bound)
-    for s in range(1, stages + 1):
-        order, witnesses = run_stage(order, witnesses, pred, s)
+) -> Tuple[StagedOrder, Tuple[int, ...]]:
+    """The run through `stages` stages, and the witnesses after the last.
+
+    A defeat of witness x of index i removes (b_x, a_{i,k}) for every
+    k <= i that fits the window.
+    """
+    n = domain_bound
+    order = StagedOrder(Kind.COCE, build_initial(n, pred))
+    witnesses = (0,) * pred.bound
+    for _, (defeated, witnesses) in zip(range(stages), _witness_stages(pred)):
+        gone = []
+        for i, x in defeated:
+            b = sigma2_encode(Sigma2B(x))
+            if b < n:
+                a_row = (sigma2_encode(Sigma2A(i, k)) for k in range(i + 1))
+                gone.extend((b, a) for a in a_row if a < n)
+        order.remove_pairs(gone)
     return order, witnesses
 
 
@@ -343,7 +329,6 @@ def identify_regions(
     """Split the domain by the constants: B below b, A below a but not b,
     C below c but neither a nor b."""
     m = snapshot.matrix
-    n = snapshot.domain_size
     below_a = m[:, consts.a].copy()
     below_a[consts.a] = False
     below_b = m[:, consts.b].copy()
@@ -362,40 +347,38 @@ def locate_sequence(
     """Find the i+1 elements playing a_{i,0}..a_{i,i} in a (possibly
     permuted) copy.
 
-    Search: distinct A-elements x_0..x_i, x_0 below the f-image, x_i
-    below the l-image, with some C-element above each consecutive pair.
-    The scaffold makes the row of index i the only solution.
+    Two A-elements are linked when some C-element sits above both. The
+    scaffold links a_{i,k} only to a_{i,k-1} and a_{i,k+1}, so each row is
+    a path; an A-element with more than two links is refused. The row of
+    index i is the walk of i+1 elements from an A-element below the
+    f-image to one below the l-image; starts and their links are tried in
+    sorted order.
     """
     if i < 0:
         raise NotFound("row index must be a natural")
     m = snapshot.matrix
     a_set, _, c_set = identify_regions(snapshot, consts)
     a_elems = sorted(a_set)
-    c_elems = sorted(c_set)
     if not a_elems:
         raise NotFound(f"no A-elements in a domain of {snapshot.domain_size}")
-    above = m[np.ix_(a_elems, c_elems)] if c_elems else np.zeros((len(a_elems), 0), dtype=bool)
-    index_of = {x: t for t, x in enumerate(a_elems)}
+    above = m[np.ix_(a_elems, sorted(c_set))]
+    linked = _compose(above, above.T)
+    np.fill_diagonal(linked, False)
+    links = {x: [a_elems[t] for t in np.flatnonzero(row)] for x, row in zip(a_elems, linked)}
+    for x, ys in links.items():
+        if len(ys) > 2:
+            raise NotFound(f"A-element {x} has {len(ys)} links; scaffold rows are paths")
     starts = [x for x in a_elems if m[x, consts.f]]
     ends = {x for x in a_elems if m[x, consts.l]}
-
-    def linked(x: int, y: int) -> bool:
-        return bool((above[index_of[x]] & above[index_of[y]]).any())
-
-    def extend(path: List[int]) -> Optional[List[int]]:
-        if len(path) == i + 1:
-            return path if path[-1] in ends else None
-        for y in a_elems:
-            if y not in path and linked(path[-1], y):
-                found = extend(path + [y])
-                if found is not None:
-                    return found
-        return None
-
     for x0 in starts:
-        found = extend([x0])
-        if found is not None:
-            return tuple(found)
+        for row in [[x0, y] for y in links[x0]] if i else [[x0]]:
+            while len(row) <= i:
+                step = [y for y in links[row[-1]] if y not in row]
+                if not step:
+                    break
+                row.append(step[0])
+            if len(row) == i + 1 and row[-1] in ends:
+                return tuple(row)
     raise NotFound(f"no row of length {i + 1} in a domain of {snapshot.domain_size}")
 
 

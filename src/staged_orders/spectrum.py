@@ -13,6 +13,7 @@ comparability graph once the four constants are pointed out.
 
 from __future__ import annotations
 
+import re
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -135,10 +136,10 @@ def graph_from_config(blob: dict) -> LimitGraph:
         parsed_edges.append((e[0], e[1]))
     flips = {}
     for key, stages in raw_flips.items():
-        try:
-            i, j = (int(part) for part in key.split(","))
-        except ValueError:
-            raise ConfigError(f"flip key {key!r} is not 'i,j'")
+        # one spelling per pair, so no two keys can name the same pair
+        if not re.fullmatch(r"(0|[1-9][0-9]*),(0|[1-9][0-9]*)", key):
+            raise ConfigError(f"flip key {key!r} is not 'i,j' in plain decimal")
+        i, j = (int(part) for part in key.split(","))
         if not isinstance(stages, list):
             raise ConfigError(f"flip stages for {key!r} must be a list")
         flips[(i, j)] = tuple(stages)

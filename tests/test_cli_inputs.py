@@ -72,6 +72,21 @@ def test_decode_default_consts_outside_a_small_domain(tmp_path, construction):
     _config_error(result, "default constants")
 
 
+def test_sigma2_decode_refuses_a_non_scaffold(tmp_path):
+    """Four A-elements all linked through one C-element, all below f and
+    l: scaffold rows are paths, so this is no sigma2 order. The old
+    recursive row search read membership bits out of it."""
+    a, b, c, f, l = range(5)
+    pairs = [[x, y] for x in range(5, 9) for y in (a, c, f, l, 9)] + [[9, c]]
+    snap = {"domain_size": 10, "stage": 0, "kind": "coce", "pairs": pairs, "labels": {}}
+    path = _write(tmp_path / "snapshot_000.json", snap)
+    _write(tmp_path / "config.json", {"indices": [{"i": i, "member": True} for i in range(4)]})
+    result = _invoke("decode", "--snapshot", path, "--construction", "sigma2")
+    assert result.exit_code == 2, (result.output, result.exception)
+    err = json.loads(result.stderr)
+    assert err["error"] == "NotFound" and "links" in err["message"], err
+
+
 @pytest.mark.parametrize("head", [["a", 1], [True, False]])
 def test_decode_perm_must_hold_integers(shipped_runs, tmp_path, head):
     snap_path = run_snapshot_paths(shipped_runs["sigma2"])[-1]
@@ -143,6 +158,38 @@ def test_run_config_must_be_an_object(shipped_runs, tmp_path, run_name, suite):
     _config_error(_invoke("verify", "--dir", run, "--suite", suite), "config.json")
 
 
+@pytest.mark.parametrize("bad", [True, "1", 2, "row"])
+def test_family_json_bits_are_exactly_0_or_1(shipped_runs, tmp_path, bad):
+    """A truthy stand-in for a 1 made the isomorphism suite PASS; a row
+    that is not a list raised a TypeError."""
+    run = _copy_run(shipped_runs, "family", tmp_path)
+    path = os.path.join(run, "family.json")
+    family = load_json(path)
+    rows = family["membership"]
+    at = next(i for i, row in enumerate(rows) if 1 in row)
+    if bad == "row":
+        rows[at] = 7
+    else:
+        rows[at][rows[at].index(1)] = bad
+    _write(path, family)
+    _config_error(_invoke("verify", "--dir", run, "--suite", "isomorphism"), "membership")
+
+
+@pytest.mark.parametrize("key, value", [("stages", "x"), ("stages", 1000000), ("kind", None)])
+def test_manifest_stages_and_kind_are_checked(shipped_runs, tmp_path, key, value):
+    """A string stage count raised a TypeError; a wrong one, or no kind
+    (read as ce), passed the witness suite. None deletes the key."""
+    run = _copy_run(shipped_runs, "jump_antichain", tmp_path)
+    path = os.path.join(run, "manifest.json")
+    manifest = load_json(path)
+    if value is None:
+        del manifest[key]
+    else:
+        manifest[key] = value
+    _write(path, manifest)
+    _config_error(_invoke("verify", "--dir", run, "--suite", "witness"), key)
+
+
 def test_decode_config_must_be_an_object(shipped_runs, tmp_path):
     run = _copy_run(shipped_runs, "jump_cochain", tmp_path)
     _write(os.path.join(run, "config.json"), [1, 2])
@@ -192,6 +239,14 @@ def test_sigma2_config_fields_are_checked(tmp_path, indices, needle):
 )
 def test_jump_and_spectrum_configs_reject_booleans(tmp_path, cfg, needle):
     _config_error(_build(tmp_path, cfg), needle)
+
+
+@pytest.mark.parametrize("flips", [{" 0,+1": [2]}, {"0,1": [2], "00,1": [3]}])
+def test_spectrum_flip_keys_are_canonical(tmp_path, flips):
+    """Keys were read with int(), so a padded or signed key built, and a
+    second spelling of a pair silently replaced its schedule."""
+    cfg = {"construction": "spectrum-ce", "n": 2, "edges": [], "flips": flips}
+    _config_error(_build(tmp_path, cfg), "flip key")
 
 
 @pytest.mark.parametrize("seed", ["x", True, 1.5])

@@ -80,8 +80,8 @@ def test_run_is_a_shrinking_poset_history():
     assert check_monotone(order).passed
     for snap in order.snapshots:
         assert check_partial_order(snap).passed
-    assert witnesses.witnesses[0] == 0
-    assert witnesses.witnesses[2] == 2  # two defeats, then rest
+    assert witnesses[0] == 0
+    assert witnesses[2] == 2  # two defeats, then rest
 
 
 def test_membership_matches_predicate_on_shipped_style_run():
