@@ -1,5 +1,6 @@
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from staged_orders.serialize import (
 )
 
 from _oracles import snapshot_relation
+from conftest import run_snapshot_paths
 
 
 def _order():
@@ -134,6 +136,41 @@ def test_write_and_load_run(tmp_path):
     assert kind is Kind.CE
     assert [s.stage for s in snapshots] == [0, 1, 2]
     assert snapshots[-1] == order.current
+
+
+@st.composite
+def _histories(draw):
+    """A ce history that only grows or a coce history that only shrinks:
+    1 to 5 reflexive snapshots, some stages changing nothing, each with
+    its own labels."""
+    kind = draw(st.sampled_from([Kind.CE, Kind.COCE]))
+    n = draw(st.integers(0, 6))
+    bits = st.lists(st.booleans(), min_size=n * n, max_size=n * n)
+    labels = st.dictionaries(st.integers(0, n - 1), st.text(max_size=3), max_size=n) if n else st.just({})
+    matrix = np.array(draw(bits), dtype=bool).reshape(n, n)
+    snapshots = []
+    for stage in range(draw(st.integers(1, 5))):
+        if stage and not draw(st.booleans()):  # else this stage changes nothing
+            step = np.array(draw(bits), dtype=bool).reshape(n, n)
+            matrix = matrix | step if kind is Kind.CE else matrix & ~step
+        np.fill_diagonal(matrix, True)
+        snapshots.append(Snapshot(n, stage, matrix, draw(labels)))
+    return kind, snapshots
+
+
+@given(_histories())
+@settings(max_examples=150, deadline=None)
+def test_written_run_loads_back_stage_by_stage(case):
+    kind, snapshots = case
+    with tempfile.TemporaryDirectory() as out:
+        write_run(out, "demo", {}, kind, snapshots, len(snapshots) - 1)
+        _, _, loaded, loaded_kind = load_run(out)
+        assert loaded_kind is kind
+        assert loaded == snapshots
+        paths = run_snapshot_paths(out)
+        assert len(paths) == len(snapshots)
+        for path, snapshot in zip(paths, loaded):
+            assert load_snapshot(path) == (snapshot, kind)
 
 
 def test_load_run_rejects_kind_mismatch(tmp_path):
