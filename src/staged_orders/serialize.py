@@ -1,18 +1,37 @@
 """JSON interchange for snapshots and run directories.
 
-Snapshot schema:
+A run stores its first and last stage as full snapshots and every stage in
+between as a delta against the stage before it.
+
+Full snapshot:
   {"domain_size": n, "stage": s, "kind": "ce"|"coce",
    "pairs": [[i,j], ...],          # sorted lexicographically, reflexive omitted
    "labels": {"5": "b_0", ...}}    # optional
+
+Delta (a middle stage of a run):
+  {"domain_size": n, "stage": s, "kind": "ce"|"coce",
+   "base": "snapshot_004.json",    # the previous stage's file, same directory
+   "added": [[i,j], ...],          # strict pairs the base lacks, sorted
+   "removed": [[i,j], ...],        # strict pairs the base holds, sorted
+   "labels": {"5": "b_0", ...}}    # optional; all of this stage's labels
+
+A delta is read by rebuilding its base first, back to a full file, so a
+middle file given alone loads as long as its bases sit beside it. It is
+refused unless its stage is the base's stage + 1, its domain size and kind
+are the base's, every added pair is absent from the base, every removed
+pair is held by it and no pair in either list is reflexive. A full file is
+accepted at any stage.
 
 All files are emitted with sorted keys, compact separators and a trailing
 newline so reruns are byte-identical.
 
 Writers emit the strict pairs, sorted. Readers also accept pairs in any
-order, duplicate pairs and reflexive pairs. Every other pair list is
-rejected with a ConfigError (exit 2 on the command line): a pair that is
-not a list of two ints (JSON true and false are not ints) or that lies
-outside 0..n-1. The first bad pair in file order is named.
+order and duplicate pairs, and reflexive pairs in `pairs`. Every other
+pair list is rejected with a ConfigError (exit 2 on the command line): a
+pair that is not a list of two ints (JSON true and false are not ints) or
+that lies outside 0..n-1. The first bad pair in file order is named. A
+label key must be an element index in plain decimal (no sign, space or
+leading zero).
 """
 
 from __future__ import annotations
@@ -20,7 +39,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import List, Optional, Tuple
+import re
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,16 +59,29 @@ def config_hash(config_obj) -> str:
     return hashlib.sha256(canonical_dumps(config_obj).encode("utf-8")).hexdigest()
 
 
-def snapshot_to_obj(snapshot: Snapshot, kind: Kind) -> dict:
-    obj = {
-        "domain_size": snapshot.domain_size,
-        "stage": snapshot.stage,
-        "kind": kind.value,
-        "pairs": np.argwhere(_strict(snapshot.matrix)).tolist(),
-    }
+def _stage_obj(snapshot: Snapshot, kind: Kind, **relation) -> dict:
+    obj = {"domain_size": snapshot.domain_size, "stage": snapshot.stage, "kind": kind.value}
+    obj.update(relation)
     if snapshot.labels:
         obj["labels"] = {str(k): v for k, v in snapshot.labels.items()}
     return obj
+
+
+def snapshot_to_obj(snapshot: Snapshot, kind: Kind) -> dict:
+    return _stage_obj(snapshot, kind, pairs=np.argwhere(_strict(snapshot.matrix)).tolist())
+
+
+def delta_to_obj(snapshot: Snapshot, base: Snapshot, base_name: str, kind: Kind) -> dict:
+    """`snapshot` as the strict pairs it adds to and removes from `base`,
+    the stage before it, which is stored in the file `base_name`."""
+    now, before = _strict(snapshot.matrix), _strict(base.matrix)
+    return _stage_obj(
+        snapshot,
+        kind,
+        base=base_name,
+        added=np.argwhere(now & ~before).tolist(),
+        removed=np.argwhere(before & ~now).tolist(),
+    )
 
 
 def is_natural(value) -> bool:
@@ -61,16 +94,22 @@ def _expect(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def snapshot_from_obj(obj) -> Tuple[Snapshot, Kind]:
+def _header(obj) -> Tuple[int, int, Kind]:
+    """Domain size, stage and kind of a full or delta object."""
     _expect(isinstance(obj, dict), "snapshot JSON must be an object")
     n = obj.get("domain_size")
     stage = obj.get("stage")
     kind_raw = obj.get("kind")
-    pairs = obj.get("pairs")
     _expect(is_natural(n), "domain_size must be a natural number")
     _expect(is_natural(stage), "stage must be a natural number")
     _expect(kind_raw in ("ce", "coce"), "kind must be 'ce' or 'coce'")
-    _expect(isinstance(pairs, list), "pairs must be a list")
+    return n, stage, Kind(kind_raw)
+
+
+def _pair_list(obj: dict, key: str, n: int) -> np.ndarray:
+    """obj[key] as an int64 (k, 2) array of pairs inside 0..n-1."""
+    pairs = obj.get(key)
+    _expect(isinstance(pairs, list), f"{key} must be a list")
     # JSON gives pairs as lists; a tuple pair is refused like any other shape
     checked = _pair_array(pairs, n) if set(map(type, pairs)) <= {list} else None
     if checked is None:  # some pair is bad: name the first, in file order
@@ -80,20 +119,80 @@ def snapshot_from_obj(obj) -> Tuple[Snapshot, Kind]:
                 f"malformed pair {p!r}",
             )
             _expect(0 <= p[0] < n and 0 <= p[1] < n, f"pair {p!r} outside domain")
-        checked = pairs  # good pair by pair, so from_pairs reads the list itself
+        checked = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return checked
+
+
+_ELEMENT_KEY = re.compile(r"0|[1-9][0-9]*")
+
+
+def _labels(obj: dict, n: int) -> Dict[int, str]:
     labels = {}
     raw_labels = obj.get("labels", {})
     _expect(isinstance(raw_labels, dict), "labels must be an object")
     for k, v in raw_labels.items():
         _expect(isinstance(v, str), f"label for {k!r} must be a string")
-        try:
-            idx = int(k)
-        except ValueError:
-            raise ConfigError(f"label key {k!r} is not a decimal element index")
-        _expect(0 <= idx < n, f"label key {k!r} outside domain")
-        labels[idx] = v
-    snapshot = Snapshot.from_pairs(n, checked, stage, labels or None)
-    return snapshot, Kind(kind_raw)
+        # one spelling per element, so no two keys can name the same element
+        _expect(
+            isinstance(k, str) and _ELEMENT_KEY.fullmatch(k) is not None,
+            f"label key {k!r} is not a decimal element index",
+        )
+        _expect(int(k) < n, f"label key {k!r} outside domain")
+        labels[int(k)] = v
+    return labels
+
+
+def snapshot_from_obj(obj) -> Tuple[Snapshot, Kind]:
+    n, stage, kind = _header(obj)
+    pairs = _pair_list(obj, "pairs", n)
+    return Snapshot.from_pairs(n, pairs, stage, _labels(obj, n) or None), kind
+
+
+def _refuse_first(pairs: np.ndarray, bad: np.ndarray, message: str) -> None:
+    if bad.any():
+        raise ConfigError(message.format(pairs[bad.argmax()].tolist()))
+
+
+def delta_from_obj(obj, base: Snapshot, base_kind: Kind) -> Tuple[Snapshot, Kind]:
+    """The stage a delta object describes, rebuilt on `base`, the snapshot
+    its "base" file holds."""
+    n, stage, kind = _header(obj)
+    _expect(n == base.domain_size, f"domain_size {n} is not the base's {base.domain_size}")
+    _expect(kind is base_kind, f"kind {kind.value} is not the base's {base_kind.value}")
+    _expect(stage == base.stage + 1, f"stage {stage} is not the base's stage {base.stage} + 1")
+    added, removed = _pair_list(obj, "added", n), _pair_list(obj, "removed", n)
+    labels = _labels(obj, n)
+    for key, pairs, held in (("added", added, False), ("removed", removed, True)):
+        _refuse_first(pairs, pairs[:, 0] == pairs[:, 1], key + " pair {} is reflexive")
+        verb = "is not" if held else "is already"
+        _refuse_first(pairs, base.matrix[pairs[:, 0], pairs[:, 1]] != held,
+                      f"{key} pair {{}} {verb} held by the base")
+    matrix = base.matrix.copy()
+    matrix[added[:, 0], added[:, 1]] = True
+    matrix[removed[:, 0], removed[:, 1]] = False
+    matrix.setflags(write=False)
+    return Snapshot(n, stage, matrix, labels), kind
+
+
+def _is_delta(obj) -> bool:
+    return isinstance(obj, dict) and "base" in obj
+
+
+def _base_name(name: str, obj: dict) -> str:
+    base = obj["base"]
+    _expect(
+        isinstance(base, str) and base == os.path.basename(base) and base not in ("", ".", ".."),
+        f"{name}: base must name a file in the same directory, not {base!r}",
+    )
+    return base
+
+
+def _delta_onto(name: str, obj: dict, base: Snapshot, base_kind: Kind) -> Tuple[Snapshot, Kind]:
+    """delta_from_obj, with the delta's file named in every refusal."""
+    try:
+        return delta_from_obj(obj, base, base_kind)
+    except ConfigError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 def save_json(path: str, obj) -> None:
@@ -119,12 +218,32 @@ def load_config(run_dir: str) -> dict:
 
 
 def load_snapshot(path: str) -> Tuple[Snapshot, Kind]:
-    return snapshot_from_obj(load_json(path))
+    """One snapshot file. A delta is rebuilt from the full file its chain
+    of bases reaches in the same directory."""
+    chain, seen = [], set()
+    obj = load_json(path)
+    while _is_delta(obj):
+        name = os.path.basename(path)
+        chain.append((name, obj))
+        seen.add(name)
+        base = _base_name(name, obj)
+        _expect(base not in seen, f"{name}: its chain of bases loops")
+        path = os.path.join(os.path.dirname(path), base)
+        _expect(os.path.isfile(path), f"{name}: its base {path} is missing")
+        obj = load_json(path)
+    snapshot, kind = snapshot_from_obj(obj)
+    for name, obj in reversed(chain):
+        snapshot, kind = _delta_onto(name, obj, snapshot, kind)
+    return snapshot, kind
 
 
 def _snapshot_name(stage: int, last_stage: int) -> str:
     width = max(3, len(str(last_stage)))
     return f"snapshot_{stage:0{width}d}.json"
+
+
+def _is_snapshot_name(name: str) -> bool:
+    return name.startswith("snapshot_") and name.endswith(".json")
 
 
 def write_run(
@@ -138,18 +257,27 @@ def write_run(
     family: Optional[dict] = None,
 ) -> dict:
     """Write config, snapshots (or, for a set family, family.json) and the
-    manifest; return the manifest."""
+    manifest; return the manifest. Snapshot and family files an earlier
+    run left in `out_dir` are deleted; nothing else is."""
     os.makedirs(out_dir, exist_ok=True)
+    last = snapshots[-1].stage if snapshots else 0
+    names = [_snapshot_name(snapshot.stage, last) for snapshot in snapshots]
+    keep = set(names) | ({FAMILY_NAME} if family is not None else set())
+    for name in os.listdir(out_dir):
+        if (_is_snapshot_name(name) or name == FAMILY_NAME) and name not in keep:
+            os.remove(os.path.join(out_dir, name))
     save_json(os.path.join(out_dir, CONFIG_NAME), config_obj)
     if family is not None:
         save_json(os.path.join(out_dir, FAMILY_NAME), family)
         domain_size = family["n"]
     else:
         domain_size = snapshots[0].domain_size if snapshots else 0
-    last = snapshots[-1].stage if snapshots else 0
-    for snapshot in snapshots:
-        path = os.path.join(out_dir, _snapshot_name(snapshot.stage, last))
-        save_json(path, snapshot_to_obj(snapshot, kind))
+    for i, (name, snapshot) in enumerate(zip(names, snapshots)):
+        if 0 < i < len(snapshots) - 1:
+            obj = delta_to_obj(snapshot, snapshots[i - 1], names[i - 1], kind)
+        else:
+            obj = snapshot_to_obj(snapshot, kind)
+        save_json(os.path.join(out_dir, name), obj)
     manifest = {
         "construction": construction,
         "config_hash": config_hash(config_obj),
@@ -167,26 +295,23 @@ def load_run(run_dir: str) -> Tuple[dict, dict, List[Snapshot], Kind]:
     manifest = load_json(os.path.join(run_dir, MANIFEST_NAME))
     _expect(isinstance(manifest, dict), "manifest must be an object")
     config = load_config(run_dir)
-    names = sorted(
-        name
-        for name in os.listdir(run_dir)
-        if name.startswith("snapshot_") and name.endswith(".json")
-    )
-    snapshots = []
+    names = sorted(filter(_is_snapshot_name, os.listdir(run_dir)))
     _expect(manifest.get("kind") in ("ce", "coce"), "manifest kind must be 'ce' or 'coce'")
     kind = Kind(manifest["kind"])
+    files = []  # (stage, domain size, name, object), read before any delta is applied
     for name in names:
-        snapshot, snap_kind = load_snapshot(os.path.join(run_dir, name))
+        obj = load_json(os.path.join(run_dir, name))
+        n, stage, snap_kind = _header(obj)
         _expect(snap_kind is kind, f"{name} kind disagrees with manifest")
-        snapshots.append(snapshot)
-    snapshots.sort(key=lambda s: s.stage)
+        files.append((stage, n, name, obj))
+    files.sort(key=lambda f: f[0])
     # Files lost, spliced in or edited must not pass as a shorter run.
     count = manifest.get("snapshot_count")
     _expect(
-        is_natural(count) and count == len(snapshots),
-        f"run holds {len(snapshots)} snapshots but the manifest lists {count!r}",
+        is_natural(count) and count == len(files),
+        f"run holds {len(files)} snapshots but the manifest lists {count!r}",
     )
-    _expect([s.stage for s in snapshots] == list(range(count)), "snapshot stages have gaps")
+    _expect([f[0] for f in files] == list(range(count)), "snapshot stages have gaps")
     stages = manifest.get("stages")
     _expect(is_natural(stages), f"manifest stages must be a natural, not {stages!r}")
     _expect(
@@ -194,7 +319,19 @@ def load_run(run_dir: str) -> Tuple[dict, dict, List[Snapshot], Kind]:
         f"manifest lists {stages} stages but the run holds {count} snapshots",
     )
     _expect(
-        all(s.domain_size == manifest.get("domain_size") for s in snapshots),
+        all(f[1] == manifest.get("domain_size") for f in files),
         "a snapshot's domain size disagrees with the manifest",
     )
+    snapshots = []
+    for stage, _, name, obj in files:
+        if _is_delta(obj):
+            previous = files[stage - 1][2] if stage else None
+            _expect(
+                _base_name(name, obj) == previous,
+                f"{name}: base {obj['base']!r} is not the previous stage's file {previous}",
+            )
+            snapshot, _ = _delta_onto(name, obj, snapshots[-1], kind)
+        else:
+            snapshot, _ = snapshot_from_obj(obj)
+        snapshots.append(snapshot)
     return manifest, config, snapshots, kind

@@ -279,3 +279,39 @@ def test_export_dot_shape(tmp_path):
     assert '  "0" -> "1";' in rlines
     assert '  "0" -> "4";' not in rlines  # implied through 1, 2, 3
     assert len(rlines) < len(lines)
+
+
+def test_rebuild_over_a_longer_run_leaves_no_stale_files(tmp_path):
+    """Snapshots of the longer run were left behind, so verify refused
+    the new run for holding more snapshots than its manifest lists."""
+    cfg = _write(tmp_path / "cfg.json", TINY_JUMP)
+    out = tmp_path / "run"
+    assert _invoke("build", "--config", cfg, "--stages", "12", "--out", str(out)).exit_code == 0
+    (out / "notes.txt").write_text("kept")
+    assert _invoke("build", "--config", cfg, "--out", str(out)).exit_code == 0
+    assert len(run_snapshot_paths(str(out))) == TINY_JUMP["stages"] + 1
+    assert (out / "notes.txt").read_text() == "kept"
+    for suite in ("poset", "monotone", "witness"):
+        assert _invoke("verify", "--dir", str(out), "--suite", suite).exit_code == 0
+
+    family = _write(tmp_path / "family_cfg.json", TINY_FAMILY_HORIZON)
+    assert _invoke("build", "--config", family, "--seed", "5", "--out", str(out)).exit_code == 0
+    assert run_snapshot_paths(str(out)) == []
+    assert _invoke("verify", "--dir", str(out), "--suite", "isomorphism").exit_code == 0
+    assert _invoke("build", "--config", cfg, "--out", str(out)).exit_code == 0
+    assert not (out / "family.json").exists()
+    assert _invoke("verify", "--dir", str(out), "--suite", "witness").exit_code == 0
+
+
+def test_long_run_stores_its_middle_stages_as_deltas(tmp_path):
+    cfg = _write(tmp_path / "cfg.json", {
+        "construction": "jump-cochain", "n": 512, "stages": 512,
+        "entries": [[31 * e, 31 * e + 4 + e % 13] for e in range(16)],
+    })
+    out = str(tmp_path / "run")
+    assert _invoke("build", "--config", cfg, "--out", out).exit_code == 0
+    paths = run_snapshot_paths(out)
+    assert len(paths) == 513
+    assert "pairs" in load_json(paths[0]) and "pairs" in load_json(paths[-1])
+    assert not any("pairs" in load_json(path) for path in paths[1:-1])
+    assert sum(os.path.getsize(os.path.join(out, name)) for name in os.listdir(out)) < 10**7

@@ -13,7 +13,13 @@ from click.testing import CliRunner
 
 from staged_orders.cli import main
 from staged_orders.kernel import ConfigError, Kind, Snapshot
-from staged_orders.serialize import canonical_dumps, load_json, snapshot_from_obj, snapshot_to_obj
+from staged_orders.serialize import (
+    canonical_dumps,
+    load_json,
+    load_snapshot,
+    snapshot_from_obj,
+    snapshot_to_obj,
+)
 
 from conftest import run_snapshot_paths
 
@@ -141,6 +147,76 @@ def test_run_with_a_resized_snapshot_does_not_pass(shipped_runs, tmp_path):
     obj = load_json(victim)
     _write(victim, dict(obj, domain_size=obj["domain_size"] + 1))
     _config_error(_invoke("verify", "--dir", run, "--suite", "poset"), "domain size")
+
+
+def test_middle_snapshot_alone_names_its_base(shipped_runs, tmp_path):
+    victim = run_snapshot_paths(shipped_runs["jump_cochain"])[5]
+    base = load_json(victim)["base"]
+    copy = shutil.copy(victim, tmp_path)
+    for argv in (
+        ["decode", "--snapshot", copy, "--construction", "jump-cochain"],
+        ["solve", "--order", copy, "--principle", "cac"],
+        ["export-dot", "--snapshot", copy],
+    ):
+        _config_error(_invoke(*argv), base)
+
+
+def _spoil_delta(obj, base, edit):
+    """A delta object edited so that it no longer matches `base`."""
+    held = sorted(base.strict)[0]
+    absent = held[::-1]  # an order holds no pair both ways
+    if edit == "held added":
+        obj["added"].append(list(held))
+    elif edit == "absent removed":
+        obj["removed"].append(list(absent))
+    elif edit == "reflexive":
+        obj["added"].append([0, 0])
+    elif edit == "stage":
+        obj["stage"] += 1
+    elif edit == "domain":
+        obj["domain_size"] += 1
+    elif edit == "loop":
+        obj["base"] = f"snapshot_{obj['stage']:03d}.json"
+    elif edit == "escape":
+        obj["base"] = "../" + obj["base"]
+    return obj
+
+
+@pytest.mark.parametrize(
+    "edit, needle",
+    [
+        ("held added", "already held by the base"),
+        ("absent removed", "not held by the base"),
+        ("reflexive", "reflexive"),
+        ("stage", "stage"),
+        ("domain", "domain_size"),
+        ("loop", "loops"),
+        ("escape", "same directory"),
+    ],
+)
+def test_delta_that_does_not_match_its_base_is_refused(shipped_runs, tmp_path, edit, needle):
+    run = _copy_run(shipped_runs, "jump_cochain", tmp_path)
+    paths = run_snapshot_paths(run)
+    victim = paths[5]
+    base, _ = load_snapshot(paths[4])
+    _write(victim, _spoil_delta(load_json(victim), base, edit))
+    _config_error(_invoke("verify", "--dir", run, "--suite", "poset"))
+    result = _invoke("export-dot", "--snapshot", victim)
+    _config_error(result, needle)
+    assert os.path.basename(victim) in json.loads(result.stderr)["message"]
+
+
+def test_cycle_added_by_a_delta_fails_the_poset_suite(shipped_runs, tmp_path):
+    run = _copy_run(shipped_runs, "jump_cochain", tmp_path)
+    paths = run_snapshot_paths(run)
+    base, _ = load_snapshot(paths[4])
+    i, j = sorted(base.strict)[0]
+    obj = load_json(paths[5])
+    obj["added"].append([j, i])
+    _write(paths[5], obj)
+    result = _invoke("verify", "--dir", run, "--suite", "poset")
+    assert result.exit_code == 1, result.output
+    assert "stage 5: antisymmetric fails" in result.output and "FAIL" in result.output
 
 
 @pytest.mark.parametrize(

@@ -195,3 +195,20 @@ def test_snapshot_name_width_grows(tmp_path):
     assert "snapshot_2500.json" in os.listdir(out)
     snap, _ = load_snapshot(os.path.join(out, "snapshot_2500.json"))
     assert snap.stage == 2500
+
+
+@pytest.mark.parametrize(
+    "labels", [{"1": "x", " 01": "y"}, {"+2": "z"}, {"01": "y"}, {"-0": "a"}, {"1 ": "b"}, {"١": "c"}]
+)
+def test_label_keys_must_be_plain_decimal(tmp_path, labels):
+    """Keys were read with int(), so " 01" silently replaced element 1's
+    label. Full files and deltas are checked alike."""
+    obj = {"domain_size": 3, "stage": 0, "kind": "ce", "pairs": [], "labels": labels}
+    with pytest.raises(ConfigError, match="label key"):
+        snapshot_from_obj(obj)
+    out = str(tmp_path / "run")
+    write_run(out, "demo", {}, Kind.CE, _order().snapshots, 2)
+    delta = os.path.join(out, "snapshot_001.json")
+    save_json(delta, dict(load_json(delta), labels=labels))
+    with pytest.raises(ConfigError, match="label key"):
+        load_run(out)
