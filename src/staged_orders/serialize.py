@@ -298,10 +298,14 @@ def load_run(run_dir: str) -> Tuple[dict, dict, List[Snapshot], Kind]:
     names = sorted(filter(_is_snapshot_name, os.listdir(run_dir)))
     _expect(manifest.get("kind") in ("ce", "coce"), "manifest kind must be 'ce' or 'coce'")
     kind = Kind(manifest["kind"])
-    files = []  # (stage, domain size, name, object), read before any delta is applied
+    files = []  # (stage, domain size, name, snapshot or delta object)
     for name in names:
         obj = load_json(os.path.join(run_dir, name))
-        n, stage, snap_kind = _header(obj)
+        if _is_delta(obj):  # applied once the run is known to be whole
+            n, stage, snap_kind = _header(obj)
+        else:
+            obj, snap_kind = snapshot_from_obj(obj)
+            n, stage = obj.domain_size, obj.stage
         _expect(snap_kind is kind, f"{name} kind disagrees with manifest")
         files.append((stage, n, name, obj))
     files.sort(key=lambda f: f[0])
@@ -324,14 +328,12 @@ def load_run(run_dir: str) -> Tuple[dict, dict, List[Snapshot], Kind]:
     )
     snapshots = []
     for stage, _, name, obj in files:
-        if _is_delta(obj):
+        if isinstance(obj, dict):
             previous = files[stage - 1][2] if stage else None
             _expect(
                 _base_name(name, obj) == previous,
                 f"{name}: base {obj['base']!r} is not the previous stage's file {previous}",
             )
-            snapshot, _ = _delta_onto(name, obj, snapshots[-1], kind)
-        else:
-            snapshot, _ = snapshot_from_obj(obj)
-        snapshots.append(snapshot)
+            obj, _ = _delta_onto(name, obj, snapshots[-1], kind)
+        snapshots.append(obj)
     return manifest, config, snapshots, kind
