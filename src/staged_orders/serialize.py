@@ -130,15 +130,16 @@ def _labels(obj: dict, n: int) -> Dict[int, str]:
     labels = {}
     raw_labels = obj.get("labels", {})
     _expect(isinstance(raw_labels, dict), "labels must be an object")
-    for k, v in raw_labels.items():
-        _expect(isinstance(v, str), f"label for {k!r} must be a string")
+    for k, v in raw_labels.items():  # messages built only on failure: every file has labels
+        if not isinstance(v, str):
+            raise ConfigError(f"label for {k!r} must be a string")
         # one spelling per element, so no two keys can name the same element
-        _expect(
-            isinstance(k, str) and _ELEMENT_KEY.fullmatch(k) is not None,
-            f"label key {k!r} is not a decimal element index",
-        )
-        _expect(int(k) < n, f"label key {k!r} outside domain")
-        labels[int(k)] = v
+        if not (isinstance(k, str) and _ELEMENT_KEY.fullmatch(k)):
+            raise ConfigError(f"label key {k!r} is not a decimal element index")
+        idx = int(k)
+        if idx >= n:
+            raise ConfigError(f"label key {k!r} outside domain")
+        labels[idx] = v
     return labels
 
 
