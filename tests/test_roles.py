@@ -105,3 +105,8 @@ def test_labels_read_naturally():
     assert spectrum_label(SpectrumA(0)) == "a_0"
     assert spectrum_label(SpectrumG(0, 1, 0)) == "g_{0,1,0}"
     assert spectrum_label(3) == "r1"
+
+
+def test_spectrum_labels_of_codes_and_roles_agree():
+    for code in range(10_000):
+        assert spectrum_label(code) == spectrum_label(spectrum_decode(code))

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -12,6 +13,7 @@ from staged_orders.kernel import (
     apply_permutation,
     check_monotone,
     check_partial_order,
+    close_matrix,
 )
 from staged_orders.roles import SpectrumA, SpectrumG, spectrum_encode
 from staged_orders.spectrum import (
@@ -21,6 +23,8 @@ from staged_orders.spectrum import (
     MultipleWitnesses,
     NoWitness,
     SpectrumConsts,
+    _windows,
+    build_spectrum_initial,
     build_spectrum_run,
     comparability_graph,
     decode_from_comparability,
@@ -99,6 +103,18 @@ def test_histories_are_clean_posets():
         assert check_monotone(order).passed
         for snap in order.snapshots:
             assert check_partial_order(snap).passed
+
+
+def test_initial_snapshot_is_written_closed():
+    rng = random.Random(23)
+    for n in range(7):
+        for _ in range(3):
+            g = graph_from_config(random_limit_graph_config(rng, n))
+            required = required_domain_bound(g)
+            for dom in (required, required + rng.randrange(1, 160)):
+                for kind in (Kind.CE, Kind.COCE):
+                    m = build_spectrum_initial(kind, g, dom, _windows(g, dom)).matrix
+                    assert (close_matrix(m.copy()) == m).all(), (n, dom, kind)
 
 
 def test_exhaustive_small_graphs_decode_exactly():
@@ -215,3 +231,36 @@ def test_decoder_names_the_first_bad_pair_and_its_gadgets(kind, reverse):
     with pytest.raises(error) as caught:
         decode([(_gc(1, 2, 1), True), (_gc(0, 2, 0), False)])
     assert f"for vertex pair {first}" in str(caught.value)
+
+
+def _named(error):
+    """The vertex pair and the set of gadgets a decoder error names."""
+    text = str(error)
+    gadgets = re.match(r"gadgets \[([0-9, ]*)\]", text)
+    found = {int(w) for w in gadgets.group(1).split(",")} if gadgets else set()
+    return type(error), re.search(r"vertex pair (\(.*\))$", text).group(1), found
+
+
+@pytest.mark.parametrize("kind", [Kind.CE, Kind.COCE])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_comparability_decoder_names_the_same_pair_and_gadgets(kind, reverse):
+    g = LimitGraph(3, [(0, 1)], {})
+    dom = max(_gc(i, j, 2) for i, j in itertools.combinations(range(3), 2)) + 1
+    final = build_spectrum_run(kind, g, dom, required_stages(g, dom)).current
+    perm = list(range(dom))[::-1] if reverse else list(range(dom))
+    consts = SpectrumConsts(*(perm[c] for c in DEFAULT_SPECTRUM_CONSTS))
+    cases = [
+        [(_gc(1, 2, 1), True), (_gc(1, 2, 2), True)],
+        [(_gc(0, 2, 0), False)],
+        [(_gc(1, 2, 1), True), (_gc(0, 2, 0), False)],
+    ]
+    for defects in cases:
+        m = final.matrix.copy()
+        for w, marked in defects:
+            _set_mark(m, w, kind, marked)
+        snap = apply_permutation(Snapshot(dom, final.stage, m), perm)
+        with pytest.raises((NoWitness, MultipleWitnesses)) as by_order:
+            decode_graph(snap, kind, consts)
+        with pytest.raises((NoWitness, MultipleWitnesses)) as by_comparability:
+            decode_from_comparability(comparability_graph(snap), kind, consts)
+        assert _named(by_comparability.value) == _named(by_order.value)
