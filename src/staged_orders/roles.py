@@ -173,35 +173,53 @@ def pair_unrank(p: int) -> tuple:
     return p - j * (j - 1) // 2, j
 
 
+def spectrum_vertex_code(i: int) -> int:
+    """Code of a_i, for i >= 0."""
+    return 4 + 2 * i
+
+
+def spectrum_gadget_code(i: int, j: int, k: int) -> int:
+    """Code of g_{i,j,k}, for 0 <= i < j and k >= 0."""
+    return 5 + 2 * cantor_pair(pair_rank(i, j), k)
+
+
 def spectrum_encode(role: SpectrumRole) -> int:
     if isinstance(role, SpectrumConst):
         return SPECTRUM_CONSTANTS.index(role.name)
     if isinstance(role, SpectrumA):
-        return 4 + 2 * role.i
+        return spectrum_vertex_code(role.i)
     if isinstance(role, SpectrumG):
-        return 4 + 2 * cantor_pair(pair_rank(role.i, role.j), role.k) + 1
+        return spectrum_gadget_code(role.i, role.j, role.k)
     raise TypeError(f"not a spectrum role: {role!r}")
 
 
-def spectrum_decode(n: int) -> SpectrumRole:
+def _spectrum_indices(n: int) -> tuple:
+    """What code n names: () for a constant, (i,) for a_i, (i, j, k) for g_{i,j,k}."""
     if n < 0:
         raise ValueError("codes are naturals")
     if n < 4:
-        return SpectrumConst(SPECTRUM_CONSTANTS[n])
+        return ()
     m = n - 4
     if m % 2 == 0:
-        return SpectrumA(m // 2)
+        return (m // 2,)
     p, k = cantor_unpair((m - 1) // 2)
-    i, j = pair_unrank(p)
-    return SpectrumG(i, j, k)
+    return pair_unrank(p) + (k,)
+
+
+def spectrum_decode(n: int) -> SpectrumRole:
+    indices = _spectrum_indices(n)
+    if not indices:
+        return SpectrumConst(SPECTRUM_CONSTANTS[n])
+    if len(indices) == 1:
+        return SpectrumA(*indices)
+    return SpectrumG(*indices)
 
 
 def spectrum_label(role_or_code) -> str:
-    role = spectrum_decode(role_or_code) if isinstance(role_or_code, int) else role_or_code
-    if isinstance(role, SpectrumConst):
-        return role.name
-    if isinstance(role, SpectrumA):
-        return f"a_{role.i}"
-    if isinstance(role, SpectrumG):
-        return f"g_{{{role.i},{role.j},{role.k}}}"
-    raise TypeError(f"not a spectrum role: {role!r}")
+    code = role_or_code if isinstance(role_or_code, int) else spectrum_encode(role_or_code)
+    indices = _spectrum_indices(code)
+    if not indices:
+        return SPECTRUM_CONSTANTS[code]
+    if len(indices) == 1:
+        return f"a_{indices[0]}"
+    return "g_{%d,%d,%d}" % indices

@@ -27,9 +27,8 @@ from .kernel import (
     StagedOrder,
     StagedOrderError,
     _pairs_of,
-    close_matrix,
 )
-from .roles import SpectrumA, SpectrumG, spectrum_encode, spectrum_label
+from .roles import spectrum_gadget_code, spectrum_label, spectrum_vertex_code
 from .serialize import is_natural
 
 
@@ -156,14 +155,6 @@ def graph_to_config(graph: LimitGraph) -> dict:
     }
 
 
-def _gadget_code(i: int, j: int, k: int) -> int:
-    return spectrum_encode(SpectrumG(i, j, k))
-
-
-def _vertex_code(i: int) -> int:
-    return spectrum_encode(SpectrumA(i))
-
-
 def element_to_vertex(code: int) -> int:
     """Inverse of the vertex coding a_i = 4 + 2i."""
     if code < 4 or (code - 4) % 2:
@@ -174,9 +165,9 @@ def element_to_vertex(code: int) -> int:
 def required_domain_bound(graph: LimitGraph) -> int:
     bound = 4
     if graph.n:
-        bound = max(bound, _vertex_code(graph.n - 1) + 1)
+        bound = max(bound, spectrum_vertex_code(graph.n - 1) + 1)
     for i, j in graph._pairs():
-        bound = max(bound, _gadget_code(i, j, graph.modulus(i, j)) + 1)
+        bound = max(bound, spectrum_gadget_code(i, j, graph.modulus(i, j)) + 1)
     return bound
 
 
@@ -189,10 +180,10 @@ def _windows(graph: LimitGraph, domain_bound: int) -> Windows:
     out = {}
     for i, j in graph._pairs():
         rungs = []
-        code = _gadget_code(i, j, 0)
+        code = spectrum_gadget_code(i, j, 0)
         while code < domain_bound:
             rungs.append((len(rungs), code))
-            code = _gadget_code(i, j, len(rungs))
+            code = spectrum_gadget_code(i, j, len(rungs))
         out[(i, j)] = rungs
     return out
 
@@ -211,24 +202,23 @@ def required_stages(graph: LimitGraph, domain_bound: int) -> int:
 def build_spectrum_initial(
     kind: Kind, graph: LimitGraph, domain_bound: int, windows: Windows
 ) -> Snapshot:
-    """Stage 0: every in-window gadget below g and its two vertices, and
-    below both flags when shrinking; `windows` is _windows(graph, domain_bound)."""
+    """Stage 0: every vertex below a; every in-window gadget below g, its
+    two vertices and a, and below both flags when shrinking. `windows` is
+    _windows(graph, domain_bound).
+
+    The relation is written closed: a gadget's only two-step path runs
+    through one of its vertices to a, so no closure pass follows, and the
+    full check in StagedOrder's constructor verifies it."""
     required = required_domain_bound(graph)
     if domain_bound < required:
         raise DomainTooSmall(f"domain {domain_bound} below required {required}")
     a, g, r0, r1 = DEFAULT_SPECTRUM_CONSTS
+    flags = [r0, r1] if kind is Kind.COCE else []
     matrix = np.eye(domain_bound, dtype=bool)
-    for i in range(graph.n):
-        matrix[_vertex_code(i), a] = True
+    matrix[[spectrum_vertex_code(i) for i in range(graph.n)], a] = True
     for (i, j), rungs in windows.items():
-        for _, code in rungs:
-            matrix[code, g] = True
-            matrix[code, _vertex_code(i)] = True
-            matrix[code, _vertex_code(j)] = True
-            if kind is Kind.COCE:
-                matrix[code, r0] = True
-                matrix[code, r1] = True
-    close_matrix(matrix)
+        above = [a, g, spectrum_vertex_code(i), spectrum_vertex_code(j)] + flags
+        matrix[np.ix_([code for _, code in rungs], above)] = True
     labels = {x: spectrum_label(x) for x in range(domain_bound)}
     return Snapshot(domain_bound, 0, matrix, labels)
 
@@ -327,26 +317,21 @@ def decode_from_comparability(
         nbr.setdefault(y, set()).add(x)
     na = nbr.get(a, set())
     ng = nbr.get(g, set())
+    n0, n1 = nbr.get(r0, set()), nbr.get(r1, set())
     vertices = sorted(na - ng - {g})
-    pool = (na & ng) - {a, g}
+    flagged = [w for w in (na & ng) - {a, g} if (w in n0) != (w in n1)]
     out = set()
-    for ai in range(len(vertices)):
-        for aj in range(ai + 1, len(vertices)):
-            x, y = vertices[ai], vertices[aj]
-            marked = [
-                w
-                for w in pool
-                if w in nbr.get(x, set())
-                and w in nbr.get(y, set())
-                and ((w in nbr.get(r0, set())) != (w in nbr.get(r1, set())))
-            ]
+    for ai, x in enumerate(vertices):
+        near_x = [w for w in flagged if w in nbr[x]]
+        for y in vertices[ai + 1 :]:
+            marked = [w for w in near_x if w in nbr[y]]
             if not marked:
                 raise NoWitness(f"no marked gadget for vertex pair ({x}, {y})")
             if len(marked) > 1:
                 raise MultipleWitnesses(
                     f"gadgets {marked} all marked for vertex pair ({x}, {y})"
                 )
-            if marked[0] in nbr.get(r1, set()):
+            if marked[0] in n1:
                 out.add((x, y))
     return frozenset(out)
 

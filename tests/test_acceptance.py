@@ -28,6 +28,7 @@ from staged_orders.kernel import (
     check_monotone,
     check_partial_order,
 )
+from staged_orders.roles import spectrum_vertex_code
 from staged_orders.serialize import load_run
 from staged_orders.solvers import (
     antichain_valid,
@@ -42,7 +43,6 @@ from staged_orders.spectrum import (
     DEFAULT_SPECTRUM_CONSTS,
     LimitGraph,
     SpectrumConsts,
-    _vertex_code,
     build_spectrum_run,
     comparability_graph,
     decode_from_comparability,
@@ -322,7 +322,7 @@ def _spectrum_case(rng, g, perms_per_instance):
     """
     dom = required_domain_bound(g)
     stages = required_stages(g, dom)
-    want = frozenset((_vertex_code(i), _vertex_code(j)) for i, j in g.edges)
+    want = frozenset((spectrum_vertex_code(i), spectrum_vertex_code(j)) for i, j in g.edges)
     for kind in (Kind.CE, Kind.COCE):
         snap = build_spectrum_run(kind, g, dom, stages).current
         base = decode_graph(snap, kind)
@@ -376,7 +376,7 @@ def test_08_comparability_alone_recovers_every_tiny_graph():
             dom = required_domain_bound(g)
             stages = required_stages(g, dom)
             want = frozenset(
-                (_vertex_code(i), _vertex_code(j)) for i, j in g.edges
+                (spectrum_vertex_code(i), spectrum_vertex_code(j)) for i, j in g.edges
             )
             for kind in (Kind.CE, Kind.COCE):
                 snap = build_spectrum_run(kind, g, dom, stages).current
