@@ -227,7 +227,10 @@ def condense(pre: Snapshot) -> CondensationResult:
 
 
 def pigeonhole_extract(pre: Snapshot, classes: Sequence[Sequence[int]]) -> Tuple[int, ...]:
-    """Largest class (least index on ties): ascending and descending at once."""
+    """Largest class (least index on ties): ascending and descending at once.
+    An empty preorder has no class, and the empty sequence answers it."""
+    if not classes:
+        return ()
     best = max(range(len(classes)), key=lambda t: (len(classes[t]), -t))
     return tuple(classes[best])
 

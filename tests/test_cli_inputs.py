@@ -378,3 +378,12 @@ def test_export_dot_reduction_past_256_intermediates(tmp_path):
     assert result.exit_code == 0, result.stderr
     assert '"0" -> "1";' in result.output and '"256" -> "257";' in result.output
     assert '"0" -> "257"' not in result.output
+
+
+@pytest.mark.parametrize("principle", ["ads", "cac", "ads-preorder"])
+def test_solve_on_an_empty_order_returns_an_empty_solution(tmp_path, principle):
+    empty = snapshot_to_obj(Snapshot(0, 0, np.eye(0, dtype=bool)), Kind.CE)
+    path = _write(tmp_path / "empty.json", empty)
+    result = _invoke("solve", "--order", path, "--principle", principle)
+    assert result.exit_code == 0, result.stderr
+    assert json.loads(result.output)["elements"] == []
