@@ -196,40 +196,59 @@ def _set_mark(m, w, kind, marked):
         m[w, r0], m[w, r1] = False, marked
 
 
-@pytest.mark.parametrize("kind", [Kind.CE, Kind.COCE])
-@pytest.mark.parametrize("reverse", [False, True])
-def test_decoder_names_the_first_bad_pair_and_its_gadgets(kind, reverse):
+# two more rungs of (1, 2) marked beside the live one
+EXTRA_MARKS = [(_gc(1, 2, 1), True), (_gc(1, 2, 2), True)]
+# the live rung of (0, 2) neutralized
+LIVE_NEUTRALIZED = [(_gc(0, 2, 0), False)]
+# both at once
+BOTH = EXTRA_MARKS[:1] + LIVE_NEUTRALIZED
+
+
+def _spoiler(kind, reverse):
+    """The final snapshot of a 3-vertex graph with three rungs a pair, under
+    the identity or the reversing relabeling: returns the relabeling, the
+    constants under it, and a function from defects to the relabeled
+    snapshot with those gadgets marked or neutralized."""
     g = LimitGraph(3, [(0, 1)], {})
     dom = max(_gc(i, j, 2) for i, j in itertools.combinations(range(3), 2)) + 1
     final = build_spectrum_run(kind, g, dom, required_stages(g, dom)).current
     perm = list(range(dom))[::-1] if reverse else list(range(dom))
     consts = SpectrumConsts(*(perm[c] for c in DEFAULT_SPECTRUM_CONSTS))
 
-    def decode(defects):
+    def spoil(defects):
         m = final.matrix.copy()
         for w, marked in defects:
             _set_mark(m, w, kind, marked)
-        snap = apply_permutation(Snapshot(dom, final.stage, m), perm)
-        return decode_graph(snap, kind, consts)
+        return apply_permutation(Snapshot(dom, final.stage, m), perm)
+
+    return perm, consts, spoil
+
+
+@pytest.mark.parametrize("kind", [Kind.CE, Kind.COCE])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_decoder_names_the_first_bad_pair_and_its_gadgets(kind, reverse):
+    perm, consts, spoil = _spoiler(kind, reverse)
+
+    def decode(defects):
+        return decode_graph(spoil(defects), kind, consts)
 
     def pair(i, j):
         return tuple(sorted((perm[_vc(i)], perm[_vc(j)])))
 
     assert decode([]) == frozenset({pair(0, 1)})
-    # two more rungs of (1, 2) marked beside the live one, listed ascending
+    # the extra marks are listed ascending
     with pytest.raises(MultipleWitnesses) as caught:
-        decode([(_gc(1, 2, 1), True), (_gc(1, 2, 2), True)])
+        decode(EXTRA_MARKS)
     gadgets = sorted(perm[_gc(1, 2, k)] for k in range(3))
     assert str(caught.value) == f"gadgets {gadgets} all marked for vertex pair {pair(1, 2)}"
-    # the live rung of (0, 2) neutralized
     with pytest.raises(NoWitness) as caught:
-        decode([(_gc(0, 2, 0), False)])
+        decode(LIVE_NEUTRALIZED)
     assert str(caught.value) == f"no marked gadget for vertex pair {pair(0, 2)}"
-    # both at once: the pair first in ascending vertex order is named
+    # the pair first in ascending vertex order is named
     first = min(pair(0, 2), pair(1, 2))
     error = NoWitness if first == pair(0, 2) else MultipleWitnesses
     with pytest.raises(error) as caught:
-        decode([(_gc(1, 2, 1), True), (_gc(0, 2, 0), False)])
+        decode(BOTH)
     assert f"for vertex pair {first}" in str(caught.value)
 
 
@@ -244,21 +263,9 @@ def _named(error):
 @pytest.mark.parametrize("kind", [Kind.CE, Kind.COCE])
 @pytest.mark.parametrize("reverse", [False, True])
 def test_comparability_decoder_names_the_same_pair_and_gadgets(kind, reverse):
-    g = LimitGraph(3, [(0, 1)], {})
-    dom = max(_gc(i, j, 2) for i, j in itertools.combinations(range(3), 2)) + 1
-    final = build_spectrum_run(kind, g, dom, required_stages(g, dom)).current
-    perm = list(range(dom))[::-1] if reverse else list(range(dom))
-    consts = SpectrumConsts(*(perm[c] for c in DEFAULT_SPECTRUM_CONSTS))
-    cases = [
-        [(_gc(1, 2, 1), True), (_gc(1, 2, 2), True)],
-        [(_gc(0, 2, 0), False)],
-        [(_gc(1, 2, 1), True), (_gc(0, 2, 0), False)],
-    ]
-    for defects in cases:
-        m = final.matrix.copy()
-        for w, marked in defects:
-            _set_mark(m, w, kind, marked)
-        snap = apply_permutation(Snapshot(dom, final.stage, m), perm)
+    _, consts, spoil = _spoiler(kind, reverse)
+    for defects in (EXTRA_MARKS, LIVE_NEUTRALIZED, BOTH):
+        snap = spoil(defects)
         with pytest.raises((NoWitness, MultipleWitnesses)) as by_order:
             decode_graph(snap, kind, consts)
         with pytest.raises((NoWitness, MultipleWitnesses)) as by_comparability:
