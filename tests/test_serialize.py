@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -10,6 +11,8 @@ from staged_orders.kernel import ConfigError, Kind, Snapshot, StagedOrder
 from staged_orders.serialize import (
     canonical_dumps,
     config_hash,
+    delta_from_obj,
+    delta_to_obj,
     load_json,
     load_run,
     load_snapshot,
@@ -171,6 +174,136 @@ def test_written_run_loads_back_stage_by_stage(case):
         assert len(paths) == len(snapshots)
         for path, snapshot in zip(paths, loaded):
             assert load_snapshot(path) == (snapshot, kind)
+
+
+# Replacements for numbers of a pair list: all but the last two lie outside
+# the compact grammar of a stage file (plain decimals of at most 9 digits,
+# no sign, point, exponent or leading zero). 2**32 wraps to 0 in 32 bits.
+_ODD_NUMBERS = ["", "01", "00", "-1", "-0", "1.0", "1e0", "true", "null", "1234567890",
+                "4294967296", "999999999", "0"]
+
+
+@st.composite
+def _stage_texts(draw):
+    """A full or a delta stage file written canonically, then perhaps
+    mutated: (base snapshot and kind or None for a full file, text)."""
+    n = draw(st.integers(0, 12)) + 1000 * draw(st.sampled_from([0, 0, 0, 1]))  # 4 digits
+    kind = draw(st.sampled_from([Kind.CE, Kind.COCE]))
+    element = st.integers(0, max(n - 1, 0))
+    label = st.one_of(st.sampled_from(["b_0", "]]", "[[0,1]]", '"pairs":[]']),
+                      st.text(alphabet='[],"\\0a é', max_size=4))
+
+    def snapshot(stage):
+        pairs = draw(st.lists(st.tuples(element, element), max_size=12 if n else 0))
+        labels = draw(st.dictionaries(element, label, max_size=3)) if n else {}
+        return Snapshot.from_pairs(n, pairs, stage, labels)
+
+    if draw(st.booleans()):
+        base, key = None, "pairs"
+        text = canonical_dumps(snapshot_to_obj(snapshot(draw(st.integers(0, 3))), kind))
+    else:
+        base, key = (snapshot(0), kind), draw(st.sampled_from(["added", "removed"]))
+        text = canonical_dumps(delta_to_obj(snapshot(1), base[0], "base.json", kind))
+    start = text.index(f'"{key}":') + len(key) + 3  # the pair list: text[start:end]
+    end = text.index("]]", start) + 2 if text[start + 1] == "[" else start + 2
+    mutation = draw(st.sampled_from(
+        ["none", "space", "numbers", "duplicate", "escaped", "truncate", "trailing", "bom"]
+    ))
+    if mutation == "space":
+        at = draw(st.integers(0, len(text)))
+        name = text.find('"base.json"')  # a space in it would name another file
+        at = name if name < at < name + 11 else at
+        text = text[:at] + draw(st.sampled_from([" ", "\n", "\t", " \n "])) + text[at:]
+    elif mutation == "numbers":  # 1 to 3 edits: a number replaced, or digits put in
+        for _ in range(draw(st.integers(1, 3))):
+            numbers = list(re.finditer(r"[0-9]+", text[start:end]))
+            if numbers and draw(st.booleans()):
+                hit = draw(st.sampled_from(numbers))
+                at, to = start + hit.start(), start + hit.end()
+                value = draw(st.sampled_from(_ODD_NUMBERS + [str(n), str(n + 1)]))
+            else:
+                at = to = draw(st.integers(start + 1, end - 1))
+                value = draw(st.sampled_from(["7", "[7,0]"]))
+            text = text[:at] + value + text[to:]
+            end += len(value) - (to - at)
+    elif mutation == "duplicate":
+        other = f'"{key}":' + draw(st.sampled_from(["[]", "[[0,0]]", "[[1,0]]", "[[0, 1]]"]))
+        if draw(st.booleans()):  # before the real key, which then wins
+            text = "{" + other + "," + text[1:]
+        else:
+            text = text[:-2] + "," + other + "}\n"
+    elif mutation == "escaped":
+        escaped = f'"{key[0]}\\u{ord(key[1]):04x}{key[2:]}":'
+        text = text.replace(f'"{key}":', escaped, 1)
+    elif mutation == "truncate":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    elif mutation == "trailing":
+        text += draw(st.sampled_from(["x", "{}", " ", "\n\n", "0", "]"]))
+    elif mutation == "bom":
+        text = "\ufeff" + text
+    return base, text
+
+
+def _outcome(load):
+    """A load's snapshot fields and kind, or its exception's type and text."""
+    try:
+        snapshot, kind = load()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return snapshot.domain_size, snapshot.stage, snapshot.matrix.tobytes(), snapshot.labels, kind
+
+
+def _load_outcomes(out_dir, text, base=None):
+    """`text` written as a stage file in `out_dir`: the outcome of
+    load_snapshot, and of json.loads then snapshot_from_obj, or
+    delta_from_obj on `base` (a snapshot and kind) for a delta."""
+    name = "delta.json" if base else "full.json"
+    path = os.path.join(out_dir, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    if base:
+        save_json(os.path.join(out_dir, "base.json"), snapshot_to_obj(*base))
+
+    def expected():
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"invalid JSON in {path}: {exc}")
+        if not (isinstance(obj, dict) and "base" in obj):
+            return snapshot_from_obj(obj)
+        try:
+            return delta_from_obj(obj, *base)
+        except ConfigError as exc:
+            raise ConfigError(f"{name}: {exc}")
+
+    return _outcome(lambda: load_snapshot(path)), _outcome(expected)
+
+
+@pytest.fixture(scope="module")
+def stage_dir(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("stage"))
+
+
+@given(case=_stage_texts())
+@settings(max_examples=150, deadline=None)
+def test_stage_file_loads_as_json_reads_it(stage_dir, case):
+    """load_snapshot gives what json.loads and snapshot_from_obj (or
+    delta_from_obj on the base) give: the same snapshot or the same error."""
+    got, want = _load_outcomes(stage_dir, *reversed(case))
+    assert got == want
+
+
+@pytest.mark.parametrize("pairs", [
+    "[[1,2]5,[,4]]", "[[1,2]5,[3,4]6,[7,8]]", "[5[1,2],[3,4]]", "[[,1]]", "[[1,]]",
+    "[[1,2],[3]]", "[[1,2,3]]", "[[01,2]]", "[[4294967296,0]]", "[[9999999999,1]]",
+    "[[1,2],[3,4],]", '[[1,2],["]]"]]', "[[1,2]]]", "[[١,2]]", "[[1,2],[3,4]",
+])
+def test_odd_pair_lists_load_as_json_reads_them(tmp_path, pairs):
+    """Lists that come close to the compact grammar, some with two faults
+    that keep the count of numbers even."""
+    text = '{"domain_size":10,"kind":"ce","pairs":' + pairs + ',"stage":0}\n'
+    got, want = _load_outcomes(str(tmp_path), text)
+    assert got == want
 
 
 def test_load_run_rejects_kind_mismatch(tmp_path):
