@@ -32,6 +32,14 @@ pair that is not a list of two ints (JSON true and false are not ints) or
 that lies outside 0..n-1. The first bad pair in file order is named. A
 label key must be an element index in plain decimal (no sign, space or
 leading zero).
+
+Stage files are read without a Python object per pair: a pair list written
+compactly, as the writers write it ([[i,j],...], no whitespace, plain
+decimals of at most 9 digits), is parsed in whole-array passes over the
+file's bytes, and the other values of the object by json's own scanner.
+Any other text, valid JSON or not, goes to json.loads whole, with the same
+checks and error texts. Configs, manifests, family.json and permutation
+files are plain JSON, read by load_json.
 """
 
 from __future__ import annotations
@@ -107,8 +115,13 @@ def _header(obj) -> Tuple[int, int, Kind]:
 
 
 def _pair_list(obj: dict, key: str, n: int) -> np.ndarray:
-    """obj[key] as an int64 (k, 2) array of pairs inside 0..n-1."""
+    """obj[key] as an int64 (k, 2) array of pairs inside 0..n-1. The value
+    is a JSON list, or such an array as `_load_stage` parses it."""
     pairs = obj.get(key)
+    if isinstance(pairs, np.ndarray) and pairs.dtype == np.int64 and pairs.shape[1:] == (2,):
+        if _pair_array(pairs, n) is None:
+            _refuse_first(pairs, ((pairs < 0) | (pairs >= n)).any(axis=1), "pair {} outside domain")
+        return pairs
     _expect(isinstance(pairs, list), f"{key} must be a list")
     # JSON gives pairs as lists; a tuple pair is refused like any other shape
     checked = _pair_array(pairs, n) if set(map(type, pairs)) <= {list} else None
@@ -201,14 +214,98 @@ def save_json(path: str, obj) -> None:
         fh.write(canonical_dumps(obj))
 
 
-def load_json(path: str):
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return fh.read()
     except FileNotFoundError:
         raise ConfigError(f"no such file: {path}")
-    except json.JSONDecodeError as exc:
+
+
+def _decode(path: str, text: str):
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise ConfigError(f"invalid JSON in {path}: {exc}")
+
+
+def load_json(path: str):
+    return _decode(path, _read_text(path))
+
+
+_PAIR_KEYS = ("pairs", "added", "removed")
+_scan_value = json.JSONDecoder().scan_once  # one JSON value at an index, as json.loads reads it
+
+
+def _compact_pairs(text: str, i: int) -> Optional[Tuple[np.ndarray, int]]:
+    """The pair list opened at text[i] and the index after it, if it is
+    written compactly: [[i,j],...], no whitespace, each number a plain
+    decimal (no sign or leading zero) of at most 9 digits. The pairs come
+    as an int64 (k, 2) array, parsed in whole-array passes over the bytes;
+    None for any other text."""
+    if text.startswith("[]", i):
+        return np.empty((0, 2), np.int64), i + 2
+    end = text.find("]]", i) + 2  # a compact list ends at its first "]]"
+    if end == 1:
+        return None
+    raw = text[i:end].encode("ascii")
+    # Brackets and commas must spell [[,],[,],...,[,]] for k pairs, with
+    # every number's place holding digits, and 2k runs of digits in all.
+    skeleton = raw.translate(None, b"0123456789")
+    k = (len(skeleton) - 1) // 4
+    if skeleton != b"[" + b"[,]," * (k - 1) + b"[,]]" or b"[," in raw or b",]" in raw:
+        return None
+    digits = np.frombuffer(raw, np.uint8) - 48  # every other byte wraps above 9
+    edges = np.flatnonzero(np.diff(digits < 10))  # the byte before each run, its last byte
+    if len(edges) != 4 * k:
+        return None
+    starts, lengths = edges[0::2] + 1, edges[1::2] - edges[0::2]
+    width = lengths.max()
+    values = digits[starts].astype(np.int32)  # 9 digits fit
+    if width > 9 or not values[lengths > 1].all():  # too long, or a leading zero
+        return None
+    for j in range(1, width):
+        more = np.take(digits[j:], starts, mode="clip")  # past a short number: masked below
+        values = np.where(lengths > j, values * 10 + more, values)
+    return values.astype(np.int64).reshape(-1, 2), end
+
+
+def _scan_stage(text: str) -> Optional[dict]:
+    """json.loads(text) for an object written with no whitespace but a
+    final newline, with each compact pair list under a `_PAIR_KEYS` key as
+    an array; None for any other text."""
+    if not text.startswith("{"):
+        return None
+    obj, i = {}, 1
+    while text.startswith('"', i):
+        key, i = json.decoder.scanstring(text, i + 1)
+        if not text.startswith(":", i):
+            return None
+        if key in _PAIR_KEYS and text.startswith("[", i + 1):
+            found = _compact_pairs(text, i + 1)
+            if found is None:
+                return None
+        else:
+            found = _scan_value(text, i + 1)
+        obj[key], i = found
+        if text.startswith("}", i):
+            return obj if text[i + 1:] in ("", "\n") else None
+        if not text.startswith(",", i):
+            return None
+        i += 1
+    return None
+
+
+def _load_stage(path: str):
+    """A full or delta stage file, as load_json reads it but with compact
+    pair lists as arrays (see `_compact_pairs`). Any other text goes to
+    json.loads whole, so every result and error text is json's."""
+    text = _read_text(path)
+    try:
+        obj = _scan_stage(text)
+    except (ValueError, StopIteration, RecursionError):  # bad JSON, or not ASCII in a list
+        obj = None
+    return _decode(path, text) if obj is None else obj
 
 
 def load_config(run_dir: str) -> dict:
@@ -222,7 +319,7 @@ def load_snapshot(path: str) -> Tuple[Snapshot, Kind]:
     """One snapshot file. A delta is rebuilt from the full file its chain
     of bases reaches in the same directory."""
     chain, seen = [], set()
-    obj = load_json(path)
+    obj = _load_stage(path)
     while _is_delta(obj):
         name = os.path.basename(path)
         chain.append((name, obj))
@@ -231,7 +328,7 @@ def load_snapshot(path: str) -> Tuple[Snapshot, Kind]:
         _expect(base not in seen, f"{name}: its chain of bases loops")
         path = os.path.join(os.path.dirname(path), base)
         _expect(os.path.isfile(path), f"{name}: its base {path} is missing")
-        obj = load_json(path)
+        obj = _load_stage(path)
     snapshot, kind = snapshot_from_obj(obj)
     for name, obj in reversed(chain):
         snapshot, kind = _delta_onto(name, obj, snapshot, kind)
@@ -301,7 +398,7 @@ def load_run(run_dir: str) -> Tuple[dict, dict, List[Snapshot], Kind]:
     kind = Kind(manifest["kind"])
     files = []  # (stage, domain size, name, snapshot or delta object)
     for name in names:
-        obj = load_json(os.path.join(run_dir, name))
+        obj = _load_stage(os.path.join(run_dir, name))
         if _is_delta(obj):  # applied once the run is known to be whole
             n, stage, snap_kind = _header(obj)
         else:

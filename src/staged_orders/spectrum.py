@@ -14,6 +14,7 @@ comparability graph once the four constants are pointed out.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -99,7 +100,7 @@ class LimitGraph:
         """Pair membership as believed at stage s."""
         fl = self.flips_for(i, j)
         start = int(self.target(i, j)) ^ (len(fl) % 2)
-        return start ^ (sum(1 for t in fl if t <= s) % 2)
+        return start ^ (bisect_right(fl, s) % 2)  # flips so far: fl is sorted
 
     def modulus(self, i: int, j: int) -> int:
         """First stage from which the pair's value no longer moves."""
@@ -107,12 +108,11 @@ class LimitGraph:
         return fl[-1] if fl else 0
 
     def active_index(self, i: int, j: int, s: int) -> int:
-        """Gadget rung carrying the pair's mark at stage s."""
-        best = 0
-        for t in self.flips_for(i, j):
-            if t <= s:
-                best = t
-        return best
+        """Gadget rung carrying the pair's mark at stage s: its last flip
+        at or before s, or 0."""
+        fl = self.flips_for(i, j)
+        k = bisect_right(fl, s)
+        return fl[k - 1] if k else 0
 
     @property
     def max_modulus(self) -> int:

@@ -387,3 +387,36 @@ def test_solve_on_an_empty_order_returns_an_empty_solution(tmp_path, principle):
     result = _invoke("solve", "--order", path, "--principle", principle)
     assert result.exit_code == 0, result.stderr
     assert json.loads(result.output)["elements"] == []
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000  # json.loads raises RecursionError on it
+
+
+@pytest.mark.parametrize("where", ["snapshot", "delta", "manifest", "config", "perm"])
+def test_deeply_nested_json_is_a_json_error(shipped_runs, tmp_path, where):
+    """Every JSON loader turns nesting too deep for json into exit 2; it
+    was a RecursionError traceback with exit 1."""
+    run = _copy_run(shipped_runs, "jump_cochain", tmp_path)
+    if where == "snapshot":
+        path = str(tmp_path / "deep.json")
+        with open(path, "w") as fh:
+            fh.write('{"domain_size":2,"kind":"ce","pairs":' + _DEEP + ',"stage":0}\n')
+        argv = ["solve", "--order", path, "--principle", "cac"]
+    elif where in ("delta", "manifest"):
+        path = run_snapshot_paths(run)[3] if where == "delta" else os.path.join(run, "manifest.json")
+        text = open(path).read()
+        with open(path, "w") as fh:
+            fh.write(text.replace('{"', '{"deep":' + _DEEP + ',"', 1))
+        argv = ["verify", "--dir", run, "--suite", "poset"]
+    elif where == "config":
+        path = str(tmp_path / "cfg.json")
+        with open(path, "w") as fh:
+            fh.write('{"construction":"jump-cochain","deep":' + _DEEP + "}")
+        argv = ["build", "--config", path, "--out", str(tmp_path / "out")]
+    else:
+        path = str(tmp_path / "perm.json")
+        with open(path, "w") as fh:
+            fh.write(_DEEP)
+        argv = ["decode", "--snapshot", run_snapshot_paths(run)[-1],
+                "--construction", "jump-cochain", "--perm", path]
+    _config_error(_invoke(*argv), f"invalid JSON in {path}")

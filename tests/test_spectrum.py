@@ -56,6 +56,19 @@ def test_value_follows_the_flip_schedule():
     assert [h.value(0, 1, s) for s in range(3)] == [1, 0, 0]
 
 
+def test_value_and_active_index_match_a_scan_of_the_schedule():
+    """Both bisect the sorted schedule; a scan of every flip is the reference."""
+    rng = random.Random(11)
+    for _ in range(300):
+        fl = tuple(sorted(rng.sample(range(1, 30), rng.randint(0, 8))))
+        target = rng.random() < 0.5
+        g = LimitGraph(2, [(0, 1)] if target else [], {(0, 1): fl})
+        for s in range(32):
+            passed = [t for t in fl if t <= s]
+            assert g.value(0, 1, s) == int(target) ^ (len(fl) % 2) ^ (len(passed) % 2)
+            assert g.active_index(0, 1, s) == (passed[-1] if passed else 0)
+
+
 def test_graph_validation():
     with pytest.raises(ConfigError):
         LimitGraph(2, [(1, 0)])
