@@ -225,7 +225,7 @@ def _read_text(path: str) -> str:
 def _decode(path: str, text: str):
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep for json
         raise ConfigError(f"invalid JSON in {path}: {exc}")
 
 
@@ -249,17 +249,20 @@ def _compact_pairs(text: str, i: int) -> Optional[Tuple[np.ndarray, int]]:
     if end == 1:
         return None
     raw = text[i:end].encode("ascii")
-    # Brackets and commas must spell [[,],[,],...,[,]] for k pairs, with
-    # every number's place holding digits, and 2k runs of digits in all.
+    # Brackets and commas must spell [[,],[,],...,[,]] for k pairs, and the
+    # 2k runs of digits must sit in the numbers' places: the first run 2
+    # bytes in, and 3 bytes ("],[") between pairs. The byte count then
+    # leaves exactly 1 between a pair's two runs, and 2 after the last.
     skeleton = raw.translate(None, b"0123456789")
     k = (len(skeleton) - 1) // 4
-    if skeleton != b"[" + b"[,]," * (k - 1) + b"[,]]" or b"[," in raw or b",]" in raw:
+    if skeleton != b"[" + b"[,]," * (k - 1) + b"[,]]":
         return None
     digits = np.frombuffer(raw, np.uint8) - 48  # every other byte wraps above 9
     edges = np.flatnonzero(np.diff(digits < 10))  # the byte before each run, its last byte
-    if len(edges) != 4 * k:
+    steps = np.diff(edges)  # per pair: length, gap, length, gap
+    if len(edges) != 4 * k or edges[0] != 1 or (steps[3::4] != 3).any():
         return None
-    starts, lengths = edges[0::2] + 1, edges[1::2] - edges[0::2]
+    starts, lengths = edges[0::2] + 1, steps[0::2]
     width = lengths.max()
     values = digits[starts].astype(np.int32)  # 9 digits fit
     if width > 9 or not values[lengths > 1].all():  # too long, or a leading zero
@@ -303,7 +306,7 @@ def _load_stage(path: str):
     text = _read_text(path)
     try:
         obj = _scan_stage(text)
-    except (ValueError, StopIteration, RecursionError):  # bad JSON, or not ASCII in a list
+    except (ValueError, StopIteration, RecursionError):  # json's errors, or a non-ASCII list
         obj = None
     return _decode(path, text) if obj is None else obj
 

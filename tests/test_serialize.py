@@ -207,13 +207,18 @@ def _stage_texts(draw):
     start = text.index(f'"{key}":') + len(key) + 3  # the pair list: text[start:end]
     end = text.index("]]", start) + 2 if text[start + 1] == "[" else start + 2
     mutation = draw(st.sampled_from(
-        ["none", "space", "numbers", "duplicate", "escaped", "truncate", "trailing", "bom"]
+        ["none", "space", "bracket", "numbers", "duplicate", "escaped", "truncate", "trailing",
+         "bom"]
     ))
     if mutation == "space":
         at = draw(st.integers(0, len(text)))
         name = text.find('"base.json"')  # a space in it would name another file
         at = name if name < at < name + 11 else at
         text = text[:at] + draw(st.sampled_from([" ", "\n", "\t", " \n "])) + text[at:]
+    elif mutation == "bracket":  # a bracket or comma of the list replaced
+        marks = [m.start() for m in re.finditer(r"[][,]", text[start:end])]
+        at = start + draw(st.sampled_from(marks))
+        text = text[:at] + draw(st.sampled_from(list("[],;{} "))) + text[at + 1:]
     elif mutation == "numbers":  # 1 to 3 edits: a number replaced, or digits put in
         for _ in range(draw(st.integers(1, 3))):
             numbers = list(re.finditer(r"[0-9]+", text[start:end]))
@@ -297,6 +302,7 @@ def test_stage_file_loads_as_json_reads_it(stage_dir, case):
     "[[1,2]5,[,4]]", "[[1,2]5,[3,4]6,[7,8]]", "[5[1,2],[3,4]]", "[[,1]]", "[[1,]]",
     "[[1,2],[3]]", "[[1,2,3]]", "[[01,2]]", "[[4294967296,0]]", "[[9999999999,1]]",
     "[[1,2],[3,4],]", '[[1,2],["]]"]]', "[[1,2]]]", "[[١,2]]", "[[1,2],[3,4]",
+    "[[1;2]]", "[[1,2].[3,4]]", "[[1,2]3,4[,],[5,6]]", "[[1,2],[,]]", "[1[,2]]",
 ])
 def test_odd_pair_lists_load_as_json_reads_them(tmp_path, pairs):
     """Lists that come close to the compact grammar, some with two faults
