@@ -404,7 +404,8 @@ def test_deeply_nested_json_is_a_json_error(shipped_runs, tmp_path, where):
         argv = ["solve", "--order", path, "--principle", "cac"]
     elif where in ("delta", "manifest"):
         path = run_snapshot_paths(run)[3] if where == "delta" else os.path.join(run, "manifest.json")
-        text = open(path).read()
+        with open(path) as fh:
+            text = fh.read()
         with open(path, "w") as fh:
             fh.write(text.replace('{"', '{"deep":' + _DEEP + ',"', 1))
         argv = ["verify", "--dir", run, "--suite", "poset"]
