@@ -13,6 +13,8 @@ from staged_orders.kernel import (
     StagedOrder,
     StagedOrderError,
     TransitivityViolation,
+    _compose,
+    _find_transitivity_witness,
     _matrix_of,
     apply_permutation,
     check_monotone,
@@ -315,3 +317,82 @@ def test_matrix_of_checks_the_cap_before_allocating(monkeypatch):
         _matrix_of(untouched(), 11)
     with pytest.raises(DomainLimitExceeded):
         Snapshot.from_pairs(11, untouched())
+
+
+def _witness_reference(m):
+    """The first missing pair of the full product m.m, and its least middle."""
+    missing = np.argwhere(_compose(m, m) & ~m)
+    if not missing.size:
+        return None
+    i, k = missing[0].tolist()
+    return (i, int(np.flatnonzero(m[i] & m[:, k])[0]), k)
+
+
+def _reduction_reference(m):
+    strict = m & ~np.eye(len(m), dtype=bool)
+    return frozenset(map(tuple, np.argwhere(strict & ~_compose(strict, strict)).tolist()))
+
+
+@st.composite
+def relations(draw, order=False):
+    """A random relation on up to 40 elements, drawn from a seed: any
+    density, acyclic or not, with planted 2-cycles, any diagonal, closed
+    and then broken at a few pairs. With order=True, a closed partial order."""
+    n = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.random((n, n)) < draw(st.sampled_from([0.0, 0.03, 0.1, 0.3, 0.7]))
+    if order or draw(st.booleans()):  # acyclic: pairs only go up a random ranking
+        rank = rng.permutation(n)
+        m &= rank[:, None] < rank[None, :]
+    for _ in range(0 if order or n < 2 else draw(st.integers(0, 2))):
+        i, j = rng.choice(n, 2, replace=False)
+        m[i, j] = m[j, i] = True
+    diagonal = "reflexive" if order else draw(st.sampled_from(["reflexive", "irreflexive", "random"]))
+    if diagonal != "random":
+        np.fill_diagonal(m, diagonal == "reflexive")
+    if order or draw(st.booleans()):
+        close_matrix(m)
+        for _ in range(0 if order else draw(st.integers(0, 3))):
+            held = np.argwhere(m & ~np.eye(n, dtype=bool))
+            if len(held):
+                i, j = held[rng.integers(len(held))]
+                m[i, j] = False
+    return m
+
+
+@given(relations(), st.integers(0, 40))
+@settings(max_examples=300, deadline=None)
+def test_transitivity_witness_matches_the_full_product(m, window):
+    assert _find_transitivity_witness(m) == _witness_reference(m)
+    view = m[:window, :window]  # a strided window, as the family speedup passes it
+    assert _find_transitivity_witness(view) == _witness_reference(view.copy())
+    snap = Snapshot(len(m), 0, m)
+    if check_partial_order(snap).passed:
+        assert transitive_reduction(snap) == _reduction_reference(m)
+    else:
+        with pytest.raises(StagedOrderError):
+            transitive_reduction(snap)
+
+
+@given(relations(order=True))
+@settings(max_examples=200, deadline=None)
+def test_transitive_reduction_matches_the_full_product(m):
+    assert transitive_reduction(Snapshot(len(m), 0, m)) == _reduction_reference(m)
+
+
+def test_compositions_on_a_sparse_300_element_order():
+    rng = np.random.default_rng(300)
+    m = np.triu(rng.random((300, 300)) < 0.004, 1) | np.eye(300, dtype=bool)
+    close_matrix(m)
+    covers = transitive_reduction(Snapshot(300, 0, m))
+    assert covers == _reduction_reference(m)
+    assert _find_transitivity_witness(m) is None
+    implied = np.argwhere(m & ~np.eye(300, dtype=bool) & ~_matrix_of(covers, 300))
+    assert len(implied)
+    for i, k in implied[:: max(1, len(implied) // 5)].tolist():
+        broken = m.copy()
+        broken[i, k] = False
+        assert _find_transitivity_witness(broken) == _witness_reference(broken)
+        for window in (1, 37, 150, 299):
+            view = broken[:window, :window]
+            assert _find_transitivity_witness(view) == _witness_reference(view.copy())
