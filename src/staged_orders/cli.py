@@ -290,6 +290,7 @@ def export_dot(snapshot_path, reduction):
     for x in range(snap.domain_size):
         label = snap.labels.get(x)
         text = f"{x}: {label}" if label else str(x)
+        text = text.replace("\\", "\\\\").replace('"', '\\"')  # a DOT quoted string
         out.append(f'  "{x}" [label="{text}"];')
     for u, v in edges:
         out.append(f'  "{u}" -> "{v}";')

@@ -281,6 +281,22 @@ def test_export_dot_shape(tmp_path):
     assert len(rlines) < len(lines)
 
 
+def test_export_dot_escapes_quotes_and_backslashes_in_labels(tmp_path):
+    from staged_orders.kernel import Kind, Snapshot
+    from staged_orders.serialize import snapshot_to_obj
+
+    labels = {0: 'x"y', 1: "a\\b", 2: 'q\\"'}
+    snap = Snapshot.from_pairs(3, [(0, 1)], labels=labels)
+    path = _write(tmp_path / "labels.json", snapshot_to_obj(snap, Kind.CE))
+    result = _invoke("export-dot", "--snapshot", path)
+    assert result.exit_code == 0
+    assert result.output.splitlines()[1:4] == [
+        '  "0" [label="0: x\\"y"];',
+        '  "1" [label="1: a\\\\b"];',
+        '  "2" [label="2: q\\\\\\""];',
+    ]
+
+
 def test_rebuild_over_a_longer_run_leaves_no_stale_files(tmp_path):
     """Snapshots of the longer run were left behind, so verify refused
     the new run for holding more snapshots than its manifest lists."""
