@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -22,6 +21,7 @@ from .kernel import (
     ConfigError,
     Construction,
     Kind,
+    Record,
     Snapshot,
     StagedOrderError,
     _find_transitivity_witness,
@@ -38,8 +38,7 @@ class SpeedupBudgetExceeded(StagedOrderError):
     pass
 
 
-@dataclass(frozen=True)
-class CoCEPreorder:
+class CoCEPreorder(Record):
     n: int
     limit: Snapshot  # reflexive and transitive
     removal_stage: Tuple[Tuple[Tuple[int, int], int], ...]  # ((i,j), stage) per non-pair
@@ -127,8 +126,7 @@ def speedup(pre: CoCEPreorder, s: int, horizon: Optional[int] = None) -> int:
             )
 
 
-@dataclass(frozen=True)
-class SetFamily:
+class SetFamily(Record):
     n: int
     element_count: int
     rows: Tuple[frozenset, ...]  # rows[i] = A_i as a set of allocated elements
@@ -198,8 +196,7 @@ def build_family(pre: CoCEPreorder, stages: int) -> SetFamily:
     return SetFamily(pre.n, fresh, tuple(frozenset(r) for r in rows))
 
 
-@dataclass(frozen=True)
-class IsomorphismReport:
+class IsomorphismReport(Record):
     passed: bool
     mismatches: Tuple[Tuple[int, int], ...]  # (i, j) where i<=j and A_i<=A_j disagree
 

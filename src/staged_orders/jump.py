@@ -11,12 +11,19 @@ the first i bits of K.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .kernel import ConfigError, Construction, Kind, Snapshot, StagedOrder, StagedOrderError
+from .kernel import (
+    ConfigError,
+    Construction,
+    Kind,
+    Record,
+    Snapshot,
+    StagedOrder,
+    StagedOrderError,
+)
 from .serialize import is_natural
 from .solvers import longest_chain
 
@@ -29,8 +36,7 @@ class InvalidAntichain(StagedOrderError):
     pass
 
 
-@dataclass(frozen=True)
-class EnumerationSchedule:
+class EnumerationSchedule(Record):
     entries: Tuple[Tuple[int, int], ...]  # (element, entry stage)
 
     def __post_init__(self):
@@ -162,8 +168,7 @@ def decode_antichain(
     return sched.prefix(ac[i + 1], i)
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(Record):
     passed: bool
     failures: Tuple[Tuple[int, int], ...]
 

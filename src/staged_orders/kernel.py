@@ -6,12 +6,17 @@ approximation, the relation only shrinks). Every stage must leave the
 relation reflexive and transitively closed; additions must also keep it
 antisymmetric. The kernel stores each stage as an immutable boolean
 matrix and enforces those invariants at mutation time.
+
+`Record` is the base of the package's small immutable value classes
+(axiom and monotonicity reports, roles, predicate specs). Its fields
+come from the class annotations, and defining a record class generates
+no code, where a frozen dataclass compiles several methods per class
+at import.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
@@ -80,6 +85,62 @@ def _check_domain_size(domain_size: int) -> None:
         raise DomainLimitExceeded(f"domain size {domain_size} exceeds cap {cap}")
 
 
+class Record:
+    """An immutable record. Its fields are the names its class annotates,
+    in order; a class attribute of the same name is a field's default.
+    A record equals only records of its own class with equal fields, and
+    hashes and prints by field as a frozen dataclass does. Assigning or
+    deleting an attribute raises AttributeError. `__post_init__` runs
+    once the fields are set, to validate them."""
+
+    _fields: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls._fields + tuple(vars(cls).get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._arguments(args, kwargs)
+        object.__setattr__(self, "__dict__", dict(zip(self._fields, args)))
+        self.__post_init__()
+
+    @classmethod
+    def _arguments(cls, args: tuple, kwargs: dict) -> tuple:
+        """One value per field: the positional ones, then keywords or defaults."""
+        rest = cls._fields[len(args):]
+        if len(args) > len(cls._fields) or not set(kwargs) <= set(rest):
+            raise TypeError(f"{cls.__name__} takes the fields {', '.join(cls._fields)}")
+        missing = [name for name in rest if name not in kwargs and not hasattr(cls, name)]
+        if missing:
+            raise TypeError(f"{cls.__name__} is missing {', '.join(missing)}")
+        return args + tuple(kwargs[name] if name in kwargs else getattr(cls, name) for name in rest)
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 class Kind(Enum):
     CE = "ce"
     COCE = "coce"
@@ -114,8 +175,10 @@ def _pairs_of(matrix: np.ndarray) -> frozenset:
 
 def _first_pair(matrix: np.ndarray) -> Optional[Tuple[int, int]]:
     """The lexicographically least pair a relation matrix holds, or None."""
-    idx = np.argwhere(matrix)  # row-major, so already in lexicographic order
-    return tuple(idx[0].tolist()) if idx.size else None
+    if not matrix.any():
+        return None
+    # argmax of a bool matrix is its first True in row-major order
+    return divmod(int(matrix.argmax()), matrix.shape[1])
 
 
 def _pair_array(pairs, n: int) -> Optional[np.ndarray]:
@@ -162,8 +225,20 @@ def _find_antisymmetry_witness(matrix: np.ndarray) -> Optional[Tuple[int, int]]:
     return _first_pair(np.triu(matrix & matrix.T, 1))
 
 
+def _strict_square(strict: np.ndarray) -> np.ndarray:
+    """S.S for a relation S without diagonal, composed only through the
+    middle elements: those with both a predecessor and a successor in S.
+    No other element can be the middle of a path, so this is S.S exactly,
+    at n*n*|middle| cost instead of n**3."""
+    middle = np.flatnonzero(strict.any(axis=0) & strict.any(axis=1))
+    return _compose(strict[:, middle], strict[middle, :])
+
+
 def _find_transitivity_witness(matrix: np.ndarray) -> Optional[Tuple[int, int, int]]:
-    missing = _first_pair(_compose(matrix, matrix) & ~matrix)
+    """The first pair (i, k) that R.R holds and R does not, with its least
+    middle j. A path through j = i or j = k only reaches a pair R holds,
+    so the missing pairs of R.R are those of S.S, S the strict part of R."""
+    missing = _first_pair(_strict_square(_strict(matrix)) & ~matrix)
     if missing is None:
         return None
     i, k = missing
@@ -267,15 +342,13 @@ class Snapshot:
         )
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
+class AxiomCheck(Record):
     axiom: str
     passed: bool
     witness: Optional[Tuple[int, ...]] = None
 
 
-@dataclass(frozen=True)
-class PosetReport:
+class PosetReport(Record):
     reflexive: AxiomCheck
     antisymmetric: AxiomCheck
     transitive: AxiomCheck
@@ -325,8 +398,7 @@ def _violation(check: AxiomCheck) -> StagedOrderError:
     return StagedOrderError(f"initial snapshot not reflexive at {check.witness}")
 
 
-@dataclass(frozen=True)
-class MonotoneReport:
+class MonotoneReport(Record):
     kind: Kind
     passed: bool
     failures: Tuple[Tuple[int, Tuple[int, int]], ...]
@@ -351,7 +423,8 @@ def check_monotone(order, kind: Optional[Kind] = None) -> MonotoneReport:
             lost = prev.matrix & ~cur.matrix
         else:
             lost = cur.matrix & ~prev.matrix
-        failures += [(cur.stage, tuple(p)) for p in np.argwhere(lost).tolist()]
+        if lost.any():
+            failures += [(cur.stage, tuple(p)) for p in np.argwhere(lost).tolist()]
     return MonotoneReport(kind, not failures, tuple(failures))
 
 
@@ -464,6 +537,7 @@ class StagedOrder:
             mid = np.nonzero(matrix[u] & matrix[:, v])[0]
             if mid.size:
                 raise TransitivityViolation(u, int(mid[0]), v)
+        matrix.setflags(write=False)  # fresh, so the snapshot takes it uncopied
         snapshot = Snapshot(n, self.current.stage + 1, matrix, self.current.labels)
         self._snapshots.append(snapshot)
         return snapshot
@@ -491,7 +565,7 @@ def transitive_reduction(snapshot: Snapshot) -> frozenset:
         ),
     )
     strict = _strict(snapshot.matrix)
-    return _pairs_of(strict & ~_compose(strict, strict))
+    return _pairs_of(strict & ~_strict_square(strict))
 
 
 class Construction:

@@ -22,15 +22,15 @@ ranking instead of Cantor pairing so no code is ever invalid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Union
+
+from .kernel import Record
 
 SIGMA2_CONSTANTS = ("a", "b", "c", "f", "l")
 SPECTRUM_CONSTANTS = ("a", "g", "r0", "r1")
 
 
-@dataclass(frozen=True)
-class Sigma2Const:
+class Sigma2Const(Record):
     name: str
 
     def __post_init__(self):
@@ -38,8 +38,7 @@ class Sigma2Const:
             raise ValueError(f"unknown constant {self.name!r}")
 
 
-@dataclass(frozen=True)
-class Sigma2A:
+class Sigma2A(Record):
     i: int
     k: int
 
@@ -48,8 +47,7 @@ class Sigma2A:
             raise ValueError(f"a_{{i,k}} requires 0 <= k <= i, got ({self.i}, {self.k})")
 
 
-@dataclass(frozen=True)
-class Sigma2B:
+class Sigma2B(Record):
     x: int
 
     def __post_init__(self):
@@ -57,8 +55,7 @@ class Sigma2B:
             raise ValueError(f"b_x requires x >= 0, got {self.x}")
 
 
-@dataclass(frozen=True)
-class Sigma2C:
+class Sigma2C(Record):
     i: int
     k: int
 
@@ -70,8 +67,7 @@ class Sigma2C:
 Sigma2Role = Union[Sigma2Const, Sigma2A, Sigma2B, Sigma2C]
 
 
-@dataclass(frozen=True)
-class SpectrumConst:
+class SpectrumConst(Record):
     name: str
 
     def __post_init__(self):
@@ -79,8 +75,7 @@ class SpectrumConst:
             raise ValueError(f"unknown constant {self.name!r}")
 
 
-@dataclass(frozen=True)
-class SpectrumA:
+class SpectrumA(Record):
     i: int
 
     def __post_init__(self):
@@ -88,8 +83,7 @@ class SpectrumA:
             raise ValueError(f"a_i requires i >= 0, got {self.i}")
 
 
-@dataclass(frozen=True)
-class SpectrumG:
+class SpectrumG(Record):
     i: int
     j: int
     k: int
@@ -111,15 +105,30 @@ def _tri_row_leq(q: int) -> int:
     return (math.isqrt(8 * q + 1) - 1) // 2
 
 
+def sigma2_a_code(i: int, k: int) -> int:
+    """Code of a_{i,k}, for 0 <= k <= i."""
+    return 5 + 3 * (_tri(i) + k) + 1
+
+
+def sigma2_b_code(x: int) -> int:
+    """Code of b_x, for x >= 0."""
+    return 5 + 3 * x
+
+
+def sigma2_c_code(i: int, k: int) -> int:
+    """Code of c_{i,k}, for 0 <= k < i."""
+    return 5 + 3 * (i * (i - 1) // 2 + k) + 2
+
+
 def sigma2_encode(role: Sigma2Role) -> int:
     if isinstance(role, Sigma2Const):
         return SIGMA2_CONSTANTS.index(role.name)
     if isinstance(role, Sigma2B):
-        return 5 + 3 * role.x
+        return sigma2_b_code(role.x)
     if isinstance(role, Sigma2A):
-        return 5 + 3 * (_tri(role.i) + role.k) + 1
+        return sigma2_a_code(role.i, role.k)
     if isinstance(role, Sigma2C):
-        return 5 + 3 * (role.i * (role.i - 1) // 2 + role.k) + 2
+        return sigma2_c_code(role.i, role.k)
     raise TypeError(f"not a separation role: {role!r}")
 
 

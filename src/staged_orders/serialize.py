@@ -44,7 +44,6 @@ files are plain JSON, read by load_json.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -64,6 +63,8 @@ def canonical_dumps(obj) -> str:
 
 
 def config_hash(config_obj) -> str:
+    import hashlib  # here, not at the top: loading OpenSSL costs every other command
+
     return hashlib.sha256(canonical_dumps(config_obj).encode("utf-8")).hexdigest()
 
 

@@ -23,7 +23,6 @@ in the window are built but never mutated.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -33,6 +32,7 @@ from .kernel import (
     Construction,
     DomainTooSmall,
     Kind,
+    Record,
     Snapshot,
     StagedOrder,
     StagedOrderError,
@@ -44,6 +44,9 @@ from .roles import (
     Sigma2B,
     Sigma2C,
     Sigma2Const,
+    sigma2_a_code,
+    sigma2_b_code,
+    sigma2_c_code,
     sigma2_decode,
     sigma2_encode,
     sigma2_label,
@@ -66,8 +69,7 @@ class Sigma2Consts(NamedTuple):
 DEFAULT_CONSTS = Sigma2Consts(*(sigma2_encode(Sigma2Const(n)) for n in ("a", "b", "c", "f", "l")))
 
 
-@dataclass(frozen=True)
-class MemberIndex:
+class MemberIndex(Record):
     witness: int
     defeats: Tuple[int, ...]  # defeat stage of x, for each x < witness
 
@@ -80,8 +82,7 @@ class MemberIndex:
             raise ConfigError("defeat stages are naturals")
 
 
-@dataclass(frozen=True)
-class NonmemberIndex:
+class NonmemberIndex(Record):
     offset: int
     step: int
     horizon: Optional[int] = None  # declared coverage of the rule, in witnesses
@@ -96,8 +97,7 @@ class NonmemberIndex:
 IndexSpec = Union[MemberIndex, NonmemberIndex]
 
 
-@dataclass(frozen=True)
-class SyntheticSigma2Predicate:
+class SyntheticSigma2Predicate(Record):
     indices: Tuple[IndexSpec, ...]
 
     @property
@@ -185,11 +185,11 @@ def required_domain_bound(pred: SyntheticSigma2Predicate) -> int:
     """
     need = 5
     for i, spec in enumerate(pred.indices):
-        need = max(need, sigma2_encode(Sigma2A(i, i)) + 1)
+        need = max(need, sigma2_a_code(i, i) + 1)
         if i >= 1:
-            need = max(need, sigma2_encode(Sigma2C(i, i - 1)) + 1)
+            need = max(need, sigma2_c_code(i, i - 1) + 1)
         if isinstance(spec, MemberIndex):
-            need = max(need, sigma2_encode(Sigma2B(spec.witness)) + 1)
+            need = max(need, sigma2_b_code(spec.witness) + 1)
     return need
 
 
@@ -291,8 +291,8 @@ def build_initial(domain_bound: int, pred: SyntheticSigma2Predicate) -> Snapshot
             put(code, consts.b)
         elif isinstance(role, Sigma2C):
             put(code, consts.c)
-            put(sigma2_encode(Sigma2A(role.i, role.k)), code)
-            put(sigma2_encode(Sigma2A(role.i, role.k + 1)), code)
+            put(sigma2_a_code(role.i, role.k), code)
+            put(sigma2_a_code(role.i, role.k + 1), code)
     for b in b_codes:
         for a in a_codes:
             matrix[b, a] = True
@@ -315,9 +315,9 @@ def build_run(
     for _, (defeated, witnesses) in zip(range(stages), _witness_stages(pred)):
         gone = []
         for i, x in defeated:
-            b = sigma2_encode(Sigma2B(x))
+            b = sigma2_b_code(x)
             if b < n:
-                a_row = (sigma2_encode(Sigma2A(i, k)) for k in range(i + 1))
+                a_row = (sigma2_a_code(i, k) for k in range(i + 1))
                 gone.extend((b, a) for a in a_row if a < n)
         order.remove_pairs(gone)
     return order, witnesses

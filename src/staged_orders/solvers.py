@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .kernel import (
+    Record,
     Snapshot,
     StagedOrderError,
     _first_pair,
@@ -192,8 +192,7 @@ def solve_cac(snapshot: Snapshot) -> CacSolution:
     return CacSolution("antichain", layer)
 
 
-@dataclass(frozen=True)
-class CondensationResult:
+class CondensationResult(Record):
     classes: Tuple[Tuple[int, ...], ...]
     representatives: Tuple[int, ...]
     induced: Snapshot

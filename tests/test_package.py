@@ -22,6 +22,21 @@ def test_importing_the_kernel_loads_no_other_package_module():
     assert out.stdout.split() == ["staged_orders", "staged_orders.kernel"]
 
 
+def test_importing_the_cli_generates_no_code_and_loads_no_openssl():
+    """Records need no dataclasses, and only a config digest needs hashlib.
+    Counted against what numpy and click load themselves."""
+    code = (
+        "import sys, numpy, click; before = set(sys.modules); import staged_orders.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    src = os.path.dirname(os.path.dirname(staged_orders.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = set(out.stdout.split())
+    assert "staged_orders.cli" in loaded
+    assert not loaded & {"dataclasses", "_hashlib"}
+
+
 def test_readme_library_example_runs_as_written():
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
         library = fh.read().split("## Library", 1)[1]
