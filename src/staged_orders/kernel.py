@@ -95,14 +95,13 @@ class Record:
 
     _fields: Tuple[str, ...] = ()
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
+    def __init_subclass__(cls):
         cls._fields = cls._fields + tuple(vars(cls).get("__annotations__", ()))
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(self._fields):
             args = self._arguments(args, kwargs)
-        object.__setattr__(self, "__dict__", dict(zip(self._fields, args)))
+        self.__dict__.update(zip(self._fields, args))
         self.__post_init__()
 
     @classmethod
