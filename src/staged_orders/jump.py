@@ -15,15 +15,7 @@ from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .kernel import (
-    ConfigError,
-    Construction,
-    Kind,
-    Record,
-    Snapshot,
-    StagedOrder,
-    StagedOrderError,
-)
+from .kernel import ConfigError, Construction, Kind, Record, Snapshot, StagedOrder, StagedOrderError
 from .serialize import is_natural
 from .solvers import longest_chain
 

@@ -11,15 +11,20 @@ import staged_orders
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def _fresh_output(code: str) -> str:
+    """What `code` prints in a fresh interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(staged_orders.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return out.stdout
+
+
 def test_importing_the_kernel_loads_no_other_package_module():
     code = (
         "import sys, staged_orders.kernel; "
         "print(' '.join(sorted(m for m in sys.modules if m.startswith('staged_orders'))))"
     )
-    src = os.path.dirname(os.path.dirname(staged_orders.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["staged_orders", "staged_orders.kernel"]
+    assert _fresh_output(code).split() == ["staged_orders", "staged_orders.kernel"]
 
 
 def test_importing_the_cli_generates_no_code_and_loads_no_openssl():
@@ -29,10 +34,7 @@ def test_importing_the_cli_generates_no_code_and_loads_no_openssl():
         "import sys, numpy, click; before = set(sys.modules); import staged_orders.cli; "
         "print(' '.join(sorted(set(sys.modules) - before)))"
     )
-    src = os.path.dirname(os.path.dirname(staged_orders.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    loaded = set(out.stdout.split())
+    loaded = set(_fresh_output(code).split())
     assert "staged_orders.cli" in loaded
     assert not loaded & {"dataclasses", "_hashlib"}
 
