@@ -22,6 +22,7 @@ from .kernel import (
     Kind,
     Snapshot,
     StagedOrderError,
+    _check_domain_size,
     apply_permutation,
     check_monotone,
     check_partial_order,
@@ -101,6 +102,13 @@ class RunPlan:
         if self.stages is None:
             self.stages = default
         return self.stages
+
+    def domain_or(self, default: int) -> int:
+        """The domain bound, defaulting to what the construction needs,
+        checked against the domain cap before anything is built on it."""
+        domain = self.domain if self.domain is not None else default
+        _check_domain_size(domain)
+        return domain
 
     def resolved(self) -> dict:
         """The config written beside the snapshots: payload plus run keys."""

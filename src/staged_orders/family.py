@@ -16,7 +16,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .generators import removals_from_horizon
 from .kernel import (
     ConfigError,
     Construction,
@@ -27,7 +26,6 @@ from .kernel import (
     _find_transitivity_witness,
     _matrix_of,
     _pairs_of,
-    _strict,
     check_preorder,
     close_matrix,
 )
@@ -101,12 +99,6 @@ def preorder_from_config(blob: dict) -> CoCEPreorder:
         i, j, stage = entry
         schedule.append(((i, j), stage))
     return CoCEPreorder(n, Snapshot(n, 0, matrix), tuple(schedule))
-
-
-def preorder_to_config(pre: CoCEPreorder) -> dict:
-    pairs = np.argwhere(_strict(pre.limit.matrix)).tolist()
-    removals = sorted([i, j, stage] for (i, j), stage in pre.removal_stage)
-    return {"n": pre.n, "limit_pairs": pairs, "removals": removals}
 
 
 def speedup(pre: CoCEPreorder, s: int, horizon: Optional[int] = None) -> int:
@@ -209,6 +201,15 @@ def verify_isomorphism(pre: CoCEPreorder, fam: SetFamily) -> IsomorphismReport:
             if bool(pre.limit.matrix[i, j]) != fam.included(i, j):
                 bad.append((i, j))
     return IsomorphismReport(not bad, tuple(bad))
+
+
+def removals_from_horizon(
+    rng: random.Random, n: int, limit_pairs, horizon: int
+) -> List[List[int]]:
+    """One removal stage per pair outside the closed limit, drawn uniformly
+    from [0, horizon] in lexicographic pair order."""
+    matrix = close_matrix(_matrix_of(limit_pairs, n))
+    return [[i, j, rng.randint(0, horizon)] for i, j in np.argwhere(~matrix).tolist()]
 
 
 class FamilyConstruction(Construction):

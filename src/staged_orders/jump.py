@@ -11,7 +11,7 @@ the first i bits of K.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -73,10 +73,6 @@ def schedule_from_config(blob: dict) -> EnumerationSchedule:
     return EnumerationSchedule(tuple(parsed))
 
 
-def schedule_to_config(sched: EnumerationSchedule) -> dict:
-    return {"entries": sorted([e, s] for e, s in sched.entries)}
-
-
 def _trigger_block(sched: EnumerationSchedule, n: int, s: int) -> List[Tuple[int, int]]:
     """Pairs touched at stage s: everything strictly between two points of
     the window (min entering element, min(s, n-1)]."""
@@ -112,14 +108,8 @@ def build_antichain_order(sched: EnumerationSchedule, n: int, stages: int) -> St
     return order
 
 
-def _final(order_or_snap: Union[StagedOrder, Snapshot]) -> Snapshot:
-    if isinstance(order_or_snap, StagedOrder):
-        return order_or_snap.current
-    return order_or_snap
-
-
 def decode_chain(
-    order_or_snap: Union[StagedOrder, Snapshot],
+    snap: Snapshot,
     chain: Sequence[int],
     sched: EnumerationSchedule,
     i: int,
@@ -127,7 +117,6 @@ def decode_chain(
     """Read the first i bits of K off a chain of length i+2 in the cochain
     order: the element at position i+1 bounds every entry stage that could
     still disturb those bits."""
-    snap = _final(order_or_snap)
     chain = list(chain)
     if len(chain) < i + 2:
         raise InvalidChain(f"need at least {i + 2} elements, got {len(chain)}")
@@ -139,13 +128,12 @@ def decode_chain(
 
 
 def decode_antichain(
-    order_or_snap: Union[StagedOrder, Snapshot],
+    snap: Snapshot,
     antichain: Sequence[int],
     sched: EnumerationSchedule,
     i: int,
 ) -> Tuple[int, ...]:
     """Same readout from an antichain of the dual order."""
-    snap = _final(order_or_snap)
     ac = list(antichain)
     if len(ac) < i + 2:
         raise InvalidAntichain(f"need at least {i + 2} elements, got {len(ac)}")
@@ -166,12 +154,11 @@ class WitnessReport(Record):
 
 
 def no_infinite_antichain_witness(
-    order_or_snap: Union[StagedOrder, Snapshot], sched: EnumerationSchedule
+    snap: Snapshot, sched: EnumerationSchedule
 ) -> WitnessReport:
     """In the cochain order every element i stays below all of
     {max(t(i), i)+1, ...}: any antichain through i is trapped below that
     bound, so none is infinite in the limit."""
-    snap = _final(order_or_snap)
     n = snap.domain_size
     bad = []
     for i in range(n):
@@ -201,14 +188,13 @@ def _merged_blocks(sched: EnumerationSchedule, n: int, stages: int) -> List[Tupl
 
 
 def finite_chain_witness(
-    order_or_snap: Union[StagedOrder, Snapshot],
+    snap: Snapshot,
     sched: EnumerationSchedule,
     stages: int,
 ) -> WitnessReport:
     """The antichain order only ever links elements inside entry windows,
     so its longest chain is the widest merged window. Checks the built
     order against that prediction."""
-    snap = _final(order_or_snap)
     n = snap.domain_size
     if n == 0:
         return WitnessReport(True, ())
@@ -220,9 +206,8 @@ def finite_chain_witness(
     return WitnessReport(False, ((actual, expected),))
 
 
-def greedy_antichain(order_or_snap: Union[StagedOrder, Snapshot]) -> Tuple[int, ...]:
+def greedy_antichain(snap: Snapshot) -> Tuple[int, ...]:
     """First-fit antichain in natural element order."""
-    snap = _final(order_or_snap)
     picked: List[int] = []
     for x in range(snap.domain_size):
         if all(not snap.holds(x, y) and not snap.holds(y, x) for y in picked):
@@ -238,9 +223,10 @@ class JumpConstruction(Construction):
 
     def build(self, plan):
         sched = schedule_from_config(plan.payload)
-        n = plan.domain if plan.domain is not None else plan.payload.get("n")
-        if not is_natural(n):
+        n = plan.payload.get("n")
+        if plan.domain is None and not is_natural(n):
             raise ConfigError("jump configs need a natural 'n' (or --domain)")
+        n = plan.domain_or(n)
         plan.payload.setdefault("n", n)
         stages = plan.stages_or(sched.max_entry_stage)
         builder = build_cochain_order if self.kind is Kind.COCE else build_antichain_order

@@ -8,7 +8,7 @@ antisymmetric. The kernel stores each stage as an immutable boolean
 matrix and enforces those invariants at mutation time.
 
 `Record` is the base of the package's small immutable value classes
-(axiom and monotonicity reports, roles, predicate specs). Its fields
+(axiom and monotonicity reports, predicate specs, schedules). Its fields
 come from the class annotations, and defining a record class generates
 no code, where a frozen dataclass compiles several methods per class
 at import.
@@ -403,17 +403,8 @@ class MonotoneReport(Record):
     failures: Tuple[Tuple[int, Tuple[int, int]], ...]
 
 
-def check_monotone(order, kind: Optional[Kind] = None) -> MonotoneReport:
-    """Check the history only moves one way: CE grows, COCE shrinks.
-
-    Accepts a StagedOrder, or a snapshot sequence plus an explicit kind.
-    """
-    if isinstance(order, StagedOrder):
-        snapshots, kind = order.snapshots, order.kind
-    else:
-        snapshots = list(order)
-        if kind is None:
-            raise StagedOrderError("kind is required when passing raw snapshots")
+def check_monotone(snapshots: Sequence[Snapshot], kind: Kind) -> MonotoneReport:
+    """Check the history only moves one way: CE grows, COCE shrinks."""
     failures = []
     for prev, cur in zip(snapshots, snapshots[1:]):
         if prev.domain_size != cur.domain_size:

@@ -39,18 +39,7 @@ from .kernel import (
     _compose,
     close_matrix,
 )
-from .roles import (
-    Sigma2A,
-    Sigma2B,
-    Sigma2C,
-    Sigma2Const,
-    sigma2_a_code,
-    sigma2_b_code,
-    sigma2_c_code,
-    sigma2_decode,
-    sigma2_encode,
-    sigma2_label,
-)
+from .roles import sigma2_a_code, sigma2_b_code, sigma2_c_code, sigma2_decode, sigma2_label
 from .serialize import is_natural
 
 
@@ -66,7 +55,7 @@ class Sigma2Consts(NamedTuple):
     l: int
 
 
-DEFAULT_CONSTS = Sigma2Consts(*(sigma2_encode(Sigma2Const(n)) for n in ("a", "b", "c", "f", "l")))
+DEFAULT_CONSTS = Sigma2Consts(0, 1, 2, 3, 4)
 
 
 class MemberIndex(Record):
@@ -149,25 +138,6 @@ def predicate_from_config(blob: dict) -> SyntheticSigma2Predicate:
     if sorted(by_i) != list(range(len(by_i))):
         raise ConfigError("index entries must cover 0..I-1 exactly")
     return SyntheticSigma2Predicate(tuple(by_i[i] for i in range(len(by_i))))
-
-
-def predicate_to_config(pred: SyntheticSigma2Predicate) -> dict:
-    entries = []
-    for i, spec in enumerate(pred.indices):
-        if isinstance(spec, MemberIndex):
-            entries.append(
-                {"i": i, "member": True, "witness": spec.witness, "defeats": list(spec.defeats)}
-            )
-        else:
-            entry = {
-                "i": i,
-                "member": False,
-                "defeat_rule": {"offset": spec.offset, "step": spec.step},
-            }
-            if spec.horizon is not None:
-                entry["defeat_horizon"] = spec.horizon
-            entries.append(entry)
-    return {"indices": entries}
 
 
 def b_count(domain_bound: int) -> int:
@@ -271,33 +241,35 @@ def build_initial(domain_bound: int, pred: SyntheticSigma2Predicate) -> Snapshot
     matrix = np.eye(n, dtype=bool)
     a_codes = []
     b_codes = []
-    roles = [sigma2_decode(code) for code in range(n)]
     consts = DEFAULT_CONSTS
 
     def put(u, v):
         if u < n and v < n:
             matrix[u, v] = True
 
-    for code, role in enumerate(roles):
-        if isinstance(role, Sigma2A):
+    for code in range(5, n):
+        role = sigma2_decode(code)
+        if role[0] == "a":
+            _, i, k = role
             a_codes.append(code)
             put(code, consts.a)
-            if role.k == 0:
+            if k == 0:
                 put(code, consts.f)
-            if role.k == role.i:
+            if k == i:
                 put(code, consts.l)
-        elif isinstance(role, Sigma2B):
+        elif role[0] == "b":
             b_codes.append(code)
             put(code, consts.b)
-        elif isinstance(role, Sigma2C):
+        else:
+            _, i, k = role
             put(code, consts.c)
-            put(sigma2_a_code(role.i, role.k), code)
-            put(sigma2_a_code(role.i, role.k + 1), code)
+            put(sigma2_a_code(i, k), code)
+            put(sigma2_a_code(i, k + 1), code)
     for b in b_codes:
         for a in a_codes:
             matrix[b, a] = True
     close_matrix(matrix)
-    labels = {code: sigma2_label(role) for code, role in enumerate(roles)}
+    labels = {code: sigma2_label(code) for code in range(n)}
     return Snapshot(n, 0, matrix, labels)
 
 
@@ -400,8 +372,7 @@ class Sigma2Construction(Construction):
 
     def build(self, plan):
         pred = predicate_from_config(plan.payload)
-        if plan.domain is None:
-            plan.domain = required_domain_bound(pred)
+        plan.domain = plan.domain_or(required_domain_bound(pred))
         stages = plan.stages_or(stabilization_stage(pred, plan.domain))
         return build_run(pred, plan.domain, stages)[0].snapshots, None
 

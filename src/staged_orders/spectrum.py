@@ -145,16 +145,6 @@ def graph_from_config(blob: dict) -> LimitGraph:
     return LimitGraph(n, parsed_edges, flips)
 
 
-def graph_to_config(graph: LimitGraph) -> dict:
-    return {
-        "n": graph.n,
-        "edges": [list(e) for e in sorted(graph.edges)],
-        "flips": {
-            f"{i},{j}": list(stages) for (i, j), stages in sorted(graph.flips.items())
-        },
-    }
-
-
 def element_to_vertex(code: int) -> int:
     """Inverse of the vertex coding a_i = 4 + 2i."""
     if code < 4 or (code - 4) % 2:
@@ -163,11 +153,17 @@ def element_to_vertex(code: int) -> int:
 
 
 def required_domain_bound(graph: LimitGraph) -> int:
+    """One past the largest code the run needs: the last vertex, and each
+    pair's gadget at its modulus. A pair with no flips needs rung 0, and
+    rung 0 codes grow with the pair's rank, so of those only the last pair
+    counts."""
     bound = 4
     if graph.n:
         bound = max(bound, spectrum_vertex_code(graph.n - 1) + 1)
-    for i, j in graph._pairs():
-        bound = max(bound, spectrum_gadget_code(i, j, graph.modulus(i, j)) + 1)
+    if graph.n >= 2:
+        bound = max(bound, spectrum_gadget_code(graph.n - 2, graph.n - 1, 0) + 1)
+    for (i, j), stages in graph.flips.items():
+        bound = max(bound, spectrum_gadget_code(i, j, stages[-1]) + 1)
     return bound
 
 
@@ -345,8 +341,7 @@ class SpectrumConstruction(Construction):
 
     def build(self, plan):
         graph = graph_from_config(plan.payload)
-        if plan.domain is None:
-            plan.domain = required_domain_bound(graph)
+        plan.domain = plan.domain_or(required_domain_bound(graph))
         stages = plan.stages_or(required_stages(graph, plan.domain))
         return build_spectrum_run(self.kind, graph, plan.domain, stages).snapshots, None
 

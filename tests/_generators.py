@@ -1,4 +1,4 @@
-"""Seeded input generators for tests and the build command.
+"""Seeded random instances for the tests.
 
 Everything takes an explicit random.Random so runs are reproducible from
 a seed alone; nothing here touches global RNG state.
@@ -11,7 +11,8 @@ from typing import List
 
 import numpy as np
 
-from .kernel import Snapshot, _matrix_of, apply_permutation, close_matrix
+from staged_orders.family import removals_from_horizon
+from staged_orders.kernel import Snapshot, apply_permutation, close_matrix
 
 
 def random_permutation(rng: random.Random, n: int) -> List[int]:
@@ -58,15 +59,6 @@ def random_preorder(rng: random.Random, n: int, p: float = 0.3) -> Snapshot:
                 matrix[i, j] = True
     close_matrix(matrix)
     return Snapshot(n, 0, matrix)
-
-
-def removals_from_horizon(
-    rng: random.Random, n: int, limit_pairs, horizon: int
-) -> List[List[int]]:
-    """One removal stage per pair outside the closed limit, drawn uniformly
-    from [0, horizon] in lexicographic pair order."""
-    matrix = close_matrix(_matrix_of(limit_pairs, n))
-    return [[i, j, rng.randint(0, horizon)] for i, j in np.argwhere(~matrix).tolist()]
 
 
 def random_coce_preorder_config(

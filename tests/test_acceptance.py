@@ -10,15 +10,6 @@ import random
 import time
 
 from staged_orders import family, jump, sigma2, spectrum
-from staged_orders.generators import (
-    random_coce_preorder_config,
-    random_limit_graph_config,
-    random_linear_order,
-    random_permutation,
-    random_poset,
-    random_schedule_config,
-    random_sigma2_config,
-)
 from staged_orders.kernel import (
     Kind,
     Snapshot,
@@ -53,6 +44,15 @@ from staged_orders.spectrum import (
 
 import numpy as np
 
+from _generators import (
+    random_coce_preorder_config,
+    random_limit_graph_config,
+    random_linear_order,
+    random_permutation,
+    random_poset,
+    random_schedule_config,
+    random_sigma2_config,
+)
 from _oracles import fw_close, lds_length, lis_length
 from conftest import SHIPPED, build_run as cli_build_run
 
@@ -291,8 +291,8 @@ def test_06_jump_prefixes_decode_from_chains_and_antichains():
                 assert got == sched.prefix(stages, i), (ac, i)
             antichains_checked += 1
 
-        assert jump.no_infinite_antichain_witness(co, sched).passed
-        assert jump.finite_chain_witness(ce, sched, stages).passed
+        assert jump.no_infinite_antichain_witness(co.current, sched).passed
+        assert jump.finite_chain_witness(ce.current, sched, stages).passed
         schedules += 1
     _report(
         "chains/antichains decode enumeration prefixes, witnesses hold",

@@ -233,7 +233,7 @@ def test_solve_command_outputs(shipped_runs, tmp_path):
     assert payload["principle"] == "cac" and payload["kind"] in ("chain", "antichain")
     assert len(payload["elements"]) >= 1
 
-    from staged_orders.generators import random_linear_order
+    from _generators import random_linear_order
     import random as random_mod
 
     lin = random_linear_order(random_mod.Random(3), 9)

@@ -6,11 +6,14 @@ import json
 import os
 import random
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import staged_orders
 from staged_orders.cli import main
 from staged_orders.kernel import ConfigError, Kind, Snapshot
 from staged_orders.serialize import (
@@ -367,6 +370,34 @@ def test_family_horizon_checks_the_cap_before_drawing(tmp_path, monkeypatch):
     result = _invoke("build", "--config", path, "--seed", "1", "--out", str(tmp_path / "run"))
     assert result.exit_code == 2 and result.exception is not None, result.exception
     assert json.loads(result.stderr)["error"] == "DomainLimitExceeded"
+
+
+@pytest.mark.parametrize(
+    "cfg, flags",
+    [
+        ({"construction": "jump-cochain", "entries": [[0, 1]], "n": 8}, ["--domain", "200000"]),
+        ({"construction": "spectrum-ce", "n": 3, "edges": [[0, 1]]}, ["--domain", "200000"]),
+        ({"construction": "sigma2", "indices": [{"i": 0, "member": True}]}, ["--domain", "200000"]),
+        ({"construction": "jump-cochain", "entries": [[0, 1]], "n": 200000}, []),
+        ({"construction": "spectrum-ce", "n": 200, "edges": []}, []),
+        ({"construction": "spectrum-ce", "n": 20000, "edges": []}, []),
+    ],
+    ids=["jump-flag", "spectrum-flag", "sigma2-flag", "jump-n", "spectrum-200", "spectrum-20000"],
+)
+def test_build_checks_the_cap_before_building(tmp_path, cfg, flags):
+    """A domain over the cap, named or implied, ends in a JSON error before
+    any matrix is allocated or gadget rung enumerated. A fresh interpreter
+    with a timeout, so a build that hangs fails instead."""
+    src = os.path.dirname(os.path.dirname(staged_orders.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("STAGED_ORDERS_MAX_DOMAIN", None)
+    config = _write(tmp_path / "cfg.json", cfg)
+    argv = ["build", "--config", config, *flags, "--out", str(tmp_path / "run")]
+    proc = subprocess.run([sys.executable, "-m", "staged_orders.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
+    assert json.loads(proc.stderr)["error"] == "DomainLimitExceeded"
 
 
 def test_export_dot_reduction_past_256_intermediates(tmp_path):

@@ -222,7 +222,7 @@ def test_add_pairs_matches_per_pair_rules(case):
 def test_check_monotone_flags_backsliding():
     order = StagedOrder(Kind.CE, Snapshot.from_pairs(3, []))
     grown = order.add_pairs([(0, 1)])
-    assert check_monotone(order).passed
+    assert check_monotone(order.snapshots, order.kind).passed
     shrunk_again = order.snapshots[0].with_stage(2)
     bad = check_monotone([order.snapshots[0], grown, shrunk_again], Kind.CE)
     assert not bad.passed
@@ -243,7 +243,7 @@ def test_random_histories_are_monotone_and_posets():
         for snap in order.snapshots:
             rel = snap.pairs
             assert is_transitive(rel, n) and is_antisymmetric(rel)
-        assert check_monotone(order).passed
+        assert check_monotone(order.snapshots, order.kind).passed
 
 
 def test_apply_permutation_relabels():

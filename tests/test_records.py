@@ -16,15 +16,6 @@ from staged_orders.kernel import (
     PosetReport,
     Snapshot,
 )
-from staged_orders.roles import (
-    Sigma2A,
-    Sigma2B,
-    Sigma2C,
-    Sigma2Const,
-    SpectrumA,
-    SpectrumConst,
-    SpectrumG,
-)
 from staged_orders.sigma2 import MemberIndex, NonmemberIndex, SyntheticSigma2Predicate
 from staged_orders.solvers import CondensationResult
 
@@ -46,13 +37,6 @@ RECORDS = [
     (MonotoneReport, ("kind", "passed", "failures"), (Kind.CE, False, ((1, (0, 1)),)),
      (Kind.COCE, False, ((1, (0, 1)),)),
      "MonotoneReport(kind=<Kind.CE: 'ce'>, passed=False, failures=((1, (0, 1)),))"),
-    (Sigma2Const, ("name",), ("f",), ("l",), "Sigma2Const(name='f')"),
-    (Sigma2A, ("i", "k"), (1, 0), (1, 1), "Sigma2A(i=1, k=0)"),
-    (Sigma2B, ("x",), (3,), (4,), "Sigma2B(x=3)"),
-    (Sigma2C, ("i", "k"), (1, 0), (2, 0), "Sigma2C(i=1, k=0)"),
-    (SpectrumConst, ("name",), ("r0",), ("r1",), "SpectrumConst(name='r0')"),
-    (SpectrumA, ("i",), (3,), (2,), "SpectrumA(i=3)"),
-    (SpectrumG, ("i", "j", "k"), (0, 2, 5), (1, 2, 5), "SpectrumG(i=0, j=2, k=5)"),
     (MemberIndex, ("witness", "defeats"), (2, (3, 4)), (2, (3, 5)),
      "MemberIndex(witness=2, defeats=(3, 4))"),
     (NonmemberIndex, ("offset", "step", "horizon"), (1, 2, 7), (1, 2, None),
@@ -86,15 +70,13 @@ IDS = [case[0].__name__ for case in RECORDS]
 # Pairs of classes whose fields coincide: records of different classes
 # never compare equal, even with the same values.
 LOOKALIKES = [
-    (Sigma2A(1, 0), Sigma2C(1, 0)),
-    (Sigma2Const("a"), SpectrumConst("a")),
-    (Sigma2B(1), SpectrumA(1)),
     (IsomorphismReport(False, ((0, 1),)), WitnessReport(False, ((0, 1),))),
+    (EnumerationSchedule(()), SyntheticSigma2Predicate(())),
 ]
 
 
 def test_every_record_class_is_covered():
-    assert len(RECORDS) == len(set(IDS)) == 19
+    assert len(RECORDS) == len(set(IDS)) == 12
 
 
 @pytest.mark.parametrize("cls, fields, values, other, text", RECORDS, ids=IDS)
@@ -143,13 +125,13 @@ def test_record_defaults():
 
 def test_records_refuse_wrong_arguments():
     with pytest.raises(TypeError):
-        Sigma2A(1)
+        WitnessReport(True)
     with pytest.raises(TypeError):
-        Sigma2A(1, 0, 0)
+        WitnessReport(True, (), 0)
     with pytest.raises(TypeError):
-        Sigma2A(1, k=0, j=0)
+        WitnessReport(True, failures=(), j=0)
     with pytest.raises(TypeError):
-        Sigma2A(1, i=1)
+        WitnessReport(True, passed=True)
 
 
 def _square(n, pairs):
@@ -162,17 +144,6 @@ def _square(n, pairs):
 @pytest.mark.parametrize(
     "build, error, text",
     [
-        (lambda: Sigma2Const("z"), ValueError, "unknown constant 'z'"),
-        (lambda: Sigma2A(1, 2), ValueError, "a_{i,k} requires 0 <= k <= i, got (1, 2)"),
-        (lambda: Sigma2A(1, -1), ValueError, "a_{i,k} requires 0 <= k <= i, got (1, -1)"),
-        (lambda: Sigma2B(-1), ValueError, "b_x requires x >= 0, got -1"),
-        (lambda: Sigma2C(1, 1), ValueError, "c_{i,k} requires 0 <= k < i, got (1, 1)"),
-        (lambda: SpectrumConst("q"), ValueError, "unknown constant 'q'"),
-        (lambda: SpectrumA(-2), ValueError, "a_i requires i >= 0, got -2"),
-        (lambda: SpectrumG(1, 1, 0), ValueError,
-         "g_{i,j,k} requires 0 <= i < j, k >= 0, got SpectrumG(i=1, j=1, k=0)"),
-        (lambda: SpectrumG(0, 1, -1), ValueError,
-         "g_{i,j,k} requires 0 <= i < j, k >= 0, got SpectrumG(i=0, j=1, k=-1)"),
         (lambda: MemberIndex(True, (1,)), ConfigError, "witness is a natural"),
         (lambda: MemberIndex(2, (1,)), ConfigError,
          "member index needs one defeat stage per witness below it"),

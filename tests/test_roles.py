@@ -4,47 +4,63 @@ from hypothesis import given, settings, strategies as st
 from staged_orders.roles import (
     SIGMA2_CONSTANTS,
     SPECTRUM_CONSTANTS,
-    Sigma2A,
-    Sigma2B,
-    Sigma2C,
-    Sigma2Const,
-    SpectrumA,
-    SpectrumConst,
-    SpectrumG,
     cantor_pair,
     cantor_unpair,
     pair_rank,
     pair_unrank,
+    sigma2_a_code,
+    sigma2_b_code,
+    sigma2_c_code,
     sigma2_decode,
-    sigma2_encode,
     sigma2_label,
     spectrum_decode,
-    spectrum_encode,
+    spectrum_gadget_code,
     spectrum_label,
+    spectrum_vertex_code,
 )
 
 
 def test_sigma2_frozen_codes():
-    assert [sigma2_encode(Sigma2Const(c)) for c in SIGMA2_CONSTANTS] == [0, 1, 2, 3, 4]
-    assert sigma2_encode(Sigma2B(0)) == 5
-    assert sigma2_encode(Sigma2A(0, 0)) == 6
-    assert sigma2_encode(Sigma2C(1, 0)) == 7
-    assert sigma2_encode(Sigma2B(1)) == 8
-    assert sigma2_encode(Sigma2A(1, 0)) == 9
+    assert [sigma2_decode(code) for code in range(5)] == [(c,) for c in SIGMA2_CONSTANTS]
+    assert sigma2_b_code(0) == 5
+    assert sigma2_a_code(0, 0) == 6
+    assert sigma2_c_code(1, 0) == 7
+    assert sigma2_b_code(1) == 8
+    assert sigma2_a_code(1, 0) == 9
 
 
 def test_spectrum_frozen_codes():
-    assert [spectrum_encode(SpectrumConst(c)) for c in SPECTRUM_CONSTANTS] == [0, 1, 2, 3]
-    assert spectrum_encode(SpectrumA(0)) == 4
-    assert spectrum_encode(SpectrumG(0, 1, 0)) == 5
-    assert spectrum_encode(SpectrumA(1)) == 6
+    assert [spectrum_decode(code) for code in range(4)] == [(c,) for c in SPECTRUM_CONSTANTS]
+    assert spectrum_vertex_code(0) == 4
+    assert spectrum_gadget_code(0, 1, 0) == 5
+    assert spectrum_vertex_code(1) == 6
+
+
+def _sigma2_encode(role):
+    if len(role) == 1:
+        return SIGMA2_CONSTANTS.index(role[0])
+    if role[0] == "b":
+        return sigma2_b_code(role[1])
+    _, i, k = role
+    assert 0 <= k <= i if role[0] == "a" else 0 <= k < i
+    return (sigma2_a_code if role[0] == "a" else sigma2_c_code)(i, k)
+
+
+def _spectrum_encode(role):
+    if len(role) == 1:
+        return SPECTRUM_CONSTANTS.index(role[0])
+    if role[0] == "a":
+        return spectrum_vertex_code(role[1])
+    _, i, j, k = role
+    assert 0 <= i < j and k >= 0
+    return spectrum_gadget_code(i, j, k)
 
 
 def test_sigma2_codec_is_a_bijection_on_a_long_prefix():
     seen = set()
     for code in range(100_000):
         role = sigma2_decode(code)
-        assert sigma2_encode(role) == code
+        assert _sigma2_encode(role) == code
         assert role not in seen
         seen.add(role)
 
@@ -53,7 +69,7 @@ def test_spectrum_codec_is_a_bijection_on_a_long_prefix():
     seen = set()
     for code in range(100_000):
         role = spectrum_decode(code)
-        assert spectrum_encode(role) == code
+        assert _spectrum_encode(role) == code
         assert role not in seen
         seen.add(role)
 
@@ -76,37 +92,38 @@ def test_pair_rank_round_trip(p):
 @given(st.integers(0, 500), st.integers(0, 500))
 @settings(max_examples=200, deadline=None)
 def test_sigma2_a_roles_round_trip(i, k):
-    role = Sigma2A(i, min(i, k))
-    assert sigma2_decode(sigma2_encode(role)) == role
+    k = min(i, k)
+    assert sigma2_decode(sigma2_a_code(i, k)) == ("a", i, k)
 
 
 def test_role_validation():
-    with pytest.raises(ValueError):
-        Sigma2A(1, 2)  # column beyond the row
-    with pytest.raises(ValueError):
-        Sigma2C(1, 1)  # strictly fewer links than row elements
-    with pytest.raises(ValueError):
-        Sigma2B(-1)
-    with pytest.raises(ValueError):
-        SpectrumG(1, 1, 0)  # needs i < j
-    with pytest.raises(ValueError):
-        Sigma2Const("z")
-    with pytest.raises(ValueError):
-        SpectrumConst("q")
+    for decode in (sigma2_decode, spectrum_decode):
+        with pytest.raises(ValueError, match="codes are naturals"):
+            decode(-1)
 
 
 def test_labels_read_naturally():
-    assert sigma2_label(Sigma2Const("a")) == "a"
-    assert sigma2_label(Sigma2B(0)) == "b_0"
-    assert sigma2_label(Sigma2A(0, 0)) == "a_{0,0}"
-    assert sigma2_label(Sigma2C(1, 0)) == "c_{1,0}"
-    assert sigma2_label(7) == "c_{1,0}"
-    assert spectrum_label(SpectrumConst("r0")) == "r0"
-    assert spectrum_label(SpectrumA(0)) == "a_0"
-    assert spectrum_label(SpectrumG(0, 1, 0)) == "g_{0,1,0}"
+    assert sigma2_label(0) == "a"
+    assert sigma2_label(sigma2_b_code(0)) == "b_0"
+    assert sigma2_label(sigma2_a_code(0, 0)) == "a_{0,0}"
+    assert sigma2_label(sigma2_c_code(1, 0)) == "c_{1,0}"
+    assert sigma2_label(sigma2_c_code(12, 3)) == "c_{12,3}"
+    assert spectrum_label(2) == "r0"
+    assert spectrum_label(spectrum_vertex_code(0)) == "a_0"
+    assert spectrum_label(spectrum_gadget_code(0, 1, 0)) == "g_{0,1,0}"
+    assert spectrum_label(spectrum_gadget_code(3, 10, 7)) == "g_{3,10,7}"
     assert spectrum_label(3) == "r1"
 
 
-def test_spectrum_labels_of_codes_and_roles_agree():
+def test_sigma2_labels_of_codes_and_roles_agree():
+    formats = {1: "{}", 2: "{}_{}", 3: "{}_{{{},{}}}"}
     for code in range(10_000):
-        assert spectrum_label(code) == spectrum_label(spectrum_decode(code))
+        role = sigma2_decode(code)
+        assert sigma2_label(code) == formats[len(role)].format(*role)
+
+
+def test_spectrum_labels_of_codes_and_roles_agree():
+    formats = {1: "{}", 2: "{}_{}", 4: "{}_{{{},{},{}}}"}
+    for code in range(10_000):
+        role = spectrum_decode(code)
+        assert spectrum_label(code) == formats[len(role)].format(*role)

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from staged_orders.generators import random_permutation, random_sigma2_config
 from staged_orders.kernel import (
     ConfigError,
     DomainTooSmall,
@@ -10,7 +9,7 @@ from staged_orders.kernel import (
     check_monotone,
     check_partial_order,
 )
-from staged_orders.roles import Sigma2A, Sigma2B, sigma2_encode
+from staged_orders.roles import sigma2_a_code, sigma2_b_code
 from staged_orders.sigma2 import (
     DEFAULT_CONSTS,
     MemberIndex,
@@ -24,11 +23,12 @@ from staged_orders.sigma2 import (
     locate_sequence,
     membership_query,
     predicate_from_config,
-    predicate_to_config,
     required_domain_bound,
     stabilization_stage,
     validate_predicate,
 )
+
+from _generators import random_permutation, random_sigma2_config
 
 
 def _mixed_pred():
@@ -53,8 +53,15 @@ def test_defeat_stages_and_truth():
 
 
 def test_config_round_trip():
-    pred = _mixed_pred()
-    assert predicate_from_config(predicate_to_config(pred)) == pred
+    written = {
+        "indices": [
+            {"i": 0, "member": True, "witness": 0, "defeats": []},
+            {"i": 1, "member": False, "defeat_rule": {"offset": 1, "step": 1}},
+            {"i": 2, "member": True, "witness": 2, "defeats": [3, 1]},
+            {"i": 3, "member": False, "defeat_rule": {"offset": 2, "step": 0}},
+        ]
+    }
+    assert predicate_from_config(written) == _mixed_pred()
     with pytest.raises(ConfigError):
         predicate_from_config({"indices": [{"i": 1, "member": True}]})
     with pytest.raises(ConfigError):
@@ -77,7 +84,7 @@ def test_run_is_a_shrinking_poset_history():
     bound = required_domain_bound(pred)
     stages = stabilization_stage(pred, bound) + 2
     order, witnesses = build_run(pred, bound, stages)
-    assert check_monotone(order).passed
+    assert check_monotone(order.snapshots, order.kind).passed
     for snap in order.snapshots:
         assert check_partial_order(snap).passed
     assert witnesses[0] == 0
@@ -108,8 +115,8 @@ def test_regions_partition_the_scaffolding():
     bound = required_domain_bound(pred)
     order, _ = build_run(pred, bound, 3)
     a_set, b_set, c_set = identify_regions(order.current)
-    assert sigma2_encode(Sigma2A(0, 0)) in a_set
-    assert sigma2_encode(Sigma2B(0)) in b_set
+    assert sigma2_a_code(0, 0) in a_set
+    assert sigma2_b_code(0) in b_set
     assert not (a_set & b_set) and not (a_set & c_set) and not (b_set & c_set)
     assert all(x > 4 for x in a_set | b_set | c_set)
 
@@ -121,7 +128,7 @@ def test_locate_sequence_finds_each_row():
     order, _ = build_run(pred, bound, stages)
     for i in range(pred.bound):
         row = locate_sequence(order.current, DEFAULT_CONSTS, i)
-        assert row == tuple(sigma2_encode(Sigma2A(i, k)) for k in range(i + 1))
+        assert row == tuple(sigma2_a_code(i, k) for k in range(i + 1))
     with pytest.raises(NotFound):
         locate_sequence(order.current, DEFAULT_CONSTS, pred.bound)
 

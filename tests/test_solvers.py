@@ -3,12 +3,6 @@ import random
 import numpy as np
 import pytest
 
-from staged_orders.generators import (
-    random_linear_order,
-    random_poset,
-    random_preorder,
-    random_total_preorder,
-)
 from staged_orders import solvers
 from staged_orders.kernel import Snapshot, check_partial_order, close_matrix
 from staged_orders.solvers import (
@@ -27,6 +21,12 @@ from staged_orders.solvers import (
     solve_cac,
 )
 
+from _generators import (
+    random_linear_order,
+    random_poset,
+    random_preorder,
+    random_total_preorder,
+)
 from _oracles import lds_length, lis_length, longest_chain_length
 
 

@@ -4,7 +4,6 @@ import re
 
 import pytest
 
-from staged_orders.generators import random_limit_graph_config, random_permutation
 from staged_orders.kernel import (
     ConfigError,
     DomainTooSmall,
@@ -15,7 +14,7 @@ from staged_orders.kernel import (
     check_partial_order,
     close_matrix,
 )
-from staged_orders.roles import SpectrumA, SpectrumG, spectrum_encode
+from staged_orders.roles import spectrum_gadget_code, spectrum_vertex_code
 from staged_orders.spectrum import (
     DEFAULT_SPECTRUM_CONSTS,
     InsufficientStages,
@@ -31,18 +30,11 @@ from staged_orders.spectrum import (
     decode_graph,
     element_to_vertex,
     graph_from_config,
-    graph_to_config,
     required_domain_bound,
     required_stages,
 )
 
-
-def _vc(i):
-    return spectrum_encode(SpectrumA(i))
-
-
-def _gc(i, j, k):
-    return spectrum_encode(SpectrumG(i, j, k))
+from _generators import random_limit_graph_config, random_permutation
 
 
 def test_value_follows_the_flip_schedule():
@@ -88,14 +80,14 @@ def test_single_flip_trace():
     m = ce.matrix
     r0, r1 = DEFAULT_SPECTRUM_CONSTS.r0, DEFAULT_SPECTRUM_CONSTS.r1
     # rung 0 carried "non-edge" before the flip, then got neutralized
-    assert m[_gc(0, 1, 0), r0] and m[_gc(0, 1, 0), r1]
+    assert m[spectrum_gadget_code(0, 1, 0), r0] and m[spectrum_gadget_code(0, 1, 0), r1]
     # rung 2 carries the final "edge" mark
-    assert m[_gc(0, 1, 2), r1] and not m[_gc(0, 1, 2), r0]
+    assert m[spectrum_gadget_code(0, 1, 2), r1] and not m[spectrum_gadget_code(0, 1, 2), r0]
 
     coce = build_spectrum_run(Kind.COCE, g, dom, stages).current
     mc = coce.matrix
-    assert not mc[_gc(0, 1, 0), r0] and not mc[_gc(0, 1, 0), r1]
-    assert mc[_gc(0, 1, 2), r1] and not mc[_gc(0, 1, 2), r0]
+    assert not mc[spectrum_gadget_code(0, 1, 0), r0] and not mc[spectrum_gadget_code(0, 1, 0), r1]
+    assert mc[spectrum_gadget_code(0, 1, 2), r1] and not mc[spectrum_gadget_code(0, 1, 2), r0]
 
 
 def test_bounds_are_enforced():
@@ -107,13 +99,24 @@ def test_bounds_are_enforced():
         build_spectrum_run(Kind.CE, g, dom, required_stages(g, dom) - 1)
 
 
+def test_domain_bound_holds_every_vertex_and_every_pair_at_its_modulus():
+    rng = random.Random(17)
+    for _ in range(300):
+        g = graph_from_config(random_limit_graph_config(rng, rng.randrange(0, 9), p_flip=0.2))
+        codes = [spectrum_vertex_code(i) for i in range(g.n)] + [
+            spectrum_gadget_code(i, j, g.modulus(i, j))
+            for i, j in itertools.combinations(range(g.n), 2)
+        ]
+        assert required_domain_bound(g) == max([3] + codes) + 1
+
+
 def test_histories_are_clean_posets():
     g = LimitGraph(3, [(0, 2)], {(0, 1): (1, 3), (1, 2): (2,)})
     dom = required_domain_bound(g)
     stages = required_stages(g, dom)
     for kind in (Kind.CE, Kind.COCE):
         order = build_spectrum_run(kind, g, dom, stages)
-        assert check_monotone(order).passed
+        assert check_monotone(order.snapshots, order.kind).passed
         for snap in order.snapshots:
             assert check_partial_order(snap).passed
 
@@ -144,7 +147,7 @@ def test_exhaustive_small_graphs_decode_exactly():
             g = LimitGraph(n, edges, flips)
             dom = required_domain_bound(g)
             stages = required_stages(g, dom)
-            want = frozenset((_vc(i), _vc(j)) for i, j in edges)
+            want = frozenset((spectrum_vertex_code(i), spectrum_vertex_code(j)) for i, j in edges)
             for kind in (Kind.CE, Kind.COCE):
                 snap = build_spectrum_run(kind, g, dom, stages).current
                 assert decode_graph(snap, kind) == want
@@ -171,15 +174,15 @@ def test_decode_survives_relabeling():
 
 
 def test_vertex_mapping():
-    assert element_to_vertex(_vc(0)) == 0
-    assert element_to_vertex(_vc(7)) == 7
+    assert element_to_vertex(spectrum_vertex_code(0)) == 0
+    assert element_to_vertex(spectrum_vertex_code(7)) == 7
     with pytest.raises(ConfigError):
         element_to_vertex(5)  # a gadget element, not a vertex
 
 
 def test_decoder_flags_missing_and_duplicate_marks():
     g = LimitGraph(2, [(0, 1)], {})
-    dom = _gc(0, 1, 1) + 1  # room for a second rung on the pair
+    dom = spectrum_gadget_code(0, 1, 1) + 1  # room for a second rung on the pair
     stages = required_stages(g, dom)
     order = build_spectrum_run(Kind.CE, g, dom, stages)
     early = order.snapshots[0]
@@ -189,14 +192,15 @@ def test_decoder_flags_missing_and_duplicate_marks():
         decode_graph(early, Kind.COCE)
     with pytest.raises(MultipleWitnesses):
         decode_graph(early, Kind.CE)
-    assert decode_graph(order.current, Kind.CE) == frozenset({(_vc(0), _vc(1))})
+    edge = (spectrum_vertex_code(0), spectrum_vertex_code(1))
+    assert decode_graph(order.current, Kind.CE) == frozenset({edge})
 
 
 def test_config_round_trip():
-    blob = random_limit_graph_config(random.Random(3), 5)
-    g = graph_from_config(blob)
-    again = graph_from_config(graph_to_config(g))
-    assert again.edges == g.edges and again.flips == g.flips and again.n == g.n
+    written = {"n": 4, "edges": [[0, 2], [1, 3]], "flips": {"0,1": [2], "1,3": [1, 4]}}
+    g = graph_from_config(written)
+    assert (g.n, g.edges) == (4, {(0, 2), (1, 3)})
+    assert g.flips == {(0, 1): (2,), (1, 3): (1, 4)}
 
 
 def _set_mark(m, w, kind, marked):
@@ -210,9 +214,9 @@ def _set_mark(m, w, kind, marked):
 
 
 # two more rungs of (1, 2) marked beside the live one
-EXTRA_MARKS = [(_gc(1, 2, 1), True), (_gc(1, 2, 2), True)]
+EXTRA_MARKS = [(spectrum_gadget_code(1, 2, 1), True), (spectrum_gadget_code(1, 2, 2), True)]
 # the live rung of (0, 2) neutralized
-LIVE_NEUTRALIZED = [(_gc(0, 2, 0), False)]
+LIVE_NEUTRALIZED = [(spectrum_gadget_code(0, 2, 0), False)]
 # both at once
 BOTH = EXTRA_MARKS[:1] + LIVE_NEUTRALIZED
 
@@ -223,7 +227,7 @@ def _spoiler(kind, reverse):
     constants under it, and a function from defects to the relabeled
     snapshot with those gadgets marked or neutralized."""
     g = LimitGraph(3, [(0, 1)], {})
-    dom = max(_gc(i, j, 2) for i, j in itertools.combinations(range(3), 2)) + 1
+    dom = max(spectrum_gadget_code(i, j, 2) for i, j in itertools.combinations(range(3), 2)) + 1
     final = build_spectrum_run(kind, g, dom, required_stages(g, dom)).current
     perm = list(range(dom))[::-1] if reverse else list(range(dom))
     consts = SpectrumConsts(*(perm[c] for c in DEFAULT_SPECTRUM_CONSTS))
@@ -246,13 +250,13 @@ def test_decoder_names_the_first_bad_pair_and_its_gadgets(kind, reverse):
         return decode_graph(spoil(defects), kind, consts)
 
     def pair(i, j):
-        return tuple(sorted((perm[_vc(i)], perm[_vc(j)])))
+        return tuple(sorted((perm[spectrum_vertex_code(i)], perm[spectrum_vertex_code(j)])))
 
     assert decode([]) == frozenset({pair(0, 1)})
     # the extra marks are listed ascending
     with pytest.raises(MultipleWitnesses) as caught:
         decode(EXTRA_MARKS)
-    gadgets = sorted(perm[_gc(1, 2, k)] for k in range(3))
+    gadgets = sorted(perm[spectrum_gadget_code(1, 2, k)] for k in range(3))
     assert str(caught.value) == f"gadgets {gadgets} all marked for vertex pair {pair(1, 2)}"
     with pytest.raises(NoWitness) as caught:
         decode(LIVE_NEUTRALIZED)
