@@ -121,7 +121,8 @@ def spectrum_decode(n: int) -> tuple:
     if m % 2 == 0:
         return ("a", m // 2)
     p, k = cantor_unpair((m - 1) // 2)
-    return ("g",) + pair_unrank(p) + (k,)
+    i, j = pair_unrank(p)
+    return ("g", i, j, k)
 
 
 def spectrum_label(code: int) -> str:
@@ -130,4 +131,4 @@ def spectrum_label(code: int) -> str:
         return role[0]
     if len(role) == 2:
         return "a_%d" % role[1]
-    return "g_{%d,%d,%d}" % role[1:]
+    return "%s_{%d,%d,%d}" % role
