@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from staged_orders.kernel import ConfigError, Kind, Snapshot, StagedOrder
+from staged_orders.kernel import (
+    ConfigError,
+    Kind,
+    Snapshot,
+    StagedOrder,
+    StagedOrderError,
+    close_matrix,
+)
 from staged_orders.serialize import (
     canonical_dumps,
     config_hash,
@@ -174,6 +181,54 @@ def test_written_run_loads_back_stage_by_stage(case):
         assert len(paths) == len(snapshots)
         for path, snapshot in zip(paths, loaded):
             assert load_snapshot(path) == (snapshot, kind)
+
+
+@st.composite
+def _order_histories(draw):
+    """A kind, a closed start of 0 to 8 elements, perhaps labelled, and 0
+    to 8 batches of 0 to 6 random pairs, some of which the order refuses."""
+    kind = draw(st.sampled_from([Kind.CE, Kind.COCE]))
+    n = draw(st.integers(0, 8))
+    element = st.integers(0, max(n - 1, 0))
+    pair = st.tuples(element, element)
+    start = np.eye(n, dtype=bool)
+    for i, j in draw(st.lists(pair, max_size=12 if n else 0)):
+        start[min(i, j), max(i, j)] = True  # upward only, so no cycle
+    close_matrix(start)
+    labels = draw(st.dictionaries(element, st.text(max_size=2), max_size=n)) if n else {}
+    batches = draw(st.lists(st.lists(pair, max_size=6 if n else 0), max_size=8))
+    return kind, Snapshot(n, 0, start, labels), batches
+
+
+@given(_order_histories())
+@settings(max_examples=200, deadline=None)
+def test_order_history_is_written_as_its_deltas(case):
+    """The snapshots an order replays are those it held, a middle file
+    holds the sorted strict pairs its stage added and removed, and the
+    run loads back as the recorded history."""
+    kind, start, batches = case
+    order = StagedOrder(kind, start)
+    mutate = order.add_pairs if kind is Kind.CE else order.remove_pairs
+    recorded = [order.current]
+    for batch in batches:
+        try:
+            mutate(batch)
+        except StagedOrderError:
+            continue
+        recorded.append(order.current)
+    assert order.snapshots == tuple(recorded)
+    with tempfile.TemporaryDirectory() as out:
+        write_run(out, "demo", {}, kind, list(order.snapshots), len(recorded) - 1)
+        paths = run_snapshot_paths(out)
+        assert len(paths) == len(recorded)
+        for path, before, now in zip(paths[1:-1], recorded, recorded[1:]):
+            obj = load_json(path)
+            off = ~np.eye(start.domain_size, dtype=bool)
+            old, new = before.matrix & off, now.matrix & off
+            assert obj["added"] == np.argwhere(new & ~old).tolist()
+            assert obj["removed"] == np.argwhere(old & ~new).tolist()
+        _, _, loaded, loaded_kind = load_run(out)
+        assert loaded_kind is kind and loaded == recorded
 
 
 # Replacements for numbers of a pair list: all but the last two lie outside
