@@ -136,9 +136,9 @@ def build(construction, config_path, stages, domain, seed, out_dir):
     """Run a construction and write snapshots plus a manifest."""
     plan = RunPlan(load_json(config_path), construction, stages, domain, seed)
     con = CONSTRUCTIONS[plan.construction]
-    snapshots, family = con.build(plan)
+    order, family = con.build(plan)
     _emit(write_run(
-        out_dir, con.name, plan.resolved(), con.kind, snapshots, plan.stages,
+        out_dir, con.name, plan.resolved(), con.kind, order, plan.stages,
         plan.seed, family,
     ))
 

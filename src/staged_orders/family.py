@@ -236,7 +236,7 @@ class FamilyConstruction(Construction):
             )
         pre = preorder_from_config(payload)
         stages = plan.stages_or(sufficient_stages(pre))
-        return [], build_family(pre, stages).to_obj()
+        return None, build_family(pre, stages).to_obj()
 
     def readout(self, snap, kind, consts, config, original) -> dict:
         raise ConfigError("family runs decode via 'verify --suite isomorphism'")

@@ -4,8 +4,11 @@ A construction runs in stages. At each stage it either adds pairs (a
 c.e. approximation, the relation only grows) or removes pairs (a co-c.e.
 approximation, the relation only shrinks). Every stage must leave the
 relation reflexive and transitively closed; additions must also keep it
-antisymmetric. The kernel stores each stage as an immutable boolean
-matrix and enforces those invariants at mutation time.
+antisymmetric. The kernel enforces those invariants at mutation time. A
+history holds two immutable boolean matrices, its first stage and its
+current one, and for every later stage only the strict pairs that stage
+added and removed, so its memory grows with the pairs that change, not
+with the number of stages.
 
 `Record` is the base of the package's small immutable value classes
 (axiom and monotonicity reports, predicate specs, schedules). Its fields
@@ -19,7 +22,7 @@ from __future__ import annotations
 import os
 from enum import Enum
 from itertools import chain
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -250,24 +253,11 @@ def close_matrix(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def transitive_close(
-    pairs: Iterable[Tuple[int, int]], domain_size: int
-) -> frozenset:
-    """Reflexive-transitive closure of `pairs` on {0..domain_size-1}.
-
-    Raises AntisymmetryViolation if the closure contains a 2-cycle, and
-    DomainTooSmall if a pair mentions an element outside the domain.
-    """
-    matrix = _matrix_of(pairs, domain_size)
-    _close_in_place(matrix, range(domain_size))
-    witness = _find_antisymmetry_witness(matrix)
-    if witness is not None:
-        raise AntisymmetryViolation(*witness)
-    return _pairs_of(matrix)
-
-
 class Snapshot:
-    """One stage of a staged order: an immutable reflexive relation."""
+    """One stage of a staged order: an immutable reflexive relation. The
+    matrix is taken uncopied only if it owns its data and is read-only;
+    any other array, a read-only view of a writable one included, is
+    copied, so nothing outside can change a snapshot once it is checked."""
 
     __slots__ = ("domain_size", "stage", "matrix", "labels")
 
@@ -281,7 +271,7 @@ class Snapshot:
         _check_domain_size(domain_size)
         if matrix.shape != (domain_size, domain_size) or matrix.dtype != np.bool_:
             raise StagedOrderError("matrix must be a boolean square of the domain size")
-        if not matrix.flags.writeable:
+        if matrix.flags.owndata and not matrix.flags.writeable:
             frozen = matrix
         else:
             frozen = matrix.copy()
@@ -317,9 +307,6 @@ class Snapshot:
     @property
     def strict(self) -> frozenset:
         return _pairs_of(_strict(self.matrix))
-
-    def with_stage(self, stage: int) -> "Snapshot":
-        return Snapshot(self.domain_size, stage, self.matrix, self.labels)
 
     def __eq__(self, other):
         if not isinstance(other, Snapshot):
@@ -418,9 +405,16 @@ def check_monotone(snapshots: Sequence[Snapshot], kind: Kind) -> MonotoneReport:
     return MonotoneReport(kind, not failures, tuple(failures))
 
 
-def _close_batch(matrix: np.ndarray, idx: np.ndarray) -> Optional[np.ndarray]:
+_NO_PAIRS = np.empty((0, 2), dtype=np.int64)
+_NO_PAIRS.setflags(write=False)
+
+
+def _close_batch(
+    matrix: np.ndarray, idx: np.ndarray
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """The closure of the closed order `matrix` with the pairs of the int64
-    (k, 2) array `idx` added, or None if that closure has a 2-cycle.
+    (k, 2) array `idx` added, and the sorted pairs the closure added; None
+    if that closure has a 2-cycle. If nothing is added, `matrix` itself.
 
     Let R be the order and B the pairs R does not hold yet. R is reflexive
     and transitive, so every path in R and B is a run of "R-step, then a
@@ -428,10 +422,12 @@ def _close_batch(matrix: np.ndarray, idx: np.ndarray) -> Optional[np.ndarray]:
     of B. Hence R | R.B, closed over B's heads only, is the closure; R.B
     needs R's columns at B's tails only, and fills columns at heads only.
     A 2-cycle in the closure uses a B-pair, so it puts that pair's head on
-    a 2-cycle too: checking the heads' rows is enough."""
+    a 2-cycle too: checking the heads' rows is enough. For the same reason
+    only a row that reaches a head can gain a pair, so only those rows
+    are compared with R."""
     fresh = idx[~matrix[idx[:, 0], idx[:, 1]]]
     if not fresh.size:
-        return matrix
+        return matrix, _NO_PAIRS
     tails, row = np.unique(fresh[:, 0], return_inverse=True)
     heads, col = np.unique(fresh[:, 1], return_inverse=True)
     batch = np.zeros((tails.size, heads.size), dtype=bool)
@@ -442,7 +438,9 @@ def _close_batch(matrix: np.ndarray, idx: np.ndarray) -> Optional[np.ndarray]:
     # reflexive, so a head is on no 2-cycle iff it meets the transpose only at itself
     if np.count_nonzero(closed[heads] & closed[:, heads].T) != heads.size:
         return None
-    return closed
+    rows = np.flatnonzero(closed[:, heads].any(axis=1))
+    grown, cols = np.nonzero(closed[rows] & ~matrix[rows])
+    return closed, np.column_stack((rows[grown], cols))
 
 
 def _add_pair_by_pair(matrix: np.ndarray, pairs, n: int) -> np.ndarray:
@@ -466,12 +464,18 @@ def _add_pair_by_pair(matrix: np.ndarray, pairs, n: int) -> np.ndarray:
 
 
 class StagedOrder:
-    """Append-only history of snapshots, mutated via add_pairs/remove_pairs.
+    """Append-only history of a staged order, mutated via add_pairs and
+    remove_pairs.
 
-    Every snapshot in the history is a reflexive, antisymmetric,
-    transitively closed relation; each mutation appends one snapshot with
-    the stage incremented by 1. Mutations are atomic: on error nothing is
-    appended.
+    Every stage is a reflexive, antisymmetric, transitively closed
+    relation; each mutation appends one stage, numbered one past the last.
+    Mutations are atomic: on error nothing is appended.
+
+    The history is held as the `initial` and `current` snapshots and, for
+    each later stage, the strict pairs it added and removed (`deltas`):
+    sorted int64 (k, 2) arrays. No other stage's matrix is kept;
+    `snapshots` rebuilds them all by replaying the deltas. A stage that
+    changes nothing shares the matrix before it.
 
     A ce stage is closed in one pass over its batch's heads
     (`_close_batch`) and checked for antisymmetry once. The pairs are
@@ -483,44 +487,78 @@ class StagedOrder:
         _require(check_partial_order(initial), _violation)
         self.kind = kind
         self.domain_size = initial.domain_size
-        self._snapshots = [initial]
+        self._initial = self._current = initial
+        self._deltas: List[Tuple[np.ndarray, np.ndarray]] = []
 
     @property
-    def snapshots(self) -> Tuple[Snapshot, ...]:
-        return tuple(self._snapshots)
+    def initial(self) -> Snapshot:
+        return self._initial
 
     @property
     def current(self) -> Snapshot:
-        return self._snapshots[-1]
+        return self._current
+
+    @property
+    def deltas(self) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
+        """(added, removed) for each stage after the first, in order."""
+        return tuple(self._deltas)
+
+    @property
+    def snapshots(self) -> Tuple[Snapshot, ...]:
+        """Every stage, rebuilt from the first by replaying the deltas."""
+        history = [self._initial]
+        for added, removed in self._deltas:
+            before = history[-1]
+            matrix = before.matrix
+            if added.size or removed.size:
+                matrix = matrix.copy()
+                matrix[added[:, 0], added[:, 1]] = True
+                matrix[removed[:, 0], removed[:, 1]] = False
+                matrix.setflags(write=False)
+            history.append(Snapshot(self.domain_size, before.stage + 1, matrix, before.labels))
+        return tuple(history)
+
+    def _append(self, matrix: np.ndarray, added: np.ndarray, removed: np.ndarray) -> Snapshot:
+        """Make `matrix`, read-only and owning its data, the next stage."""
+        current = self._current
+        self._current = Snapshot(self.domain_size, current.stage + 1, matrix, current.labels)
+        self._deltas.append((added, removed))
+        return self._current
 
     def add_pairs(self, pairs: Iterable[Tuple[int, int]]) -> Snapshot:
         if self.kind is not Kind.CE:
             raise StagedOrderError("add_pairs is only valid on a growing (ce) order")
         pairs = list(pairs)
         n = self.domain_size
+        before = self._current.matrix
         idx = _pair_array(pairs, n)
-        matrix = None if idx is None else _close_batch(self.current.matrix, idx)
-        if matrix is None:
-            matrix = _add_pair_by_pair(self.current.matrix.copy(), pairs, n)
+        closed = None if idx is None else _close_batch(before, idx)
+        if closed is None:
+            matrix = _add_pair_by_pair(before.copy(), pairs, n)
+            added = np.argwhere(matrix & ~before)
+            closed = (matrix, added) if added.size else (before, _NO_PAIRS)
+        matrix, added = closed
         matrix.setflags(write=False)  # fresh or the current one: no copy needed
-        snapshot = Snapshot(n, self.current.stage + 1, matrix, self.current.labels)
-        self._snapshots.append(snapshot)
-        return snapshot
+        return self._append(matrix, added, _NO_PAIRS)
 
     def remove_pairs(self, pairs: Iterable[Tuple[int, int]]) -> Snapshot:
         if self.kind is not Kind.COCE:
             raise StagedOrderError("remove_pairs is only valid on a shrinking (coce) order")
-        matrix = self.current.matrix.copy()
+        before = self._current.matrix
         n = self.domain_size
-        removed = []
+        removed = {}  # the held pairs, each once, in the order first given
         for u, v in pairs:
             if not (0 <= u < n and 0 <= v < n):
                 raise DomainTooSmall(f"pair ({u}, {v}) outside domain of size {n}")
             if u == v:
                 raise StagedOrderError(f"cannot remove reflexive pair ({u}, {u})")
-            if matrix[u, v]:
-                matrix[u, v] = False
-                removed.append((u, v))
+            if before[u, v]:
+                removed[u, v] = None
+        if not removed:
+            return self._append(before, _NO_PAIRS, _NO_PAIRS)
+        idx = np.array(list(removed), dtype=np.int64)
+        matrix = before.copy()
+        matrix[idx[:, 0], idx[:, 1]] = False
         # Removing pairs from a closed relation can only break transitivity
         # at a removed pair, so checking those is exact.
         for u, v in removed:
@@ -528,9 +566,7 @@ class StagedOrder:
             if mid.size:
                 raise TransitivityViolation(u, int(mid[0]), v)
         matrix.setflags(write=False)  # fresh, so the snapshot takes it uncopied
-        snapshot = Snapshot(n, self.current.stage + 1, matrix, self.current.labels)
-        self._snapshots.append(snapshot)
-        return snapshot
+        return self._append(matrix, _NO_PAIRS, idx[np.lexsort((idx[:, 1], idx[:, 0]))])
 
 
 def apply_permutation(snapshot: Snapshot, perm: Sequence[int]) -> Snapshot:
@@ -567,8 +603,9 @@ class Construction:
                  taking the loaded run and returning (lines, passed)
     consts       default constants for decode --consts; None if it takes none
     checks_kind  whether decode refuses snapshots of the other kind
-    build(plan)  fill in the plan's defaults; return (snapshots, family
-                 object or None) for serialize.write_run
+    build(plan)  fill in the plan's defaults; return (order, family) for
+                 serialize.write_run: the StagedOrder built, or None for a
+                 set family, and the family object, or None for an order
     readout(snapshot, kind, consts, config, original)
                  the object decode prints; config() loads the sibling
                  config.json, original maps relabeled elements back

@@ -51,15 +51,45 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .kernel import ConfigError, Kind, Snapshot, _pair_array, _strict
+from .kernel import ConfigError, Kind, Snapshot, StagedOrder, _pair_array, _strict
 
 MANIFEST_NAME = "manifest.json"
 CONFIG_NAME = "config.json"
 FAMILY_NAME = "family.json"
 
 
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """`obj` as JSON with sorted keys, compact separators and a trailing
+    newline. A value of a top-level object may be an int (k, 2) array: it
+    is written as its list of pairs, with no Python object per pair."""
+    if not (isinstance(obj, dict) and any(isinstance(v, np.ndarray) for v in obj.values())):
+        return _dumps(obj) + "\n"
+    items = []
+    for key in sorted(obj):
+        value = obj[key]
+        text = _pairs_text(value) if isinstance(value, np.ndarray) else _dumps(value)
+        items.append(f"{json.dumps(key)}:{text}")
+    return "{" + ",".join(items) + "}\n"
+
+
+def _pairs_text(pairs: np.ndarray) -> str:
+    """_dumps(pairs.tolist()) for an int (k, 2) array of naturals, built one
+    run of pairs with the same first element at a time."""
+    if not len(pairs):
+        return "[]"
+    top = int(pairs.max())
+    # a table of the numbers' texts pays off once the list is longer than it
+    number = list(map(str, range(top + 1))).__getitem__ if len(pairs) > top else str
+    starts = np.flatnonzero(np.diff(pairs[:, 0])) + 1
+    runs = (
+        f"[{i}," + f"],[{i},".join(map(number, seconds.tolist())) + "]"
+        for i, seconds in zip(pairs[np.r_[0, starts], 0].tolist(), np.split(pairs[:, 1], starts))
+    )
+    return "[" + ",".join(runs) + "]"
 
 
 def config_hash(config_obj) -> str:
@@ -68,16 +98,25 @@ def config_hash(config_obj) -> str:
     return hashlib.sha256(canonical_dumps(config_obj).encode("utf-8")).hexdigest()
 
 
-def _stage_obj(snapshot: Snapshot, kind: Kind, **relation) -> dict:
-    obj = {"domain_size": snapshot.domain_size, "stage": snapshot.stage, "kind": kind.value}
+def _stage_obj(snapshot: Snapshot, kind: Kind, stage: int, **relation) -> dict:
+    """A stage file's object: `snapshot`'s domain size and labels, `stage`
+    and `relation`, its pair lists as lists or int (k, 2) arrays."""
+    obj = {"domain_size": snapshot.domain_size, "stage": stage, "kind": kind.value}
     obj.update(relation)
     if snapshot.labels:
         obj["labels"] = {str(k): v for k, v in snapshot.labels.items()}
     return obj
 
 
+def _full_obj(snapshot: Snapshot, kind: Kind) -> dict:
+    pairs = np.argwhere(_strict(snapshot.matrix))
+    return _stage_obj(snapshot, kind, snapshot.stage, pairs=pairs)
+
+
 def snapshot_to_obj(snapshot: Snapshot, kind: Kind) -> dict:
-    return _stage_obj(snapshot, kind, pairs=np.argwhere(_strict(snapshot.matrix)).tolist())
+    obj = _full_obj(snapshot, kind)
+    obj["pairs"] = obj["pairs"].tolist()
+    return obj
 
 
 def delta_to_obj(snapshot: Snapshot, base: Snapshot, base_name: str, kind: Kind) -> dict:
@@ -87,6 +126,7 @@ def delta_to_obj(snapshot: Snapshot, base: Snapshot, base_name: str, kind: Kind)
     return _stage_obj(
         snapshot,
         kind,
+        snapshot.stage,
         base=base_name,
         added=np.argwhere(now & ~before).tolist(),
         removed=np.argwhere(before & ~now).tolist(),
@@ -353,17 +393,24 @@ def write_run(
     construction: str,
     config_obj,
     kind: Kind,
-    snapshots: List[Snapshot],
+    order: Optional[StagedOrder],
     stages: int,
     seed: Optional[int] = None,
     family: Optional[dict] = None,
 ) -> dict:
-    """Write config, snapshots (or, for a set family, family.json) and the
-    manifest; return the manifest. Snapshot and family files an earlier
-    run left in `out_dir` are deleted; nothing else is."""
+    """Write config, the order's stages (or, for a set family, whose order
+    is None, family.json) and the manifest; return the manifest. The first
+    stage is written from the order's initial snapshot, the last from its
+    current one and each between from the delta the order recorded for it.
+    Snapshot and family files an earlier run left in `out_dir` are
+    deleted; nothing else is."""
     os.makedirs(out_dir, exist_ok=True)
-    last = snapshots[-1].stage if snapshots else 0
-    names = [_snapshot_name(snapshot.stage, last) for snapshot in snapshots]
+    if order is None:
+        deltas, first, count = (), 0, 0
+    else:
+        deltas, first = order.deltas, order.initial.stage
+        count = len(deltas) + 1
+    names = [_snapshot_name(first + i, first + count - 1) for i in range(count)]
     keep = set(names) | ({FAMILY_NAME} if family is not None else set())
     for name in os.listdir(out_dir):
         if (_is_snapshot_name(name) or name == FAMILY_NAME) and name not in keep:
@@ -373,20 +420,22 @@ def write_run(
         save_json(os.path.join(out_dir, FAMILY_NAME), family)
         domain_size = family["n"]
     else:
-        domain_size = snapshots[0].domain_size if snapshots else 0
-    for i, (name, snapshot) in enumerate(zip(names, snapshots)):
-        if 0 < i < len(snapshots) - 1:
-            obj = delta_to_obj(snapshot, snapshots[i - 1], names[i - 1], kind)
-        else:
-            obj = snapshot_to_obj(snapshot, kind)
-        save_json(os.path.join(out_dir, name), obj)
+        domain_size = order.domain_size if count else 0
+    if count:
+        save_json(os.path.join(out_dir, names[0]), _full_obj(order.initial, kind))
+    for i, (added, removed) in enumerate(deltas[:-1], 1):
+        obj = _stage_obj(order.current, kind, first + i, base=names[i - 1],
+                         added=added, removed=removed)
+        save_json(os.path.join(out_dir, names[i]), obj)
+    if count > 1:
+        save_json(os.path.join(out_dir, names[-1]), _full_obj(order.current, kind))
     manifest = {
         "construction": construction,
         "config_hash": config_hash(config_obj),
         "kind": kind.value,
         "domain_size": domain_size,
         "stages": stages,
-        "snapshot_count": len(snapshots),
+        "snapshot_count": count,
         "seed": seed,
     }
     save_json(os.path.join(out_dir, MANIFEST_NAME), manifest)

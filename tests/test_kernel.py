@@ -22,7 +22,6 @@ from staged_orders.kernel import (
     check_preorder,
     close_matrix,
     max_domain,
-    transitive_close,
     transitive_reduction,
 )
 
@@ -56,11 +55,16 @@ def pair_lists(max_n=8, acyclic=False):
     return st.integers(min_value=2, max_value=max_n).flatmap(pairs_for)
 
 
+def _closed_pairs(pairs, n):
+    """The pairs of close_matrix's closure of `pairs` on n elements."""
+    return {(int(i), int(j)) for i, j in np.argwhere(close_matrix(_matrix_of(pairs, n)))}
+
+
 @given(pair_lists(acyclic=True))
 @settings(max_examples=200, deadline=None)
-def test_transitive_close_matches_reference(case):
+def test_close_matrix_matches_reference(case):
     n, pairs = case
-    assert transitive_close(pairs, n) == fw_close(pairs, n)
+    assert _closed_pairs(pairs, n) == fw_close(pairs, n)
 
 
 @given(pair_lists())
@@ -79,13 +83,15 @@ def test_close_matrix_matches_reference_with_cycles(case):
 @settings(max_examples=100, deadline=None)
 def test_closure_idempotent(case):
     n, pairs = case
-    once = transitive_close(pairs, n)
-    assert transitive_close(once, n) == once
+    once = _closed_pairs(pairs, n)
+    assert _closed_pairs(once, n) == once
 
 
-def test_transitive_close_rejects_cycles():
+def test_closed_cycle_fails_antisymmetry():
+    closed = Snapshot(2, 0, close_matrix(_matrix_of([(0, 1), (1, 0)], 2)))
+    assert check_partial_order(closed).antisymmetric.witness == (0, 1)
     with pytest.raises(AntisymmetryViolation):
-        transitive_close([(0, 1), (1, 0)], 2)
+        StagedOrder(Kind.CE, closed)
 
 
 def test_snapshot_from_pairs_and_properties():
@@ -102,8 +108,36 @@ def test_snapshot_equality_and_stage():
     a = Snapshot.from_pairs(3, [(0, 1)])
     b = Snapshot.from_pairs(3, [(0, 1)])
     assert a == b and hash(a) == hash(b)
-    assert a.with_stage(5).stage == 5
-    assert a != a.with_stage(5)
+    later = Snapshot(3, 5, a.matrix)
+    assert later.stage == 5
+    assert a != later
+
+
+def test_snapshot_copies_a_read_only_view_of_a_writable_array():
+    """A read-only view was taken uncopied, so writing through its base
+    changed an order after its constructor had checked it."""
+    m = np.eye(3, dtype=bool)
+    view = m[:]
+    view.setflags(write=False)
+    order = StagedOrder(Kind.CE, Snapshot(3, 0, view))
+    m[0, 1] = m[1, 0] = True
+    assert check_partial_order(order.current).passed
+    frozen = np.eye(3, dtype=bool)
+    frozen.setflags(write=False)
+    assert Snapshot(3, 0, frozen).matrix is frozen  # owned and read-only: kept
+
+
+def test_a_stage_that_changes_nothing_shares_its_matrix():
+    ce = StagedOrder(Kind.CE, Snapshot.from_pairs(3, []))
+    grown = ce.add_pairs([(0, 1)])
+    # held and reflexive pairs; numpy ints take the pair-by-pair path
+    for batch in ([], [(0, 1)], [(2, 2)], [(np.int64(0), np.int64(1))]):
+        assert ce.add_pairs(batch).matrix is grown.matrix
+    coce = StagedOrder(Kind.COCE, Snapshot(3, 0, close_matrix(_matrix_of([(0, 1)], 3))))
+    start = coce.current
+    for batch in ([], [(1, 0)], [(0, 2)]):
+        assert coce.remove_pairs(batch).matrix is start.matrix
+    assert [len(a) + len(r) for a, r in ce.deltas + coce.deltas] == [1, 0, 0, 0, 0, 0, 0, 0]
 
 
 def test_check_partial_order_witnesses():
@@ -223,7 +257,7 @@ def test_check_monotone_flags_backsliding():
     order = StagedOrder(Kind.CE, Snapshot.from_pairs(3, []))
     grown = order.add_pairs([(0, 1)])
     assert check_monotone(order.snapshots, order.kind).passed
-    shrunk_again = order.snapshots[0].with_stage(2)
+    shrunk_again = Snapshot(3, 2, order.snapshots[0].matrix)
     bad = check_monotone([order.snapshots[0], grown, shrunk_again], Kind.CE)
     assert not bad.passed
     assert bad.failures[0][0] == 2
@@ -288,7 +322,6 @@ def test_matrix_of_names_the_first_pair_outside_the_domain(pairs, culprit):
     for build in (
         lambda: _matrix_of(iter(pairs), 3),
         lambda: Snapshot.from_pairs(3, pairs),
-        lambda: transitive_close(pairs, 3),
     ):
         with pytest.raises(DomainTooSmall) as caught:
             build()

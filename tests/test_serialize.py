@@ -2,6 +2,7 @@ import json
 import os
 import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from staged_orders.kernel import (
     StagedOrderError,
     close_matrix,
 )
+from staged_orders.jump import build_cochain_order, schedule_from_config
 from staged_orders.serialize import (
     canonical_dumps,
     config_hash,
@@ -63,6 +65,15 @@ def test_canonical_dumps_is_stable_and_compact():
     assert text == '{"a":[1,2],"b":1}\n'
     assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})
     assert config_hash({"a": 1}) != config_hash({"a": 2})
+
+
+@given(st.lists(st.tuples(st.integers(0, 1100), st.integers(0, 1100)), max_size=40), st.booleans())
+def test_canonical_dumps_writes_pair_arrays_as_their_lists(pairs, ordered):
+    pairs = sorted(pairs) if ordered else pairs
+    array = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    obj = {"stage": 1, "added": array, "labels": {"10": "x", "9": "y"}, "removed": array[:1]}
+    lists = {key: value.tolist() if key in ("added", "removed") else value for key, value in obj.items()}
+    assert canonical_dumps(obj) == canonical_dumps(lists)
 
 
 def test_snapshot_from_obj_rejects_garbage():
@@ -134,7 +145,7 @@ def test_load_json_errors(tmp_path):
 def test_write_and_load_run(tmp_path):
     order = _order()
     out = str(tmp_path / "run")
-    manifest = write_run(out, "demo", {"x": 1}, Kind.CE, order.snapshots, 2, seed=7)
+    manifest = write_run(out, "demo", {"x": 1}, Kind.CE, order, 2, seed=7)
     assert manifest["snapshot_count"] == 3
     assert manifest["config_hash"] == config_hash({"x": 1})
     names = sorted(os.listdir(out))
@@ -151,8 +162,8 @@ def test_write_and_load_run(tmp_path):
 @st.composite
 def _histories(draw):
     """A ce history that only grows or a coce history that only shrinks:
-    1 to 5 reflexive snapshots, some stages changing nothing, each with
-    its own labels."""
+    1 to 5 reflexive snapshots, not orders, some stages changing nothing,
+    each with its own labels."""
     kind = draw(st.sampled_from([Kind.CE, Kind.COCE]))
     n = draw(st.integers(0, 6))
     bits = st.lists(st.booleans(), min_size=n * n, max_size=n * n)
@@ -168,12 +179,31 @@ def _histories(draw):
     return kind, snapshots
 
 
+def _write_history(out, kind, snapshots):
+    """A run laid out as write_run lays one out, but from any snapshots:
+    the middle ones written by delta_to_obj, so their labels may change
+    from stage to stage, which no order's do."""
+    names = [f"snapshot_{snapshot.stage:03d}.json" for snapshot in snapshots]
+    for i, (name, snapshot) in enumerate(zip(names, snapshots)):
+        if 0 < i < len(snapshots) - 1:
+            obj = delta_to_obj(snapshot, snapshots[i - 1], names[i - 1], kind)
+        else:
+            obj = snapshot_to_obj(snapshot, kind)
+        save_json(os.path.join(out, name), obj)
+    save_json(os.path.join(out, "config.json"), {})
+    save_json(os.path.join(out, "manifest.json"), {
+        "construction": "demo", "config_hash": config_hash({}), "kind": kind.value,
+        "domain_size": snapshots[0].domain_size, "stages": len(snapshots) - 1,
+        "snapshot_count": len(snapshots), "seed": None,
+    })
+
+
 @given(_histories())
 @settings(max_examples=150, deadline=None)
 def test_written_run_loads_back_stage_by_stage(case):
     kind, snapshots = case
     with tempfile.TemporaryDirectory() as out:
-        write_run(out, "demo", {}, kind, snapshots, len(snapshots) - 1)
+        _write_history(out, kind, snapshots)
         _, _, loaded, loaded_kind = load_run(out)
         assert loaded_kind is kind
         assert loaded == snapshots
@@ -218,7 +248,7 @@ def test_order_history_is_written_as_its_deltas(case):
         recorded.append(order.current)
     assert order.snapshots == tuple(recorded)
     with tempfile.TemporaryDirectory() as out:
-        write_run(out, "demo", {}, kind, list(order.snapshots), len(recorded) - 1)
+        write_run(out, "demo", {}, kind, order, len(recorded) - 1)
         paths = run_snapshot_paths(out)
         assert len(paths) == len(recorded)
         for path, before, now in zip(paths[1:-1], recorded, recorded[1:]):
@@ -370,7 +400,7 @@ def test_odd_pair_lists_load_as_json_reads_them(tmp_path, pairs):
 def test_load_run_rejects_kind_mismatch(tmp_path):
     order = _order()
     out = str(tmp_path / "run")
-    write_run(out, "demo", {}, Kind.CE, order.snapshots, 2)
+    write_run(out, "demo", {}, Kind.CE, order, 2)
     victim = os.path.join(out, "snapshot_001.json")
     obj = json.load(open(victim))
     obj["kind"] = "coce"
@@ -379,13 +409,30 @@ def test_load_run_rejects_kind_mismatch(tmp_path):
         load_run(out)
 
 
+def test_a_long_run_is_built_and_written_in_a_few_matrices_of_memory(tmp_path):
+    """An n=512 jump-cochain run of 512 stages, built and written, peaks
+    below 32 n^2 bytes: a matrix per stage took 128 MiB to build."""
+    n = 512
+    config = {"construction": "jump-cochain", "n": n, "stages": n,
+              "entries": [[31 * e, 31 * e + 4 + e % 13] for e in range(16)]}
+    schedule = schedule_from_config(config)
+    tracemalloc.start()
+    try:
+        order = build_cochain_order(schedule, n, n)
+        write_run(str(tmp_path / "run"), "jump-cochain", config, Kind.COCE, order, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(os.listdir(tmp_path / "run")) == n + 3
+    assert peak < 32 * n * n
+
+
 def test_snapshot_name_width_grows(tmp_path):
-    order = StagedOrder(Kind.CE, Snapshot.from_pairs(2, []))
+    order = StagedOrder(Kind.CE, Snapshot(2, 2500, np.eye(2, dtype=bool)))
     for _ in range(4):
         order.add_pairs([])
-    long_history = [s.with_stage(s.stage + 2500) for s in order.snapshots]
     out = str(tmp_path / "wide")
-    write_run(out, "demo", {}, Kind.CE, long_history, 2504)
+    write_run(out, "demo", {}, Kind.CE, order, 2504)
     assert "snapshot_2500.json" in os.listdir(out)
     snap, _ = load_snapshot(os.path.join(out, "snapshot_2500.json"))
     assert snap.stage == 2500
@@ -401,7 +448,7 @@ def test_label_keys_must_be_plain_decimal(tmp_path, labels):
     with pytest.raises(ConfigError, match="label key"):
         snapshot_from_obj(obj)
     out = str(tmp_path / "run")
-    write_run(out, "demo", {}, Kind.CE, _order().snapshots, 2)
+    write_run(out, "demo", {}, Kind.CE, _order(), 2)
     delta = os.path.join(out, "snapshot_001.json")
     save_json(delta, dict(load_json(delta), labels=labels))
     with pytest.raises(ConfigError, match="label key"):
