@@ -422,9 +422,10 @@ def _close_batch(
     of B. Hence R | R.B, closed over B's heads only, is the closure; R.B
     needs R's columns at B's tails only, and fills columns at heads only.
     A 2-cycle in the closure uses a B-pair, so it puts that pair's head on
-    a 2-cycle too: checking the heads' rows is enough. For the same reason
-    only a row that reaches a head can gain a pair, so only those rows
-    are compared with R."""
+    a 2-cycle too: checking the heads' rows is enough. A row that gains a
+    pair newly reaches a head: on a path to that pair with the fewest
+    B-pairs, the row did not reach the first B-pair's head in R. So only
+    those rows are compared with R."""
     fresh = idx[~matrix[idx[:, 0], idx[:, 1]]]
     if not fresh.size:
         return matrix, _NO_PAIRS
@@ -435,12 +436,14 @@ def _close_batch(
     closed = matrix.copy()
     closed[:, heads] |= _compose(matrix[:, tails], batch)
     _close_in_place(closed, heads)
+    reach = closed[:, heads]
     # reflexive, so a head is on no 2-cycle iff it meets the transpose only at itself
-    if np.count_nonzero(closed[heads] & closed[:, heads].T) != heads.size:
+    if np.count_nonzero(closed[heads] & reach.T) != heads.size:
         return None
-    rows = np.flatnonzero(closed[:, heads].any(axis=1))
-    grown, cols = np.nonzero(closed[rows] & ~matrix[rows])
-    return closed, np.column_stack((rows[grown], cols))
+    rows = np.flatnonzero((reach != matrix[:, heads]).any(axis=1))
+    # flat indices: nonzero over a 2-d array is many times slower
+    row, col = np.divmod(np.flatnonzero(closed[rows] != matrix[rows]), matrix.shape[1])
+    return closed, np.column_stack((rows[row], col))
 
 
 def _add_pair_by_pair(matrix: np.ndarray, pairs, n: int) -> np.ndarray:
@@ -556,17 +559,22 @@ class StagedOrder:
                 removed[u, v] = None
         if not removed:
             return self._append(before, _NO_PAIRS, _NO_PAIRS)
-        idx = np.array(list(removed), dtype=np.int64)
+        idx = np.array(sorted(removed), dtype=np.int64)
         matrix = before.copy()
         matrix[idx[:, 0], idx[:, 1]] = False
         # Removing pairs from a closed relation can only break transitivity
-        # at a removed pair, so checking those is exact.
-        for u, v in removed:
-            mid = np.nonzero(matrix[u] & matrix[:, v])[0]
-            if mid.size:
-                raise TransitivityViolation(u, int(mid[0]), v)
+        # at a removed pair, so checking those is exact. They are checked
+        # in whole-array passes, a slice at a time to bound the (pairs, n)
+        # temporary; only a broken batch is walked pair by pair, in the
+        # order given, to name its first broken pair.
+        slices = (idx[lo:lo + 256] for lo in range(0, len(idx), 256))
+        if any((matrix[part[:, 0]] & matrix[:, part[:, 1]].T).any() for part in slices):
+            for u, v in removed:
+                mid = np.flatnonzero(matrix[u] & matrix[:, v])
+                if mid.size:
+                    raise TransitivityViolation(u, int(mid[0]), v)
         matrix.setflags(write=False)  # fresh, so the snapshot takes it uncopied
-        return self._append(matrix, _NO_PAIRS, idx[np.lexsort((idx[:, 1], idx[:, 0]))])
+        return self._append(matrix, _NO_PAIRS, idx)
 
 
 def apply_permutation(snapshot: Snapshot, perm: Sequence[int]) -> Snapshot:
