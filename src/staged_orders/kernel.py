@@ -442,8 +442,8 @@ def _close_batch(
         return None
     rows = np.flatnonzero((reach != matrix[:, heads]).any(axis=1))
     # flat indices: nonzero over a 2-d array is many times slower
-    row, col = np.divmod(np.flatnonzero(closed[rows] != matrix[rows]), matrix.shape[1])
-    return closed, np.column_stack((rows[row], col))
+    which, cols = np.divmod(np.flatnonzero(closed[rows] != matrix[rows]), matrix.shape[1])
+    return closed, np.column_stack((rows[which], cols))
 
 
 def _add_pair_by_pair(matrix: np.ndarray, pairs, n: int) -> np.ndarray:

@@ -423,7 +423,7 @@ def write_run(
         domain_size = order.domain_size if count else 0
     if count:
         save_json(os.path.join(out_dir, names[0]), _full_obj(order.initial, kind))
-    for i, (added, removed) in enumerate(deltas[:-1], 1):
+    for i, (added, removed) in enumerate(deltas[:-1], 1):  # every stage has the same labels
         obj = _stage_obj(order.current, kind, first + i, base=names[i - 1],
                          added=added, removed=removed)
         save_json(os.path.join(out_dir, names[i]), obj)

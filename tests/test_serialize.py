@@ -72,7 +72,7 @@ def test_canonical_dumps_writes_pair_arrays_as_their_lists(pairs, ordered):
     pairs = sorted(pairs) if ordered else pairs
     array = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     obj = {"stage": 1, "added": array, "labels": {"10": "x", "9": "y"}, "removed": array[:1]}
-    lists = {key: value.tolist() if key in ("added", "removed") else value for key, value in obj.items()}
+    lists = dict(obj, added=array.tolist(), removed=array[:1].tolist())
     assert canonical_dumps(obj) == canonical_dumps(lists)
 
 
