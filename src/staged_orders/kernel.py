@@ -522,7 +522,10 @@ class StagedOrder:
         return tuple(history)
 
     def _append(self, matrix: np.ndarray, added: np.ndarray, removed: np.ndarray) -> Snapshot:
-        """Make `matrix`, read-only and owning its data, the next stage."""
+        """Make `matrix`, read-only and owning its data, the next stage, and
+        record its delta: fresh arrays, made read-only here, not copied."""
+        added.setflags(write=False)
+        removed.setflags(write=False)
         current = self._current
         self._current = Snapshot(self.domain_size, current.stage + 1, matrix, current.labels)
         self._deltas.append((added, removed))

@@ -138,6 +138,10 @@ def test_a_stage_that_changes_nothing_shares_its_matrix():
     for batch in ([], [(1, 0)], [(0, 2)]):
         assert coce.remove_pairs(batch).matrix is start.matrix
     assert [len(a) + len(r) for a, r in ce.deltas + coce.deltas] == [1, 0, 0, 0, 0, 0, 0, 0]
+    ce.add_pairs([(np.int64(1), np.int64(2))])  # grown on the pair-by-pair path
+    coce.remove_pairs([(0, 1)])
+    # a caller writing into a delta would change what snapshots and write_run give
+    assert not any(a.flags.writeable or r.flags.writeable for a, r in ce.deltas + coce.deltas)
 
 
 def test_check_partial_order_witnesses():
