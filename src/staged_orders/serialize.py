@@ -81,12 +81,9 @@ def _pairs_text(pairs: np.ndarray) -> str:
     run of pairs with the same first element at a time."""
     if not len(pairs):
         return "[]"
-    top = int(pairs.max())
-    # a table of the numbers' texts pays off once the list is longer than it
-    number = list(map(str, range(top + 1))).__getitem__ if len(pairs) > top else str
     starts = np.flatnonzero(np.diff(pairs[:, 0])) + 1
     runs = (
-        f"[{i}," + f"],[{i},".join(map(number, seconds.tolist())) + "]"
+        f"[{i}," + f"],[{i},".join(map(str, seconds.tolist())) + "]"
         for i, seconds in zip(pairs[np.r_[0, starts], 0].tolist(), np.split(pairs[:, 1], starts))
     )
     return "[" + ",".join(runs) + "]"
