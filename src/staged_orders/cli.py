@@ -9,44 +9,35 @@ verdicts use exit code 1.
 from __future__ import annotations
 
 import functools
+import importlib
 import os
 import sys
-from typing import List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
 import click
 
-from .family import FAMILY
-from .jump import JUMP_ANTICHAIN, JUMP_COCHAIN
-from .kernel import (
-    ConfigError,
-    Kind,
-    Snapshot,
-    StagedOrderError,
-    _check_domain_size,
-    apply_permutation,
-    check_monotone,
-    check_partial_order,
-    transitive_reduction,
-)
-from .serialize import (
-    canonical_dumps,
-    is_natural,
-    load_config,
-    load_json,
-    load_run,
-    load_snapshot,
-    write_run,
-)
-from .sigma2 import SIGMA2
-from .solvers import solve_ads, solve_ads_preorder, solve_cac
-from .spectrum import SPECTRUM_CE, SPECTRUM_COCE
+if TYPE_CHECKING:
+    from .kernel import Construction, Kind, Snapshot
 
-# Every construction by name; kernel.Construction says what each provides.
+# Every construction by name: the module and attribute of its
+# kernel.Construction. A command imports only the module it runs, so
+# --help, usage errors and the generic verify suites load no construction.
 CONSTRUCTIONS = {
-    c.name: c
-    for c in (SIGMA2, FAMILY, JUMP_COCHAIN, JUMP_ANTICHAIN, SPECTRUM_CE, SPECTRUM_COCE)
+    "sigma2": ("sigma2", "SIGMA2"),
+    "family": ("family", "FAMILY"),
+    "jump-cochain": ("jump", "JUMP_COCHAIN"),
+    "jump-antichain": ("jump", "JUMP_ANTICHAIN"),
+    "spectrum-ce": ("spectrum", "SPECTRUM_CE"),
+    "spectrum-coce": ("spectrum", "SPECTRUM_COCE"),
 }
 NAMES = tuple(CONSTRUCTIONS)
+
+
+def _construction(name: str) -> Construction:
+    """The named construction, its module imported on first use."""
+    module, attr = CONSTRUCTIONS[name]
+    return getattr(importlib.import_module(f".{module}", __package__), attr)
+
 
 RESERVED_KEYS = ("construction", "stages", "domain_bound", "seed")
 
@@ -56,6 +47,9 @@ def _tool_errors(f):
 
     @functools.wraps(f)
     def wrapper(*args, **kwargs):
+        from .kernel import StagedOrderError
+        from .serialize import canonical_dumps
+
         try:
             return f(*args, **kwargs)
         except (StagedOrderError, OSError, ValueError, KeyError) as exc:
@@ -66,6 +60,8 @@ def _tool_errors(f):
 
 
 def _emit(obj) -> None:
+    from .serialize import canonical_dumps
+
     click.echo(canonical_dumps(obj), nl=False)
 
 
@@ -78,6 +74,9 @@ class RunPlan:
     """
 
     def __init__(self, blob: dict, construction, stages, domain, seed):
+        from .kernel import ConfigError
+        from .serialize import is_natural
+
         if not isinstance(blob, dict):
             raise ConfigError("config file must hold a JSON object")
         nested = blob.get("config")
@@ -106,6 +105,8 @@ class RunPlan:
     def domain_or(self, default: int) -> int:
         """The domain bound, defaulting to what the construction needs,
         checked against the domain cap before anything is built on it."""
+        from .kernel import _check_domain_size
+
         domain = self.domain if self.domain is not None else default
         _check_domain_size(domain)
         return domain
@@ -134,8 +135,10 @@ def main():
 @_tool_errors
 def build(construction, config_path, stages, domain, seed, out_dir):
     """Run a construction and write snapshots plus a manifest."""
+    from .serialize import load_json, write_run
+
     plan = RunPlan(load_json(config_path), construction, stages, domain, seed)
-    con = CONSTRUCTIONS[plan.construction]
+    con = _construction(plan.construction)
     order, family = con.build(plan)
     _emit(write_run(
         out_dir, con.name, plan.resolved(), con.kind, order, plan.stages,
@@ -154,12 +157,16 @@ class Run(NamedTuple):
 
     @property
     def final(self) -> Snapshot:
+        from .kernel import ConfigError
+
         if not self.snapshots:
             raise ConfigError("run has no snapshots to decode")
         return self.snapshots[-1]
 
 
 def _suite_poset(run: Run) -> Tuple[List[str], bool]:
+    from .kernel import check_partial_order
+
     lines, ok = [], True
     for snap in run.snapshots:
         failed = [c for c in check_partial_order(snap).checks() if not c.passed]
@@ -171,6 +178,8 @@ def _suite_poset(run: Run) -> Tuple[List[str], bool]:
 
 
 def _suite_monotone(run: Run) -> Tuple[List[str], bool]:
+    from .kernel import check_monotone
+
     report = check_monotone(run.snapshots, run.kind)
     lines = [
         f"stage {stage}: pair {pair} moved the wrong way"
@@ -198,6 +207,9 @@ MISFITS = {
 @_tool_errors
 def verify(run_dir, suite):
     """Check a built run; exit 0 on PASS, 1 on FAIL."""
+    from .kernel import ConfigError
+    from .serialize import load_run
+
     run = Run(run_dir, *load_run(run_dir))
     if suite in GENERIC_SUITES and not run.snapshots:
         lines, ok = ["no snapshots in run (set family); nothing to check"], True
@@ -205,7 +217,8 @@ def verify(run_dir, suite):
         lines, ok = GENERIC_SUITES[suite](run)
     else:
         name = run.manifest.get("construction")
-        con = CONSTRUCTIONS.get(name) if isinstance(name, str) else None
+        known = isinstance(name, str) and name in CONSTRUCTIONS
+        con = _construction(name) if known else None
         if con is None or suite not in con.suites:
             raise ConfigError(MISFITS[suite].format(name))
         lines, ok = getattr(con, suite)(run)
@@ -215,6 +228,8 @@ def verify(run_dir, suite):
 
 def _parse_consts(text: Optional[str], default: Tuple[int, ...], n: int) -> Tuple[int, ...]:
     """The --consts values, or the defaults; either way elements of 0..n-1."""
+    from .kernel import ConfigError
+
     if text is None:
         if not all(0 <= value < n for value in default):
             raise ConfigError(
@@ -234,6 +249,9 @@ def _parse_consts(text: Optional[str], default: Tuple[int, ...], n: int) -> Tupl
 
 
 def _load_perm(path: Optional[str], n: int) -> Optional[List[int]]:
+    from .kernel import ConfigError
+    from .serialize import load_json
+
     if path is None:
         return None
     perm = load_json(path)
@@ -251,9 +269,12 @@ def _load_perm(path: Optional[str], n: int) -> Optional[List[int]]:
 @_tool_errors
 def decode(snapshot_path, construction, consts, perm_path):
     """Read the coded content back out of one snapshot."""
+    from .kernel import ConfigError, apply_permutation
+    from .serialize import load_config, load_snapshot
+
     snap, kind = load_snapshot(snapshot_path)
     perm = _load_perm(perm_path, snap.domain_size)
-    con = CONSTRUCTIONS[construction]
+    con = _construction(construction)
     if con.checks_kind and kind is not con.kind:
         raise ConfigError(f"snapshot is a {kind.value} run, not {con.kind.value}")
     base = None if con.consts is None else _parse_consts(consts, con.consts, snap.domain_size)
@@ -276,6 +297,9 @@ def decode(snapshot_path, construction, consts, perm_path):
 @_tool_errors
 def solve(order_path, principle, threshold):
     """Extract the combinatorial object a principle promises."""
+    from .serialize import load_snapshot
+    from .solvers import solve_ads, solve_ads_preorder, solve_cac
+
     snap, _ = load_snapshot(order_path)
     if principle == "cac":
         sol = solve_cac(snap)
@@ -292,6 +316,9 @@ def solve(order_path, principle, threshold):
 @_tool_errors
 def export_dot(snapshot_path, reduction):
     """Print the strict relation (optionally its transitive reduction) as DOT."""
+    from .kernel import transitive_reduction
+    from .serialize import load_snapshot
+
     snap, _ = load_snapshot(snapshot_path)
     edges = sorted(transitive_reduction(snap) if reduction else snap.strict)
     out = ["digraph order {"]

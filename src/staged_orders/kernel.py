@@ -584,10 +584,12 @@ def apply_permutation(snapshot: Snapshot, perm: Sequence[int]) -> Snapshot:
     """Relabel elements: new relation holds at (p[i], p[j]) iff old at (i, j)."""
     n = snapshot.domain_size
     perm = list(perm)
-    if sorted(perm) != list(range(n)):
+    # bools and floats sort like integers; refuse them before they become labels
+    integers = all(t is int or issubclass(t, np.integer) for t in set(map(type, perm)))
+    if not integers or sorted(perm) != list(range(n)):
         raise BadPermutation(f"not a permutation of 0..{n - 1}")
     inverse = np.argsort(perm)
-    matrix = snapshot.matrix[np.ix_(inverse, inverse)]
+    matrix = np.take(np.take(snapshot.matrix, inverse, axis=0), inverse, axis=1)
     labels = {perm[i]: lab for i, lab in snapshot.labels.items()}
     return Snapshot(n, snapshot.stage, matrix, labels)
 
@@ -606,8 +608,9 @@ def transitive_reduction(snapshot: Snapshot) -> frozenset:
 
 
 class Construction:
-    """One construction as the command line drives it: cli.CONSTRUCTIONS
-    holds one instance per name, each defined beside its construction.
+    """One construction as the command line drives it: each instance is
+    defined beside its construction, and cli.CONSTRUCTIONS names the module
+    and attribute that hold it, so a command imports only the one it runs.
 
     name, kind   the --construction name and the kind of run it builds
     suites       verify suites beyond poset and monotone; each is a method

@@ -269,6 +269,15 @@ def test_manifest_stages_and_kind_are_checked(shipped_runs, tmp_path, key, value
     _config_error(_invoke("verify", "--dir", run, "--suite", "witness"), key)
 
 
+@pytest.mark.parametrize("value", [["jump-cochain"], {"name": "jump-cochain"}, 7, "nope"])
+def test_manifest_construction_of_another_type_is_a_misfit(shipped_runs, tmp_path, value):
+    """A list or dict name must not reach the registry as a key (TypeError)."""
+    run = _copy_run(shipped_runs, "jump_cochain", tmp_path)
+    path = os.path.join(run, "manifest.json")
+    _write(path, dict(load_json(path), construction=value))
+    _config_error(_invoke("verify", "--dir", run, "--suite", "decode"), "no decode suite")
+
+
 def test_decode_config_must_be_an_object(shipped_runs, tmp_path):
     run = _copy_run(shipped_runs, "jump_cochain", tmp_path)
     _write(os.path.join(run, "config.json"), [1, 2])

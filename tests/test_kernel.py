@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from staged_orders.kernel import (
     AntisymmetryViolation,
+    BadPermutation,
     DomainLimitExceeded,
     DomainTooSmall,
     Kind,
@@ -292,6 +293,14 @@ def test_apply_permutation_relabels():
     assert moved.stage == snap.stage
     back = apply_permutation(moved, [1, 2, 0])
     assert back == snap
+    assert apply_permutation(snap, np.array([2, 0, 1])) == moved
+
+
+@pytest.mark.parametrize("perm", [[True, False, 2], [0.0, 2.0, 1.0], [0, 1], [0, 1, 1]])
+def test_apply_permutation_refuses_what_is_not_a_permutation_of_integers(perm):
+    snap = Snapshot.from_pairs(3, [(0, 1)], labels={0: "x"})
+    with pytest.raises(BadPermutation):
+        apply_permutation(snap, perm)
 
 
 def test_transitive_reduction_covers():

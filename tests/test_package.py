@@ -6,17 +6,93 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 import staged_orders
+from conftest import run_snapshot_paths, shipped_config_path
+from staged_orders.cli import CONSTRUCTIONS, NAMES, _construction, main
+from staged_orders.kernel import Construction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _fresh_output(code: str) -> str:
+def _fresh_output(code: str, *argv: str) -> str:
     """What `code` prints in a fresh interpreter that imports this package."""
     src = os.path.dirname(os.path.dirname(staged_orders.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
     return out.stdout
+
+
+_COMMAND = """
+import sys
+from staged_orders.cli import main
+code = 0
+try:
+    main.main(args=sys.argv[1:], prog_name="staged-orders")
+except SystemExit as exc:
+    code = exc.code
+print()
+print(code, *sys.modules)
+"""
+
+
+def _command(*argv: str):
+    """One command in a fresh interpreter: its exit code and every module
+    loaded by the time it ends."""
+    code, *modules = _fresh_output(_COMMAND, *argv).splitlines()[-1].split()
+    return int(code), set(modules)
+
+
+# what a jump run has no use for
+NON_JUMP_MODULES = {f"staged_orders.{m}" for m in ("sigma2", "spectrum", "family", "roles")}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--help",), *((name, "--help") for name in main.commands), ("verify",)],
+    ids=" ".join,
+)
+def test_help_and_usage_errors_load_no_numpy_and_no_other_package_module(argv):
+    code, modules = _command(*argv)
+    assert code == (2 if argv == ("verify",) else 0)
+    assert "numpy" not in modules
+    assert {m for m in modules if m.startswith("staged_orders")} == {"staged_orders", "staged_orders.cli"}
+
+
+@pytest.fixture(scope="module")
+def jump_run(tmp_path_factory):
+    """A jump-cochain run built in a fresh interpreter, with what it loaded."""
+    out = str(tmp_path_factory.mktemp("jump") / "run")
+    code, modules = _command("build", "--config", shipped_config_path("jump_cochain"), "--out", out)
+    assert code == 0
+    return out, modules
+
+
+@pytest.mark.parametrize("suite", ["poset", "monotone"])
+def test_generic_verify_suites_load_no_construction_and_no_solver(jump_run, suite):
+    code, modules = _command("verify", "--dir", jump_run[0], "--suite", suite)
+    assert code == 0
+    assert not modules & (NON_JUMP_MODULES | {"staged_orders.jump", "staged_orders.solvers"})
+
+
+def test_build_and_decode_load_only_the_named_construction(jump_run):
+    run_dir, build_modules = jump_run
+    final = run_snapshot_paths(run_dir)[-1]
+    code, decode_modules = _command("decode", "--snapshot", final, "--construction", "jump-cochain")
+    assert code == 0
+    for modules in (build_modules, decode_modules):
+        assert "staged_orders.jump" in modules
+        assert not modules & NON_JUMP_MODULES
+
+
+def test_every_registry_name_loads_its_construction():
+    assert NAMES == tuple(CONSTRUCTIONS) == (
+        "sigma2", "family", "jump-cochain", "jump-antichain", "spectrum-ce", "spectrum-coce",
+    )
+    for name in NAMES:
+        con = _construction(name)
+        assert isinstance(con, Construction) and con.name == name
 
 
 def test_importing_the_kernel_loads_no_other_package_module():
@@ -29,13 +105,16 @@ def test_importing_the_kernel_loads_no_other_package_module():
 
 def test_importing_the_cli_generates_no_code_and_loads_no_openssl():
     """Records need no dataclasses, and only a config digest needs hashlib.
-    Counted against what numpy and click load themselves."""
+    Counted against what numpy and click load themselves, over every module
+    a command may load."""
     code = (
-        "import sys, numpy, click; before = set(sys.modules); import staged_orders.cli; "
+        "import sys, numpy, click; before = set(sys.modules); "
+        "import staged_orders.cli, staged_orders.serialize, staged_orders.solvers, "
+        "staged_orders.sigma2, staged_orders.family, staged_orders.jump, staged_orders.spectrum; "
         "print(' '.join(sorted(set(sys.modules) - before)))"
     )
     loaded = set(_fresh_output(code).split())
-    assert "staged_orders.cli" in loaded
+    assert {"staged_orders.cli", "staged_orders.spectrum", "staged_orders.roles"} <= loaded
     assert not loaded & {"dataclasses", "_hashlib"}
 
 
