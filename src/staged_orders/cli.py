@@ -20,8 +20,7 @@ if TYPE_CHECKING:
     from .kernel import Construction, Kind, Snapshot
 
 # Every construction by name: the module and attribute of its
-# kernel.Construction. A command imports only the module it runs, so
-# --help, usage errors and the generic verify suites load no construction.
+# kernel.Construction.
 CONSTRUCTIONS = {
     "sigma2": ("sigma2", "SIGMA2"),
     "family": ("family", "FAMILY"),
@@ -32,9 +31,16 @@ CONSTRUCTIONS = {
 }
 NAMES = tuple(CONSTRUCTIONS)
 
+# What a command that does work loads, all at once, before it runs. Only the
+# front end (--help, usage errors, shell completion) starts without numpy.
+# Loading just the construction a command names would save about 20 ms of
+# a 250 ms command, and a caller that runs commands in-process, such as
+# bench/tracing.py, expects every module loaded once one command has run.
+COMMAND_MODULES = ("kernel", "serialize", "solvers", *sorted({m for m, _ in CONSTRUCTIONS.values()}))
+
 
 def _construction(name: str) -> Construction:
-    """The named construction, its module imported on first use."""
+    """The named construction."""
     module, attr = CONSTRUCTIONS[name]
     return getattr(importlib.import_module(f".{module}", __package__), attr)
 
@@ -43,10 +49,13 @@ RESERVED_KEYS = ("construction", "stages", "domain_bound", "seed")
 
 
 def _tool_errors(f):
-    """Failures of the tool: one JSON object on stderr, exit code 2."""
+    """Load COMMAND_MODULES, then run the command. Failures of the tool:
+    one JSON object on stderr, exit code 2."""
 
     @functools.wraps(f)
     def wrapper(*args, **kwargs):
+        for module in COMMAND_MODULES:
+            importlib.import_module(f".{module}", __package__)
         from .kernel import StagedOrderError
         from .serialize import canonical_dumps
 

@@ -610,7 +610,7 @@ def transitive_reduction(snapshot: Snapshot) -> frozenset:
 class Construction:
     """One construction as the command line drives it: each instance is
     defined beside its construction, and cli.CONSTRUCTIONS names the module
-    and attribute that hold it, so a command imports only the one it runs.
+    and attribute that hold it.
 
     name, kind   the --construction name and the kind of run it builds
     suites       verify suites beyond poset and monotone; each is a method

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import staged_orders
-from conftest import run_snapshot_paths, shipped_config_path
+from conftest import shipped_config_path
 from staged_orders.cli import CONSTRUCTIONS, NAMES, _construction, main
 from staged_orders.kernel import Construction
 
@@ -44,10 +44,6 @@ def _command(*argv: str):
     return int(code), set(modules)
 
 
-# what a jump run has no use for
-NON_JUMP_MODULES = {f"staged_orders.{m}" for m in ("sigma2", "spectrum", "family", "roles")}
-
-
 @pytest.mark.parametrize(
     "argv",
     [("--help",), *((name, "--help") for name in main.commands), ("verify",)],
@@ -60,30 +56,28 @@ def test_help_and_usage_errors_load_no_numpy_and_no_other_package_module(argv):
     assert {m for m in modules if m.startswith("staged_orders")} == {"staged_orders", "staged_orders.cli"}
 
 
-@pytest.fixture(scope="module")
-def jump_run(tmp_path_factory):
-    """A jump-cochain run built in a fresh interpreter, with what it loaded."""
-    out = str(tmp_path_factory.mktemp("jump") / "run")
-    code, modules = _command("build", "--config", shipped_config_path("jump_cochain"), "--out", out)
-    assert code == 0
-    return out, modules
+# every module bench/tracing.py wraps
+PACKAGE_MODULES = {
+    f"staged_orders.{m}"
+    for m in ("serialize", "kernel", "roles", "spectrum", "sigma2", "jump", "family", "solvers")
+}
 
 
-@pytest.mark.parametrize("suite", ["poset", "monotone"])
-def test_generic_verify_suites_load_no_construction_and_no_solver(jump_run, suite):
-    code, modules = _command("verify", "--dir", jump_run[0], "--suite", suite)
-    assert code == 0
-    assert not modules & (NON_JUMP_MODULES | {"staged_orders.jump", "staged_orders.solvers"})
-
-
-def test_build_and_decode_load_only_the_named_construction(jump_run):
-    run_dir, build_modules = jump_run
-    final = run_snapshot_paths(run_dir)[-1]
-    code, decode_modules = _command("decode", "--snapshot", final, "--construction", "jump-cochain")
-    assert code == 0
-    for modules in (build_modules, decode_modules):
-        assert "staged_orders.jump" in modules
-        assert not modules & NON_JUMP_MODULES
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("build", "--config", shipped_config_path("jump_cochain"), "--out", "{tmp}"),
+        ("solve", "--order", "{tmp}", "--principle", "cac"),
+        ("verify", "--dir", "{tmp}", "--suite", "poset"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_command_that_runs_loads_every_package_module(tmp_path, argv):
+    """Also when it fails: a missing file is a tool error, exit 2."""
+    path = str(tmp_path / "missing")
+    code, modules = _command(*(path if a == "{tmp}" else a for a in argv))
+    assert code == (0 if argv[0] == "build" else 2)
+    assert PACKAGE_MODULES <= modules
 
 
 def test_every_registry_name_loads_its_construction():
