@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 import click
 
 if TYPE_CHECKING:
-    from .kernel import Construction, Kind, Snapshot
+    from .kernel import Construction, Kind, Replay, Snapshot
 
 # Every construction by name: the module and attribute of its
 # kernel.Construction.
@@ -156,12 +156,13 @@ def build(construction, config_path, stages, domain, seed, out_dir):
 
 
 class Run(NamedTuple):
-    """A loaded run directory, as the verify suites read it."""
+    """A loaded run directory, as the verify suites read it: its stages
+    are a replay, rebuilt one at a time by each walk over them."""
 
     dir: str
     manifest: dict
     config: dict
-    snapshots: List[Snapshot]
+    snapshots: Replay
     kind: Kind
 
     @property
@@ -170,7 +171,7 @@ class Run(NamedTuple):
 
         if not self.snapshots:
             raise ConfigError("run has no snapshots to decode")
-        return self.snapshots[-1]
+        return self.snapshots.last
 
 
 def _suite_poset(run: Run) -> Tuple[List[str], bool]:

@@ -8,7 +8,8 @@ antisymmetric. The kernel enforces those invariants at mutation time. A
 history holds two immutable boolean matrices, its first stage and its
 current one, and for every later stage only the strict pairs that stage
 added and removed, so its memory grows with the pairs that change, not
-with the number of stages.
+with the number of stages. A `Replay` holds a history read back from
+files the same way and rebuilds its stages one at a time when walked.
 
 `Record` is the base of the package's small immutable value classes
 (axiom and monotonicity reports, predicate specs, schedules). Its fields
@@ -21,8 +22,8 @@ from __future__ import annotations
 
 import os
 from enum import Enum
-from itertools import chain
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
+from itertools import chain, pairwise
+from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -390,12 +391,16 @@ class MonotoneReport(Record):
     failures: Tuple[Tuple[int, Tuple[int, int]], ...]
 
 
-def check_monotone(snapshots: Sequence[Snapshot], kind: Kind) -> MonotoneReport:
-    """Check the history only moves one way: CE grows, COCE shrinks."""
+def check_monotone(snapshots: Iterable[Snapshot], kind: Kind) -> MonotoneReport:
+    """Check the history only moves one way: CE grows, COCE shrinks. Each
+    stage is compared with the one before it in a single pass, so a
+    `Replay` is walked once, two stages at a time."""
     failures = []
-    for prev, cur in zip(snapshots, snapshots[1:]):
+    for prev, cur in pairwise(snapshots):
         if prev.domain_size != cur.domain_size:
             raise StagedOrderError("snapshots disagree on domain size")
+        if prev.matrix is cur.matrix:  # a stage that changed nothing
+            continue
         if kind is Kind.CE:
             lost = prev.matrix & ~cur.matrix
         else:
@@ -403,6 +408,54 @@ def check_monotone(snapshots: Sequence[Snapshot], kind: Kind) -> MonotoneReport:
         if lost.any():
             failures += [(cur.stage, tuple(p)) for p in np.argwhere(lost).tolist()]
     return MonotoneReport(kind, not failures, tuple(failures))
+
+
+Delta = Tuple[np.ndarray, np.ndarray, Mapping[int, str]]
+
+
+def _replay(first: Snapshot, deltas: Iterable[Delta]) -> Iterator[Snapshot]:
+    """`first`, then each stage after it, rebuilt from the one before by
+    setting the int (k, 2) array `added` and clearing `removed`, with the
+    stage's `labels`. A stage that changes nothing shares the matrix
+    before it; any other gets a fresh read-only one, so a caller that
+    keeps no stage holds two matrices at a time."""
+    snapshot = first
+    yield snapshot
+    for added, removed, labels in deltas:
+        matrix = snapshot.matrix
+        if added.size or removed.size:
+            matrix = matrix.copy()
+            matrix[added[:, 0], added[:, 1]] = True
+            matrix[removed[:, 0], removed[:, 1]] = False
+            matrix.setflags(write=False)
+        snapshot = Snapshot(first.domain_size, snapshot.stage + 1, matrix, labels)
+        yield snapshot
+
+
+class Replay:
+    """A history held as its first and last snapshots and, for each stage
+    between, the strict pairs it added and removed and its labels
+    (`Delta`s). Iterating rebuilds the stages in order (`_replay`), then
+    gives the last; len() counts them. An empty history has neither first
+    nor last snapshot, and in a history of one stage they are the same."""
+
+    __slots__ = ("first", "middle", "last")
+
+    def __init__(self, first: Optional[Snapshot], middle: Sequence[Delta], last: Optional[Snapshot]):
+        self.first = first
+        self.middle = tuple(middle)
+        self.last = last
+
+    def __len__(self) -> int:
+        if self.first is None:
+            return 0
+        return len(self.middle) + (1 if self.last is self.first else 2)
+
+    def __iter__(self) -> Iterator[Snapshot]:
+        if self.first is None:
+            return iter(())
+        stages = _replay(self.first, self.middle)
+        return stages if self.last is self.first else chain(stages, (self.last,))
 
 
 _NO_PAIRS = np.empty((0, 2), dtype=np.int64)
@@ -509,17 +562,8 @@ class StagedOrder:
     @property
     def snapshots(self) -> Tuple[Snapshot, ...]:
         """Every stage, rebuilt from the first by replaying the deltas."""
-        history = [self._initial]
-        for added, removed in self._deltas:
-            before = history[-1]
-            matrix = before.matrix
-            if added.size or removed.size:
-                matrix = matrix.copy()
-                matrix[added[:, 0], added[:, 1]] = True
-                matrix[removed[:, 0], removed[:, 1]] = False
-                matrix.setflags(write=False)
-            history.append(Snapshot(self.domain_size, before.stage + 1, matrix, before.labels))
-        return tuple(history)
+        labels = self._initial.labels  # every stage keeps the first's labels
+        return tuple(_replay(self._initial, ((a, r, labels) for a, r in self._deltas)))
 
     def _append(self, matrix: np.ndarray, added: np.ndarray, removed: np.ndarray) -> Snapshot:
         """Make `matrix`, read-only and owning its data, the next stage, and

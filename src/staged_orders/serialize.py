@@ -22,6 +22,15 @@ are the base's, every added pair is absent from the base, every removed
 pair is held by it and no pair in either list is reflexive. A full file is
 accepted at any stage.
 
+A run directory is read by load_run in one pass over its files. Each file
+is parsed and checked on its own, then the files against the manifest,
+then each delta against the stage before it, in stage order, on one
+working matrix. The stages come back as a kernel.Replay: the first and
+last snapshots and, for each stage between, its checked added and removed
+pairs and its labels, equal labels shared (a full file between is kept as
+its delta). A stage is rebuilt only when the replay is walked, so a walk
+holds two matrices at a time, however many stages the run has.
+
 All files are emitted with sorted keys, compact separators and a trailing
 newline so reruns are byte-identical.
 
@@ -47,11 +56,11 @@ from __future__ import annotations
 import json
 import os
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .kernel import ConfigError, Kind, Snapshot, StagedOrder, _pair_array, _strict
+from .kernel import ConfigError, Kind, Replay, Snapshot, StagedOrder, _pair_array, _replay, _strict
 
 MANIFEST_NAME = "manifest.json"
 CONFIG_NAME = "config.json"
@@ -90,9 +99,16 @@ def _pairs_text(pairs: np.ndarray) -> str:
 
 
 def config_hash(config_obj) -> str:
-    import hashlib  # here, not at the top: loading OpenSSL costs every other command
-
-    return hashlib.sha256(canonical_dumps(config_obj).encode("utf-8")).hexdigest()
+    # sha256 from the interpreter's own module, as the standard library's
+    # random takes sha512: hashlib would load OpenSSL, 3.5 MB for one digest
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256(canonical_dumps(config_obj).encode("utf-8")).hexdigest()
 
 
 def _stage_obj(snapshot: Snapshot, kind: Kind, stage: int, **relation) -> dict:
@@ -205,6 +221,22 @@ def _refuse_first(pairs: np.ndarray, bad: np.ndarray, message: str) -> None:
         raise ConfigError(message.format(pairs[bad.argmax()].tolist()))
 
 
+def _delta_parts(obj: dict, n: int) -> Tuple[np.ndarray, np.ndarray, Dict[int, str]]:
+    """A delta object's added and removed pairs and its labels, each
+    checked on its own."""
+    return _pair_list(obj, "added", n), _pair_list(obj, "removed", n), _labels(obj, n)
+
+
+def _check_delta(added: np.ndarray, removed: np.ndarray, base: np.ndarray) -> None:
+    """Refuse a reflexive pair, an added pair the base matrix holds or a
+    removed pair it lacks; the first in file order is named."""
+    for key, pairs, held in (("added", added, False), ("removed", removed, True)):
+        _refuse_first(pairs, pairs[:, 0] == pairs[:, 1], key + " pair {} is reflexive")
+        verb = "is not" if held else "is already"
+        _refuse_first(pairs, base[pairs[:, 0], pairs[:, 1]] != held,
+                      f"{key} pair {{}} {verb} held by the base")
+
+
 def delta_from_obj(obj, base: Snapshot, base_kind: Kind) -> Tuple[Snapshot, Kind]:
     """The stage a delta object describes, rebuilt on `base`, the snapshot
     its "base" file holds."""
@@ -212,26 +244,18 @@ def delta_from_obj(obj, base: Snapshot, base_kind: Kind) -> Tuple[Snapshot, Kind
     _expect(n == base.domain_size, f"domain_size {n} is not the base's {base.domain_size}")
     _expect(kind is base_kind, f"kind {kind.value} is not the base's {base_kind.value}")
     _expect(stage == base.stage + 1, f"stage {stage} is not the base's stage {base.stage} + 1")
-    added, removed = _pair_list(obj, "added", n), _pair_list(obj, "removed", n)
-    labels = _labels(obj, n)
-    for key, pairs, held in (("added", added, False), ("removed", removed, True)):
-        _refuse_first(pairs, pairs[:, 0] == pairs[:, 1], key + " pair {} is reflexive")
-        verb = "is not" if held else "is already"
-        _refuse_first(pairs, base.matrix[pairs[:, 0], pairs[:, 1]] != held,
-                      f"{key} pair {{}} {verb} held by the base")
-    matrix = base.matrix.copy()
-    matrix[added[:, 0], added[:, 1]] = True
-    matrix[removed[:, 0], removed[:, 1]] = False
-    matrix.setflags(write=False)
-    return Snapshot(n, stage, matrix, labels), kind
+    added, removed, labels = _delta_parts(obj, n)
+    _check_delta(added, removed, base.matrix)
+    _, snapshot = _replay(base, [(added, removed, labels)])
+    return snapshot, kind
 
 
 def _is_delta(obj) -> bool:
     return isinstance(obj, dict) and "base" in obj
 
 
-def _base_name(name: str, obj: dict) -> str:
-    base = obj["base"]
+def _base_name(name: str, base) -> str:
+    """A delta's "base" value, which must name a file beside it."""
     _expect(
         isinstance(base, str) and base == os.path.basename(base) and base not in ("", ".", ".."),
         f"{name}: base must name a file in the same directory, not {base!r}",
@@ -239,10 +263,10 @@ def _base_name(name: str, obj: dict) -> str:
     return base
 
 
-def _delta_onto(name: str, obj: dict, base: Snapshot, base_kind: Kind) -> Tuple[Snapshot, Kind]:
-    """delta_from_obj, with the delta's file named in every refusal."""
+def _named(name: str, check, *args):
+    """check(*args), with the delta file `name` named in its refusal."""
     try:
-        return delta_from_obj(obj, base, base_kind)
+        return check(*args)
     except ConfigError as exc:
         raise ConfigError(f"{name}: {exc}") from None
 
@@ -365,14 +389,14 @@ def load_snapshot(path: str) -> Tuple[Snapshot, Kind]:
         name = os.path.basename(path)
         chain.append((name, obj))
         seen.add(name)
-        base = _base_name(name, obj)
+        base = _base_name(name, obj["base"])
         _expect(base not in seen, f"{name}: its chain of bases loops")
         path = os.path.join(os.path.dirname(path), base)
         _expect(os.path.isfile(path), f"{name}: its base {path} is missing")
         obj = _load_stage(path)
     snapshot, kind = snapshot_from_obj(obj)
     for name, obj in reversed(chain):
-        snapshot, kind = _delta_onto(name, obj, snapshot, kind)
+        snapshot, kind = _named(name, delta_from_obj, obj, snapshot, kind)
     return snapshot, kind
 
 
@@ -439,23 +463,72 @@ def write_run(
     return manifest
 
 
-def load_run(run_dir: str) -> Tuple[dict, dict, List[Snapshot], Kind]:
+def _replay_checked(files: list, count: int) -> Replay:
+    """The stages of a run whose files are whole, in stage order, as a
+    Replay, each delta checked against the stage before it on one working
+    matrix. Every file has the manifest's kind and domain size, and stage
+    s follows stage s - 1, so a delta meets its base's header already."""
+    first, middle, last = None, [], None
+    matrix = None  # the stage before, writable
+    for stage, n, name, entry in files:
+        if isinstance(entry, Snapshot):
+            if 0 < stage < count - 1:  # a full file between: kept as its delta
+                now = entry.matrix
+                middle.append((np.argwhere(now & ~matrix), np.argwhere(matrix & ~now), entry.labels))
+            if stage < count - 1:
+                matrix = entry.matrix.copy()
+        else:
+            base, parts = entry
+            previous = files[stage - 1][2] if stage else None
+            _expect(
+                _base_name(name, base) == previous,
+                f"{name}: base {base!r} is not the previous stage's file {previous}",
+            )
+            if isinstance(parts, ConfigError):
+                raise ConfigError(f"{name}: {parts}")
+            added, removed, labels = parts
+            _named(name, _check_delta, added, removed, matrix)
+            matrix[added[:, 0], added[:, 1]] = True
+            matrix[removed[:, 0], removed[:, 1]] = False
+            if stage < count - 1:
+                middle.append(parts)
+            else:
+                entry = Snapshot(n, stage, matrix, labels)
+        if stage == 0:
+            first = entry
+        if stage == count - 1:
+            last = entry
+    return Replay(first, middle, last)
+
+
+def load_run(run_dir: str) -> Tuple[dict, dict, Replay, Kind]:
+    """A run directory's manifest, config, stages (see the module
+    docstring) and kind."""
     manifest = load_json(os.path.join(run_dir, MANIFEST_NAME))
     _expect(isinstance(manifest, dict), "manifest must be an object")
     config = load_config(run_dir)
     names = sorted(filter(_is_snapshot_name, os.listdir(run_dir)))
     _expect(manifest.get("kind") in ("ce", "coce"), "manifest kind must be 'ce' or 'coce'")
     kind = Kind(manifest["kind"])
-    files = []  # (stage, domain size, name, snapshot or delta object)
+    files = []  # (stage, domain size, name, snapshot or (base, delta parts or their refusal))
+    labels = {}  # the last labels read, shared by every file whose labels equal them
     for name in names:
         obj = _load_stage(os.path.join(run_dir, name))
-        if _is_delta(obj):  # applied once the run is known to be whole
+        if _is_delta(obj):  # checked against its base once the run is known to be whole
             n, stage, snap_kind = _header(obj)
+            try:
+                added, removed, own = _delta_parts(obj, n)
+                labels = labels if own == labels else own
+                parts = (added, removed, labels)
+            except ConfigError as exc:
+                parts = exc
+            entry = (obj["base"], parts)
         else:
-            obj, snap_kind = snapshot_from_obj(obj)
-            n, stage = obj.domain_size, obj.stage
+            entry, snap_kind = snapshot_from_obj(obj)
+            n, stage = entry.domain_size, entry.stage
+            labels = labels if entry.labels == labels else entry.labels
         _expect(snap_kind is kind, f"{name} kind disagrees with manifest")
-        files.append((stage, n, name, obj))
+        files.append((stage, n, name, entry))
     files.sort(key=lambda f: f[0])
     # Files lost, spliced in or edited must not pass as a shorter run.
     count = manifest.get("snapshot_count")
@@ -474,14 +547,4 @@ def load_run(run_dir: str) -> Tuple[dict, dict, List[Snapshot], Kind]:
         all(f[1] == manifest.get("domain_size") for f in files),
         "a snapshot's domain size disagrees with the manifest",
     )
-    snapshots = []
-    for stage, _, name, obj in files:
-        if isinstance(obj, dict):
-            previous = files[stage - 1][2] if stage else None
-            _expect(
-                _base_name(name, obj) == previous,
-                f"{name}: base {obj['base']!r} is not the previous stage's file {previous}",
-            )
-            obj, _ = _delta_onto(name, obj, snapshots[-1], kind)
-        snapshots.append(obj)
-    return manifest, config, snapshots, kind
+    return manifest, config, _replay_checked(files, count), kind

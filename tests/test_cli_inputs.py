@@ -5,20 +5,24 @@ exact answer at every domain size."""
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import staged_orders
 from staged_orders.cli import main
-from staged_orders.kernel import ConfigError, Kind, Snapshot
+from staged_orders.kernel import ConfigError, DomainLimitExceeded, Kind, Snapshot
 from staged_orders.serialize import (
     canonical_dumps,
     load_json,
+    load_run,
     load_snapshot,
     snapshot_from_obj,
     snapshot_to_obj,
@@ -461,3 +465,75 @@ def test_deeply_nested_json_is_a_json_error(shipped_runs, tmp_path, where):
         argv = ["decode", "--snapshot", run_snapshot_paths(run)[-1],
                 "--construction", "jump-cochain", "--perm", path]
     _config_error(_invoke(*argv), f"invalid JSON in {path}")
+
+
+# Small runs for the fuzz below: a coce run with labels, a ce one and a
+# jump run, whose witness suite reads the config too.
+_FUZZ_CONFIGS = {
+    "spectrum-coce": {"construction": "spectrum-coce", "n": 3, "edges": [[0, 2]],
+                      "flips": {"0,1": [2]}, "stages": 8},
+    "spectrum-ce": {"construction": "spectrum-ce", "n": 3, "edges": [[0, 1]],
+                    "flips": {"1,2": [2]}, "stages": 6},
+    "jump-cochain": {"construction": "jump-cochain", "entries": [[0, 2], [1, 3]], "n": 5,
+                     "stages": 5},
+}
+# What a JSON token of a run file may be replaced with: other naturals,
+# one past the domain cap, numbers that are not naturals, other types.
+_FUZZ_VALUES = ["0", "1", "2", "7", "-1", "4097", "1000000", "1.5", "1e999", "NaN", "true",
+                "null", '""', '"ce"', '"coce"', '"snapshot_000.json"', '"../x.json"', "[]",
+                "[[0,1]]", "[[1,0]]", "[[0,0]]", "{}", '{"0":"a"}']
+_TOKEN = re.compile(r'-?[0-9]+|"(?:[^"\\]|\\.)*"|true|false|null')
+
+
+@pytest.fixture(scope="module")
+def fuzz_runs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    runs = {}
+    for name, config in _FUZZ_CONFIGS.items():
+        cfg = _write(root / f"{name}.json", config)
+        runs[name] = str(root / name)
+        assert _invoke("build", "--config", cfg, "--out", runs[name]).exit_code == 0
+    return runs
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_damaged_run_is_refused_or_judged_never_crashes(fuzz_runs, data):
+    """One file of a small written run truncated, spliced with text from a
+    file of the run, one JSON token in it replaced, or the file deleted:
+    load_run raises a ConfigError or loads, and verify exits 0, 1 or 2 with
+    no traceback. A domain size over the cap is refused before anything is
+    allocated, as DomainLimitExceeded (exit 2)."""
+    draw = data.draw
+    with tempfile.TemporaryDirectory() as tmp:
+        run = shutil.copytree(fuzz_runs[draw(st.sampled_from(sorted(fuzz_runs)))],
+                              os.path.join(tmp, "run"))
+        names = sorted(os.listdir(run))
+        victim = os.path.join(run, draw(st.sampled_from(names)))
+        with open(victim, encoding="utf-8") as fh:
+            text = fh.read()
+        how = draw(st.sampled_from(["truncate", "splice", "value", "delete"]))
+        if how == "delete":
+            os.remove(victim)
+        else:
+            if how == "truncate":
+                text = text[:draw(st.integers(0, len(text) - 1))]
+            elif how == "splice":
+                with open(os.path.join(run, draw(st.sampled_from(names))), encoding="utf-8") as fh:
+                    donor = fh.read()
+                cut = sorted(draw(st.lists(st.integers(0, len(text)), min_size=2, max_size=2)))
+                part = sorted(draw(st.lists(st.integers(0, len(donor)), min_size=2, max_size=2)))
+                text = text[:cut[0]] + donor[part[0]:part[1]] + text[cut[1]:]
+            else:
+                token = draw(st.sampled_from(list(_TOKEN.finditer(text))))
+                text = text[:token.start()] + draw(st.sampled_from(_FUZZ_VALUES)) + text[token.end():]
+            with open(victim, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        try:
+            load_run(run)
+        except (ConfigError, DomainLimitExceeded):
+            pass
+        suite = draw(st.sampled_from(["poset", "monotone", "decode", "witness"]))
+        result = _invoke("verify", "--dir", run, "--suite", suite)
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code in (0, 1, 2), result.output

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import os
 import re
+import sys
 import tempfile
 import tracemalloc
 
@@ -14,6 +16,7 @@ from staged_orders.kernel import (
     Snapshot,
     StagedOrder,
     StagedOrderError,
+    check_monotone,
     close_matrix,
 )
 from staged_orders.jump import build_cochain_order, schedule_from_config
@@ -32,7 +35,7 @@ from staged_orders.serialize import (
 )
 
 from _oracles import snapshot_relation
-from conftest import run_snapshot_paths
+from conftest import SHIPPED, run_snapshot_paths, shipped_config_path
 
 
 def _order():
@@ -65,6 +68,32 @@ def test_canonical_dumps_is_stable_and_compact():
     assert text == '{"a":[1,2],"b":1}\n'
     assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})
     assert config_hash({"a": 1}) != config_hash({"a": 2})
+
+
+_CONFIGS = [
+    {},
+    {"a": 1, "b": 2},
+    {"b": 2, "a": 1},
+    {"construction": "sigma2", "stages": 0, "seed": -3, "domain_bound": 10**30},
+    {"nested": {"z": [1, [2, [3]]], "a": None}, "flags": [True, False], "x": 0.5},
+    {"label": "é ü \u2603 \"quoted\" \\ \n", "ключ": "значение", "": ""},
+    {"pairs": [[i, i + 1] for i in range(300)], "empty": [], "obj": {}},
+    [1, "two", None],
+    "a bare string",
+]
+
+
+@pytest.mark.parametrize("blocked", [(), ("_sha2",), ("_sha2", "_sha256")],
+                         ids=["builtin", "no _sha2", "hashlib"])
+def test_config_hash_is_the_sha256_of_the_canonical_text(monkeypatch, blocked):
+    """With the interpreter's own sha256 module (_sha2 from Python 3.12,
+    _sha256 before) and, where neither imports, with hashlib's."""
+    for name in blocked:
+        monkeypatch.setitem(sys.modules, name, None)  # import then raises ImportError
+    configs = _CONFIGS + [load_json(shipped_config_path(name)) for name in SHIPPED]
+    for config in configs:
+        want = hashlib.sha256(canonical_dumps(config).encode("utf-8")).hexdigest()
+        assert config_hash(config) == want
 
 
 @given(st.lists(st.tuples(st.integers(0, 1100), st.integers(0, 1100)), max_size=40), st.booleans())
@@ -151,7 +180,8 @@ def test_write_and_load_run(tmp_path):
     names = sorted(os.listdir(out))
     assert "snapshot_000.json" in names and "snapshot_002.json" in names
 
-    loaded_manifest, config, snapshots, kind = load_run(out)
+    loaded_manifest, config, stages, kind = load_run(out)
+    snapshots = list(stages)
     assert loaded_manifest == manifest
     assert config == {"x": 1}
     assert kind is Kind.CE
@@ -160,10 +190,11 @@ def test_write_and_load_run(tmp_path):
 
 
 @st.composite
-def _histories(draw):
+def _histories(draw, monotone=True):
     """A ce history that only grows or a coce history that only shrinks:
     1 to 5 reflexive snapshots, not orders, some stages changing nothing,
-    each with its own labels."""
+    each with its own labels. Unless `monotone`, a stage may also move the
+    other way."""
     kind = draw(st.sampled_from([Kind.CE, Kind.COCE]))
     n = draw(st.integers(0, 6))
     bits = st.lists(st.booleans(), min_size=n * n, max_size=n * n)
@@ -173,19 +204,21 @@ def _histories(draw):
     for stage in range(draw(st.integers(1, 5))):
         if stage and not draw(st.booleans()):  # else this stage changes nothing
             step = np.array(draw(bits), dtype=bool).reshape(n, n)
-            matrix = matrix | step if kind is Kind.CE else matrix & ~step
+            grow = kind is Kind.CE if monotone else draw(st.booleans())
+            matrix = matrix | step if grow else matrix & ~step
         np.fill_diagonal(matrix, True)
         snapshots.append(Snapshot(n, stage, matrix, draw(labels)))
     return kind, snapshots
 
 
-def _write_history(out, kind, snapshots):
+def _write_history(out, kind, snapshots, full=()):
     """A run laid out as write_run lays one out, but from any snapshots:
     the middle ones written by delta_to_obj, so their labels may change
-    from stage to stage, which no order's do."""
+    from stage to stage, which no order's do, except the indices in
+    `full`, written as full files."""
     names = [f"snapshot_{snapshot.stage:03d}.json" for snapshot in snapshots]
     for i, (name, snapshot) in enumerate(zip(names, snapshots)):
-        if 0 < i < len(snapshots) - 1:
+        if 0 < i < len(snapshots) - 1 and i not in full:
             obj = delta_to_obj(snapshot, snapshots[i - 1], names[i - 1], kind)
         else:
             obj = snapshot_to_obj(snapshot, kind)
@@ -204,13 +237,40 @@ def test_written_run_loads_back_stage_by_stage(case):
     kind, snapshots = case
     with tempfile.TemporaryDirectory() as out:
         _write_history(out, kind, snapshots)
-        _, _, loaded, loaded_kind = load_run(out)
+        _, _, stages, loaded_kind = load_run(out)
+        loaded = list(stages)
         assert loaded_kind is kind
         assert loaded == snapshots
         paths = run_snapshot_paths(out)
         assert len(paths) == len(snapshots)
         for path, snapshot in zip(paths, loaded):
             assert load_snapshot(path) == (snapshot, kind)
+
+
+@given(_histories(monotone=False), st.sets(st.integers(1, 3)))
+@settings(max_examples=100, deadline=None)
+def test_replayed_stages_are_their_files_loaded_alone(case, full):
+    """Each stage load_run replays is what load_snapshot gives for its
+    file, which follows the chain of bases on its own; a middle stage
+    written as a full file is kept as its delta. check_monotone reports
+    the same failures, in the same order, for the replay, a list and a
+    tuple of its stages, and they are the pairs each stage lost."""
+    kind, snapshots = case
+    with tempfile.TemporaryDirectory() as out:
+        _write_history(out, kind, snapshots, full)
+        _, _, stages, _ = load_run(out)
+        paths = run_snapshot_paths(out)
+        assert len(stages) == len(paths) == len(snapshots)
+        for path, stage in zip(paths, stages):
+            assert load_snapshot(path) == (stage, kind)
+    assert list(stages) == snapshots  # and a second walk rebuilds them again
+    report = check_monotone(stages, kind)
+    assert report == check_monotone(list(stages), kind) == check_monotone(tuple(stages), kind)
+    lost = []
+    for before, now in zip(snapshots, snapshots[1:]):
+        gone = before.matrix & ~now.matrix if kind is Kind.CE else now.matrix & ~before.matrix
+        lost += [(now.stage, tuple(p)) for p in np.argwhere(gone).tolist()]
+    assert report.failures == tuple(lost) and report.passed == (not lost)
 
 
 @st.composite
@@ -258,7 +318,7 @@ def test_order_history_is_written_as_its_deltas(case):
             assert obj["added"] == np.argwhere(new & ~old).tolist()
             assert obj["removed"] == np.argwhere(old & ~new).tolist()
         _, _, loaded, loaded_kind = load_run(out)
-        assert loaded_kind is kind and loaded == recorded
+        assert loaded_kind is kind and list(loaded) == recorded
 
 
 # Replacements for numbers of a pair list: all but the last two lie outside
@@ -411,20 +471,30 @@ def test_load_run_rejects_kind_mismatch(tmp_path):
 
 def test_a_long_run_is_built_and_written_in_a_few_matrices_of_memory(tmp_path):
     """An n=512 jump-cochain run of 512 stages, built and written, peaks
-    below 32 n^2 bytes: a matrix per stage took 128 MiB to build."""
+    below 32 n^2 bytes: a matrix per stage took 128 MiB to build. Loaded
+    and walked by check_monotone it peaks below 128 n^2 bytes: a matrix
+    per loaded stage took 129 MiB."""
     n = 512
     config = {"construction": "jump-cochain", "n": n, "stages": n,
               "entries": [[31 * e, 31 * e + 4 + e % 13] for e in range(16)]}
     schedule = schedule_from_config(config)
+    out = str(tmp_path / "run")
     tracemalloc.start()
     try:
         order = build_cochain_order(schedule, n, n)
-        write_run(str(tmp_path / "run"), "jump-cochain", config, Kind.COCE, order, n)
+        write_run(out, "jump-cochain", config, Kind.COCE, order, n)
         peak = tracemalloc.get_traced_memory()[1]
+        del order
+        tracemalloc.reset_peak()
+        _, _, stages, kind = load_run(out)
+        report = check_monotone(stages, kind)
+        load_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(os.listdir(tmp_path / "run")) == n + 3
     assert peak < 32 * n * n
+    assert report.passed and len(stages) == n + 1
+    assert load_peak < 128 * n * n
 
 
 def test_snapshot_name_width_grows(tmp_path):
