@@ -148,9 +148,9 @@ def build(construction, config_path, stages, domain, seed, out_dir):
 
     plan = RunPlan(load_json(config_path), construction, stages, domain, seed)
     con = _construction(plan.construction)
-    order, family = con.build(plan)
+    history, family = con.build(plan)
     _emit(write_run(
-        out_dir, con.name, plan.resolved(), con.kind, order, plan.stages,
+        out_dir, con.name, plan.resolved(), con.kind, history, plan.stages,
         plan.seed, family,
     ))
 

@@ -230,7 +230,7 @@ class JumpConstruction(Construction):
         plan.payload.setdefault("n", n)
         stages = plan.stages_or(sched.max_entry_stage)
         builder = build_cochain_order if self.kind is Kind.COCE else build_antichain_order
-        return builder(sched, n, stages), None
+        return builder(sched, n, stages).history, None
 
     def _prefixes(self, snap, sched, holder: str, every: bool):
         """(i, bits) read off the probe: the widest prefix, or all of them."""

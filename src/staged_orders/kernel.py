@@ -4,12 +4,15 @@ A construction runs in stages. At each stage it either adds pairs (a
 c.e. approximation, the relation only grows) or removes pairs (a co-c.e.
 approximation, the relation only shrinks). Every stage must leave the
 relation reflexive and transitively closed; additions must also keep it
-antisymmetric. The kernel enforces those invariants at mutation time. A
-history holds two immutable boolean matrices, its first stage and its
-current one, and for every later stage only the strict pairs that stage
-added and removed, so its memory grows with the pairs that change, not
-with the number of stages. A `Replay` holds a history read back from
-files the same way and rebuilds its stages one at a time when walked.
+antisymmetric. The kernel enforces those invariants at mutation time.
+
+A history takes one shape wherever it goes, from build through the run
+files to verify: a `Replay`, which holds two immutable boolean matrices,
+its first stage and its last, and for every stage between only the
+strict pairs that stage added and removed and its labels. Its memory
+grows with the pairs that change, not with the number of stages, and it
+rebuilds its stages one at a time when walked. `StagedOrder.history`
+gives an order's history so far in that shape.
 
 `Record` is the base of the package's small immutable value classes
 (axiom and monotonicity reports, predicate specs, schedules). Its fields
@@ -202,10 +205,23 @@ def _pair_array(pairs, n: int) -> Optional[np.ndarray]:
     return pairs if not pairs.size or (pairs.min() >= 0 and pairs.max() < n) else None
 
 
+def _checked_pair(pair, n: int) -> Tuple[int, int]:
+    """A pair given to the kernel, checked on its own: two Python or numpy
+    integers inside 0..n-1. numpy would read True as a mask and 0.0 or "0"
+    not at all, so any other entry is refused."""
+    u, v = pair
+    if not ((type(u) is int or isinstance(u, np.integer))
+            and (type(v) is int or isinstance(v, np.integer))):
+        raise StagedOrderError(f"pair ({u!r}, {v!r}) must hold two integers")
+    if not (0 <= u < n and 0 <= v < n):
+        raise DomainTooSmall(f"pair ({u}, {v}) outside domain of size {n}")
+    return u, v
+
+
 def _matrix_of(pairs: Iterable[Tuple[int, int]], n: int, reflexive: bool = True) -> np.ndarray:
     """A relation matrix holding `pairs`, an iterable of pairs or an array
     from `_pair_array`. The cap is checked before anything is allocated,
-    and every pair must lie inside the domain."""
+    and every pair must pass `_checked_pair`."""
     _check_domain_size(n)
     matrix = np.zeros((n, n), dtype=bool)
     np.fill_diagonal(matrix, reflexive)
@@ -215,12 +231,10 @@ def _matrix_of(pairs: Iterable[Tuple[int, int]], n: int, reflexive: bool = True)
     if idx is not None:
         matrix[idx[:, 0], idx[:, 1]] = True
         return matrix
-    # Numpy ints or a pair outside the domain: go pair by pair, as the
-    # error must name the first pair outside it.
-    for i, j in pairs:
-        if not (0 <= i < n and 0 <= j < n):
-            raise DomainTooSmall(f"pair ({i}, {j}) outside domain of size {n}")
-        matrix[i, j] = True
+    # Numpy ints or a bad pair: go pair by pair, as the error must name the
+    # first bad pair.
+    for pair in pairs:
+        matrix[_checked_pair(pair, n)] = True
     return matrix
 
 
@@ -413,31 +427,16 @@ def check_monotone(snapshots: Iterable[Snapshot], kind: Kind) -> MonotoneReport:
 Delta = Tuple[np.ndarray, np.ndarray, Mapping[int, str]]
 
 
-def _replay(first: Snapshot, deltas: Iterable[Delta]) -> Iterator[Snapshot]:
-    """`first`, then each stage after it, rebuilt from the one before by
-    setting the int (k, 2) array `added` and clearing `removed`, with the
-    stage's `labels`. A stage that changes nothing shares the matrix
-    before it; any other gets a fresh read-only one, so a caller that
-    keeps no stage holds two matrices at a time."""
-    snapshot = first
-    yield snapshot
-    for added, removed, labels in deltas:
-        matrix = snapshot.matrix
-        if added.size or removed.size:
-            matrix = matrix.copy()
-            matrix[added[:, 0], added[:, 1]] = True
-            matrix[removed[:, 0], removed[:, 1]] = False
-            matrix.setflags(write=False)
-        snapshot = Snapshot(first.domain_size, snapshot.stage + 1, matrix, labels)
-        yield snapshot
-
-
 class Replay:
     """A history held as its first and last snapshots and, for each stage
     between, the strict pairs it added and removed and its labels
-    (`Delta`s). Iterating rebuilds the stages in order (`_replay`), then
-    gives the last; len() counts them. An empty history has neither first
-    nor last snapshot, and in a history of one stage they are the same."""
+    (`Delta`s: sorted int (k, 2) arrays and a dict). Iterating rebuilds the
+    stages in order, each from the one before by setting `added` and
+    clearing `removed`, then gives the last; len() counts them. A stage
+    that changes nothing shares the matrix before it; any other gets a
+    fresh read-only one, so a walk that keeps no stage holds two matrices
+    at a time. An empty history has neither first nor last snapshot, and
+    in a history of one stage they are the same."""
 
     __slots__ = ("first", "middle", "last")
 
@@ -453,9 +452,20 @@ class Replay:
 
     def __iter__(self) -> Iterator[Snapshot]:
         if self.first is None:
-            return iter(())
-        stages = _replay(self.first, self.middle)
-        return stages if self.last is self.first else chain(stages, (self.last,))
+            return
+        snapshot = self.first
+        yield snapshot
+        for added, removed, labels in self.middle:
+            matrix = snapshot.matrix
+            if added.size or removed.size:
+                matrix = matrix.copy()
+                matrix[added[:, 0], added[:, 1]] = True
+                matrix[removed[:, 0], removed[:, 1]] = False
+                matrix.setflags(write=False)
+            snapshot = Snapshot(snapshot.domain_size, snapshot.stage + 1, matrix, labels)
+            yield snapshot
+        if self.last is not self.first:
+            yield self.last
 
 
 _NO_PAIRS = np.empty((0, 2), dtype=np.int64)
@@ -503,19 +513,15 @@ def _add_pair_by_pair(matrix: np.ndarray, pairs, n: int) -> np.ndarray:
     """Add the pairs to a closed order one at a time, raising for the first
     one outside the domain or making a 2-cycle; that first error is what
     add_pairs reports. Changes and returns `matrix`."""
-    for u, v in pairs:
-        if not (0 <= u < n and 0 <= v < n):
-            raise DomainTooSmall(f"pair ({u}, {v}) outside domain of size {n}")
+    for pair in pairs:
+        u, v = _checked_pair(pair, n)
         if matrix[u, v]:
             continue
         if matrix[v, u]:
             raise AntisymmetryViolation(min(u, v), max(u, v))
-        # x <= u and v <= y gives x <= y; includes (u,v) itself.
-        new = np.logical_and.outer(matrix[:, u], matrix[v, :])
-        bad = _first_pair(_strict(new & matrix.T))
-        if bad is not None:
-            raise AntisymmetryViolation(min(bad), max(bad))
-        matrix |= new
+        # x <= u and v <= y gives x <= y; includes (u,v) itself. No such
+        # pair reverses a held one: y <= x would close to v <= u.
+        matrix |= np.logical_and.outer(matrix[:, u], matrix[v, :])
     return matrix
 
 
@@ -527,11 +533,11 @@ class StagedOrder:
     relation; each mutation appends one stage, numbered one past the last.
     Mutations are atomic: on error nothing is appended.
 
-    The history is held as the `initial` and `current` snapshots and, for
-    each later stage, the strict pairs it added and removed (`deltas`):
-    sorted int64 (k, 2) arrays. No other stage's matrix is kept;
-    `snapshots` rebuilds them all by replaying the deltas. A stage that
-    changes nothing shares the matrix before it.
+    The history is held as the first and `current` snapshots and, for
+    each later stage, the strict pairs it added and removed: sorted int64
+    (k, 2) arrays. No other stage's matrix is kept; `history` gives them
+    as a `Replay`. A stage that changes nothing shares the matrix before
+    it.
 
     A ce stage is closed in one pass over its batch's heads
     (`_close_batch`) and checked for antisymmetry once. The pairs are
@@ -547,23 +553,16 @@ class StagedOrder:
         self._deltas: List[Tuple[np.ndarray, np.ndarray]] = []
 
     @property
-    def initial(self) -> Snapshot:
-        return self._initial
-
-    @property
     def current(self) -> Snapshot:
         return self._current
 
     @property
-    def deltas(self) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
-        """(added, removed) for each stage after the first, in order."""
-        return tuple(self._deltas)
-
-    @property
-    def snapshots(self) -> Tuple[Snapshot, ...]:
-        """Every stage, rebuilt from the first by replaying the deltas."""
+    def history(self) -> Replay:
+        """Every stage so far: the first and current snapshots and the delta
+        of each stage between, all with the first's labels."""
         labels = self._initial.labels  # every stage keeps the first's labels
-        return tuple(_replay(self._initial, ((a, r, labels) for a, r in self._deltas)))
+        middle = [(added, removed, labels) for added, removed in self._deltas[:-1]]
+        return Replay(self._initial, middle, self._current)
 
     def _append(self, matrix: np.ndarray, added: np.ndarray, removed: np.ndarray) -> Snapshot:
         """Make `matrix`, read-only and owning its data, the next stage, and
@@ -597,9 +596,8 @@ class StagedOrder:
         before = self._current.matrix
         n = self.domain_size
         removed = {}  # the held pairs, each once, in the order first given
-        for u, v in pairs:
-            if not (0 <= u < n and 0 <= v < n):
-                raise DomainTooSmall(f"pair ({u}, {v}) outside domain of size {n}")
+        for pair in pairs:
+            u, v = _checked_pair(pair, n)
             if u == v:
                 raise StagedOrderError(f"cannot remove reflexive pair ({u}, {u})")
             if before[u, v]:
@@ -661,9 +659,10 @@ class Construction:
                  taking the loaded run and returning (lines, passed)
     consts       default constants for decode --consts; None if it takes none
     checks_kind  whether decode refuses snapshots of the other kind
-    build(plan)  fill in the plan's defaults; return (order, family) for
-                 serialize.write_run: the StagedOrder built, or None for a
-                 set family, and the family object, or None for an order
+    build(plan)  fill in the plan's defaults; return (history, family) for
+                 serialize.write_run: the built order's history (a Replay),
+                 or None for a set family, and the family object, or None
+                 for an order
     readout(snapshot, kind, consts, config, original)
                  the object decode prints; config() loads the sibling
                  config.json, original maps relabeled elements back

@@ -15,21 +15,25 @@ Delta (a middle stage of a run):
    "removed": [[i,j], ...],        # strict pairs the base holds, sorted
    "labels": {"5": "b_0", ...}}    # optional; all of this stage's labels
 
-A delta is read by rebuilding its base first, back to a full file, so a
-middle file given alone loads as long as its bases sit beside it. It is
-refused unless its stage is the base's stage + 1, its domain size and kind
-are the base's, every added pair is absent from the base, every removed
-pair is held by it and no pair in either list is reflexive. A full file is
-accepted at any stage.
+A middle file given alone loads as long as its bases sit beside it: its
+chain of bases is followed back to a full file, and then each delta, the
+oldest first, is checked against the stage before it and applied to one
+working matrix. A delta is refused unless its stage is the base's stage
++ 1, its domain size and kind are the base's, every added pair is absent
+from the base, every removed pair is held by it and no pair in either
+list is reflexive; the refusal names the delta's file. A full file is
+accepted at any stage. A domain size over the cap (kernel.max_domain) is
+refused before any pair is read.
 
 A run directory is read by load_run in one pass over its files. Each file
 is parsed and checked on its own, then the files against the manifest,
 then each delta against the stage before it, in stage order, on one
-working matrix. The stages come back as a kernel.Replay: the first and
-last snapshots and, for each stage between, its checked added and removed
-pairs and its labels, equal labels shared (a full file between is kept as
-its delta). A stage is rebuilt only when the replay is walked, so a walk
-holds two matrices at a time, however many stages the run has.
+working matrix, by the same step as a lone middle file's chain. The
+stages come back as a kernel.Replay: the first and last snapshots and,
+for each stage between, its checked added and removed pairs and its
+labels, equal labels shared (a full file between is kept as its delta).
+A stage is rebuilt only when the replay is walked, so a walk holds two
+matrices at a time, however many stages the run has.
 
 All files are emitted with sorted keys, compact separators and a trailing
 newline so reruns are byte-identical.
@@ -56,11 +60,14 @@ from __future__ import annotations
 import json
 import os
 import re
-from typing import Dict, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .kernel import ConfigError, Kind, Replay, Snapshot, StagedOrder, _pair_array, _replay, _strict
+from .kernel import (
+    ConfigError, Delta, DomainLimitExceeded, Kind, Replay, Snapshot, _check_domain_size,
+    _pair_array, _strict,
+)
 
 MANIFEST_NAME = "manifest.json"
 CONFIG_NAME = "config.json"
@@ -111,19 +118,19 @@ def config_hash(config_obj) -> str:
     return sha256(canonical_dumps(config_obj).encode("utf-8")).hexdigest()
 
 
-def _stage_obj(snapshot: Snapshot, kind: Kind, stage: int, **relation) -> dict:
-    """A stage file's object: `snapshot`'s domain size and labels, `stage`
-    and `relation`, its pair lists as lists or int (k, 2) arrays."""
-    obj = {"domain_size": snapshot.domain_size, "stage": stage, "kind": kind.value}
+def _stage_obj(n: int, stage: int, kind: Kind, labels: Mapping[int, str], **relation) -> dict:
+    """A stage file's object: its header, `relation`, its pair lists as
+    lists or int (k, 2) arrays, and `labels`."""
+    obj = {"domain_size": n, "stage": stage, "kind": kind.value}
     obj.update(relation)
-    if snapshot.labels:
-        obj["labels"] = {str(k): v for k, v in snapshot.labels.items()}
+    if labels:
+        obj["labels"] = {str(k): v for k, v in labels.items()}
     return obj
 
 
 def _full_obj(snapshot: Snapshot, kind: Kind) -> dict:
     pairs = np.argwhere(_strict(snapshot.matrix))
-    return _stage_obj(snapshot, kind, snapshot.stage, pairs=pairs)
+    return _stage_obj(snapshot.domain_size, snapshot.stage, kind, snapshot.labels, pairs=pairs)
 
 
 def snapshot_to_obj(snapshot: Snapshot, kind: Kind) -> dict:
@@ -137,9 +144,10 @@ def delta_to_obj(snapshot: Snapshot, base: Snapshot, base_name: str, kind: Kind)
     the stage before it, which is stored in the file `base_name`."""
     now, before = _strict(snapshot.matrix), _strict(base.matrix)
     return _stage_obj(
-        snapshot,
-        kind,
+        snapshot.domain_size,
         snapshot.stage,
+        kind,
+        snapshot.labels,
         base=base_name,
         added=np.argwhere(now & ~before).tolist(),
         removed=np.argwhere(before & ~now).tolist(),
@@ -157,7 +165,8 @@ def _expect(cond: bool, message: str) -> None:
 
 
 def _header(obj) -> Tuple[int, int, Kind]:
-    """Domain size, stage and kind of a full or delta object."""
+    """Domain size, stage and kind of a full or delta object; a domain size
+    over the cap is refused here, before any pair is read."""
     _expect(isinstance(obj, dict), "snapshot JSON must be an object")
     n = obj.get("domain_size")
     stage = obj.get("stage")
@@ -165,12 +174,14 @@ def _header(obj) -> Tuple[int, int, Kind]:
     _expect(is_natural(n), "domain_size must be a natural number")
     _expect(is_natural(stage), "stage must be a natural number")
     _expect(kind_raw in ("ce", "coce"), "kind must be 'ce' or 'coce'")
+    _check_domain_size(n)
     return n, stage, Kind(kind_raw)
 
 
 def _pair_list(obj: dict, key: str, n: int) -> np.ndarray:
-    """obj[key] as an int64 (k, 2) array of pairs inside 0..n-1. The value
-    is a JSON list, or such an array as `_load_stage` parses it."""
+    """obj[key] as an int64 (k, 2) array of pairs inside 0..n-1, n within
+    the cap. The value is a JSON list, or such an array as `_load_stage`
+    parses it."""
     pairs = obj.get(key)
     if isinstance(pairs, np.ndarray) and pairs.dtype == np.int64 and pairs.shape[1:] == (2,):
         if _pair_array(pairs, n) is None:
@@ -186,7 +197,6 @@ def _pair_list(obj: dict, key: str, n: int) -> np.ndarray:
                 f"malformed pair {p!r}",
             )
             _expect(0 <= p[0] < n and 0 <= p[1] < n, f"pair {p!r} outside domain")
-        checked = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     return checked
 
 
@@ -221,33 +231,34 @@ def _refuse_first(pairs: np.ndarray, bad: np.ndarray, message: str) -> None:
         raise ConfigError(message.format(pairs[bad.argmax()].tolist()))
 
 
-def _delta_parts(obj: dict, n: int) -> Tuple[np.ndarray, np.ndarray, Dict[int, str]]:
-    """A delta object's added and removed pairs and its labels, each
-    checked on its own."""
-    return _pair_list(obj, "added", n), _pair_list(obj, "removed", n), _labels(obj, n)
-
-
-def _check_delta(added: np.ndarray, removed: np.ndarray, base: np.ndarray) -> None:
-    """Refuse a reflexive pair, an added pair the base matrix holds or a
-    removed pair it lacks; the first in file order is named."""
-    for key, pairs, held in (("added", added, False), ("removed", removed, True)):
-        _refuse_first(pairs, pairs[:, 0] == pairs[:, 1], key + " pair {} is reflexive")
-        verb = "is not" if held else "is already"
-        _refuse_first(pairs, base[pairs[:, 0], pairs[:, 1]] != held,
-                      f"{key} pair {{}} {verb} held by the base")
-
-
-def delta_from_obj(obj, base: Snapshot, base_kind: Kind) -> Tuple[Snapshot, Kind]:
-    """The stage a delta object describes, rebuilt on `base`, the snapshot
-    its "base" file holds."""
-    n, stage, kind = _header(obj)
-    _expect(n == base.domain_size, f"domain_size {n} is not the base's {base.domain_size}")
-    _expect(kind is base_kind, f"kind {kind.value} is not the base's {base_kind.value}")
-    _expect(stage == base.stage + 1, f"stage {stage} is not the base's stage {base.stage} + 1")
-    added, removed, labels = _delta_parts(obj, n)
-    _check_delta(added, removed, base.matrix)
-    _, snapshot = _replay(base, [(added, removed, labels)])
-    return snapshot, kind
+def _apply_delta(
+    name: str, obj: dict, matrix: np.ndarray, base_stage: int, base_kind: Kind
+) -> Delta:
+    """Check the delta object of the file `name` against the stage before
+    it, stage `base_stage` of kind `base_kind` held in the writable
+    `matrix`, and apply it to `matrix` in place. The header comes first,
+    then the pair lists and labels, then the pairs against the matrix: no
+    reflexive pair, no added pair it holds, no removed pair it lacks; the
+    first bad pair in file order is named. Every refusal names the file.
+    Returns the delta's added and removed pairs and its labels."""
+    n = matrix.shape[0]
+    try:
+        size, stage, kind = _header(obj)
+        _expect(size == n, f"domain_size {size} is not the base's {n}")
+        _expect(kind is base_kind, f"kind {kind.value} is not the base's {base_kind.value}")
+        _expect(stage == base_stage + 1, f"stage {stage} is not the base's stage {base_stage} + 1")
+        added, removed = _pair_list(obj, "added", n), _pair_list(obj, "removed", n)
+        labels = _labels(obj, n)
+        for key, pairs, held in (("added", added, False), ("removed", removed, True)):
+            _refuse_first(pairs, pairs[:, 0] == pairs[:, 1], key + " pair {} is reflexive")
+            verb = "is not" if held else "is already"
+            _refuse_first(pairs, matrix[pairs[:, 0], pairs[:, 1]] != held,
+                          f"{key} pair {{}} {verb} held by the base")
+    except (ConfigError, DomainLimitExceeded) as exc:
+        raise type(exc)(f"{name}: {exc}") from None
+    matrix[added[:, 0], added[:, 1]] = True
+    matrix[removed[:, 0], removed[:, 1]] = False
+    return added, removed, labels
 
 
 def _is_delta(obj) -> bool:
@@ -261,14 +272,6 @@ def _base_name(name: str, base) -> str:
         f"{name}: base must name a file in the same directory, not {base!r}",
     )
     return base
-
-
-def _named(name: str, check, *args):
-    """check(*args), with the delta file `name` named in its refusal."""
-    try:
-        return check(*args)
-    except ConfigError as exc:
-        raise ConfigError(f"{name}: {exc}") from None
 
 
 def save_json(path: str, obj) -> None:
@@ -395,9 +398,14 @@ def load_snapshot(path: str) -> Tuple[Snapshot, Kind]:
         _expect(os.path.isfile(path), f"{name}: its base {path} is missing")
         obj = _load_stage(path)
     snapshot, kind = snapshot_from_obj(obj)
+    if not chain:
+        return snapshot, kind
+    matrix, stage = snapshot.matrix.copy(), snapshot.stage
     for name, obj in reversed(chain):
-        snapshot, kind = _named(name, delta_from_obj, obj, snapshot, kind)
-    return snapshot, kind
+        _, _, labels = _apply_delta(name, obj, matrix, stage, kind)
+        stage += 1
+    matrix.setflags(write=False)  # fresh, so the snapshot takes it uncopied
+    return Snapshot(snapshot.domain_size, stage, matrix, labels), kind
 
 
 def _snapshot_name(stage: int, last_stage: int) -> str:
@@ -414,23 +422,21 @@ def write_run(
     construction: str,
     config_obj,
     kind: Kind,
-    order: Optional[StagedOrder],
+    history: Optional[Replay],
     stages: int,
     seed: Optional[int] = None,
     family: Optional[dict] = None,
 ) -> dict:
-    """Write config, the order's stages (or, for a set family, whose order
-    is None, family.json) and the manifest; return the manifest. The first
-    stage is written from the order's initial snapshot, the last from its
-    current one and each between from the delta the order recorded for it.
-    Snapshot and family files an earlier run left in `out_dir` are
-    deleted; nothing else is."""
+    """Write config, the history's stages (or, for a set family, whose
+    history is None, family.json) and the manifest; return the manifest.
+    The first and last stages are written as full files and each between
+    as its delta, with its own labels. Snapshot and family files an
+    earlier run left in `out_dir` are deleted; nothing else is."""
     os.makedirs(out_dir, exist_ok=True)
-    if order is None:
-        deltas, first, count = (), 0, 0
-    else:
-        deltas, first = order.deltas, order.initial.stage
-        count = len(deltas) + 1
+    if history is None:
+        history = Replay(None, (), None)
+    count = len(history)
+    first = history.first.stage if count else 0
     names = [_snapshot_name(first + i, first + count - 1) for i in range(count)]
     keep = set(names) | ({FAMILY_NAME} if family is not None else set())
     for name in os.listdir(out_dir):
@@ -441,15 +447,15 @@ def write_run(
         save_json(os.path.join(out_dir, FAMILY_NAME), family)
         domain_size = family["n"]
     else:
-        domain_size = order.domain_size if count else 0
+        domain_size = history.first.domain_size if count else 0
     if count:
-        save_json(os.path.join(out_dir, names[0]), _full_obj(order.initial, kind))
-    for i, (added, removed) in enumerate(deltas[:-1], 1):  # every stage has the same labels
-        obj = _stage_obj(order.current, kind, first + i, base=names[i - 1],
+        save_json(os.path.join(out_dir, names[0]), _full_obj(history.first, kind))
+    for i, (added, removed, labels) in enumerate(history.middle, 1):
+        obj = _stage_obj(domain_size, first + i, kind, labels, base=names[i - 1],
                          added=added, removed=removed)
         save_json(os.path.join(out_dir, names[i]), obj)
     if count > 1:
-        save_json(os.path.join(out_dir, names[-1]), _full_obj(order.current, kind))
+        save_json(os.path.join(out_dir, names[-1]), _full_obj(history.last, kind))
     manifest = {
         "construction": construction,
         "config_hash": config_hash(config_obj),
@@ -463,44 +469,6 @@ def write_run(
     return manifest
 
 
-def _replay_checked(files: list, count: int) -> Replay:
-    """The stages of a run whose files are whole, in stage order, as a
-    Replay, each delta checked against the stage before it on one working
-    matrix. Every file has the manifest's kind and domain size, and stage
-    s follows stage s - 1, so a delta meets its base's header already."""
-    first, middle, last = None, [], None
-    matrix = None  # the stage before, writable
-    for stage, n, name, entry in files:
-        if isinstance(entry, Snapshot):
-            if 0 < stage < count - 1:  # a full file between: kept as its delta
-                now = entry.matrix
-                middle.append((np.argwhere(now & ~matrix), np.argwhere(matrix & ~now), entry.labels))
-            if stage < count - 1:
-                matrix = entry.matrix.copy()
-        else:
-            base, parts = entry
-            previous = files[stage - 1][2] if stage else None
-            _expect(
-                _base_name(name, base) == previous,
-                f"{name}: base {base!r} is not the previous stage's file {previous}",
-            )
-            if isinstance(parts, ConfigError):
-                raise ConfigError(f"{name}: {parts}")
-            added, removed, labels = parts
-            _named(name, _check_delta, added, removed, matrix)
-            matrix[added[:, 0], added[:, 1]] = True
-            matrix[removed[:, 0], removed[:, 1]] = False
-            if stage < count - 1:
-                middle.append(parts)
-            else:
-                entry = Snapshot(n, stage, matrix, labels)
-        if stage == 0:
-            first = entry
-        if stage == count - 1:
-            last = entry
-    return Replay(first, middle, last)
-
-
 def load_run(run_dir: str) -> Tuple[dict, dict, Replay, Kind]:
     """A run directory's manifest, config, stages (see the module
     docstring) and kind."""
@@ -510,23 +478,19 @@ def load_run(run_dir: str) -> Tuple[dict, dict, Replay, Kind]:
     names = sorted(filter(_is_snapshot_name, os.listdir(run_dir)))
     _expect(manifest.get("kind") in ("ce", "coce"), "manifest kind must be 'ce' or 'coce'")
     kind = Kind(manifest["kind"])
-    files = []  # (stage, domain size, name, snapshot or (base, delta parts or their refusal))
-    labels = {}  # the last labels read, shared by every file whose labels equal them
+    files = []  # (stage, domain size, name, snapshot or delta object)
+    raw_labels = None  # the last delta's labels as read, shared by every equal one
     for name in names:
-        obj = _load_stage(os.path.join(run_dir, name))
-        if _is_delta(obj):  # checked against its base once the run is known to be whole
-            n, stage, snap_kind = _header(obj)
-            try:
-                added, removed, own = _delta_parts(obj, n)
-                labels = labels if own == labels else own
-                parts = (added, removed, labels)
-            except ConfigError as exc:
-                parts = exc
-            entry = (obj["base"], parts)
+        entry = _load_stage(os.path.join(run_dir, name))
+        if _is_delta(entry):  # checked against its base once the run is known to be whole
+            n, stage, snap_kind = _header(entry)
+            if "labels" in entry:  # a long run then holds one copy until its deltas are read
+                if entry["labels"] == raw_labels:
+                    entry["labels"] = raw_labels
+                raw_labels = entry["labels"]
         else:
-            entry, snap_kind = snapshot_from_obj(obj)
+            entry, snap_kind = snapshot_from_obj(entry)
             n, stage = entry.domain_size, entry.stage
-            labels = labels if entry.labels == labels else entry.labels
         _expect(snap_kind is kind, f"{name} kind disagrees with manifest")
         files.append((stage, n, name, entry))
     files.sort(key=lambda f: f[0])
@@ -547,4 +511,33 @@ def load_run(run_dir: str) -> Tuple[dict, dict, Replay, Kind]:
         all(f[1] == manifest.get("domain_size") for f in files),
         "a snapshot's domain size disagrees with the manifest",
     )
-    return manifest, config, _replay_checked(files, count), kind
+    # Every file now has the run's kind and domain size, and stage s follows
+    # stage s - 1, so each delta's header meets its base's.
+    first, middle, last = None, [], None
+    matrix, labels = None, {}  # the stage before, writable; the last labels kept
+    for stage, n, name, entry in files:
+        if isinstance(entry, Snapshot):
+            now = entry.matrix
+            if 0 < stage < count - 1:  # a full file between is kept as its delta
+                delta = np.argwhere(now & ~matrix), np.argwhere(matrix & ~now), entry.labels
+            if stage < count - 1:
+                matrix = now.copy()
+        else:
+            previous = files[stage - 1][2] if stage else None
+            _expect(
+                _base_name(name, entry["base"]) == previous,
+                f"{name}: base {entry['base']!r} is not the previous stage's file {previous}",
+            )
+            delta = _apply_delta(name, entry, matrix, stage - 1, kind)
+            if stage == count - 1:
+                matrix.setflags(write=False)  # no longer worked on: taken uncopied
+                entry = Snapshot(n, stage, matrix, delta[2])
+        if 0 < stage < count - 1:
+            added, removed, own = delta
+            labels = labels if own == labels else own
+            middle.append((added, removed, labels))
+        if stage == 0:
+            first = entry
+        if stage == count - 1:
+            last = entry
+    return manifest, config, Replay(first, middle, last), kind

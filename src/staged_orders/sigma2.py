@@ -374,7 +374,7 @@ class Sigma2Construction(Construction):
         pred = predicate_from_config(plan.payload)
         plan.domain = plan.domain_or(required_domain_bound(pred))
         stages = plan.stages_or(stabilization_stage(pred, plan.domain))
-        return build_run(pred, plan.domain, stages)[0], None
+        return build_run(pred, plan.domain, stages)[0].history, None
 
     def readout(self, snap, kind, consts, config, original) -> dict:
         pred = predicate_from_config(config())

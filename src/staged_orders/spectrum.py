@@ -343,7 +343,7 @@ class SpectrumConstruction(Construction):
         graph = graph_from_config(plan.payload)
         plan.domain = plan.domain_or(required_domain_bound(graph))
         stages = plan.stages_or(required_stages(graph, plan.domain))
-        return build_spectrum_run(self.kind, graph, plan.domain, stages), None
+        return build_spectrum_run(self.kind, graph, plan.domain, stages).history, None
 
     def _read(self, snap, kind, consts, original=None):
         """The decoded element pairs, and the same as sorted vertex pairs;

@@ -161,7 +161,7 @@ def test_04_synthetic_sigma2_membership_reads_back_exactly():
         assert stab <= 50, f"stabilization {stab} blew the budget"
         order, _ = sigma2.build_run(pred, bound, stab + 3)
         want = pred.membership()
-        for snap in order.snapshots[stab:]:
+        for snap in tuple(order.history)[stab:]:
             got = tuple(
                 sigma2.membership_query(snap, sigma2.DEFAULT_CONSTS, i)
                 for i in range(pred.bound)

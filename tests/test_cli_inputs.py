@@ -213,6 +213,24 @@ def test_delta_that_does_not_match_its_base_is_refused(shipped_runs, tmp_path, e
     assert os.path.basename(victim) in json.loads(result.stderr)["message"]
 
 
+def test_a_domain_size_beyond_int64_is_refused_before_its_pairs(shipped_runs, tmp_path):
+    """A pair past int64, inside a domain_size larger still, raised an
+    OverflowError traceback with exit 1, the code of a FAIL verdict. The
+    cap is checked before any pair is read: exit 2, DomainLimitExceeded."""
+    huge, far = 10**20, [2**63, 0]
+    path = _write(tmp_path / "huge.json", {"domain_size": huge, "stage": 0, "kind": "ce",
+                                           "pairs": [far]})
+    run = _copy_run(shipped_runs, "jump_cochain", tmp_path)
+    victim = run_snapshot_paths(run)[3]
+    _write(victim, dict(load_json(victim), domain_size=huge, added=[far]))
+    for argv in (["export-dot", "--snapshot", path], ["verify", "--dir", run, "--suite", "poset"]):
+        result = _invoke(*argv)
+        assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 2, (result.output, result.stderr)
+        err = json.loads(result.stderr)
+        assert err["error"] == "DomainLimitExceeded" and str(huge) in err["message"], err
+
+
 def test_cycle_added_by_a_delta_fails_the_poset_suite(shipped_runs, tmp_path):
     run = _copy_run(shipped_runs, "jump_cochain", tmp_path)
     paths = run_snapshot_paths(run)

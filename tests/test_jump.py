@@ -50,8 +50,8 @@ def test_single_entry_example():
     for pair in ((0, 1), (0, 2), (0, 3), (1, 3), (2, 3)):
         assert final.holds(*pair)
     # stage bound: snapshots at stages 0..5, removal happened entering stage 2
-    assert order.snapshots[1].holds(1, 2)
-    assert not order.snapshots[2].holds(1, 2)
+    assert tuple(order.history)[1].holds(1, 2)
+    assert not tuple(order.history)[2].holds(1, 2)
 
 
 def test_budget_must_reach_the_last_entry():
@@ -67,8 +67,8 @@ def test_histories_are_clean():
     sched = schedule_from_config(cfg)
     for build in (build_cochain_order, build_antichain_order):
         order = build(sched, 12, 10)
-        assert check_monotone(order.snapshots, order.kind).passed
-        for snap in order.snapshots:
+        assert check_monotone(order.history, order.kind).passed
+        for snap in order.history:
             assert check_partial_order(snap).passed
 
 

@@ -95,6 +95,22 @@ def test_closed_cycle_fails_antisymmetry():
         StagedOrder(Kind.CE, closed)
 
 
+@pytest.mark.parametrize(
+    "matrix, error, text",
+    [
+        (_matrix_of([(0, 1), (1, 2)], 3), TransitivityViolation,
+         "transitivity violated: 0 <= 1 and 1 <= 2 but not 0 <= 2"),
+        (_matrix_of([(0, 1)], 3, reflexive=False), StagedOrderError,
+         "initial snapshot not reflexive at (0,)"),
+    ],
+    ids=["not transitive", "not reflexive"],
+)
+def test_staged_order_refuses_an_initial_snapshot_that_is_no_order(matrix, error, text):
+    with pytest.raises(StagedOrderError) as caught:
+        StagedOrder(Kind.COCE, Snapshot(3, 0, matrix))
+    assert type(caught.value) is error and str(caught.value) == text
+
+
 def test_snapshot_from_pairs_and_properties():
     snap = Snapshot.from_pairs(4, [(0, 1), (1, 2)])
     assert snap.holds(0, 1) and snap.holds(1, 2)
@@ -138,11 +154,23 @@ def test_a_stage_that_changes_nothing_shares_its_matrix():
     start = coce.current
     for batch in ([], [(1, 0)], [(0, 2)]):
         assert coce.remove_pairs(batch).matrix is start.matrix
-    assert [len(a) + len(r) for a, r in ce.deltas + coce.deltas] == [1, 0, 0, 0, 0, 0, 0, 0]
+    # a history holds the deltas of the stages between its first and last
+    middle = ce.history.middle + coce.history.middle
+    assert [len(a) + len(r) for a, r, _ in middle] == [1, 0, 0, 0, 0, 0]
+    assert _changed(ce) + _changed(coce) == [1, 0, 0, 0, 0, 0, 0, 0]
     ce.add_pairs([(np.int64(1), np.int64(2))])  # grown on the pair-by-pair path
     coce.remove_pairs([(0, 1)])
-    # a caller writing into a delta would change what snapshots and write_run give
-    assert not any(a.flags.writeable or r.flags.writeable for a, r in ce.deltas + coce.deltas)
+    ce.add_pairs([])  # so the two stages above lie between first and last
+    coce.remove_pairs([])
+    # a caller writing into a delta would change what a walk and write_run give
+    deltas = ce.history.middle + coce.history.middle
+    assert not any(a.flags.writeable or r.flags.writeable for a, r, _ in deltas)
+
+
+def _changed(order):
+    """The number of pairs each stage after the first added or removed."""
+    stages = tuple(order.history)
+    return [int((before.matrix ^ now.matrix).sum()) for before, now in zip(stages, stages[1:])]
 
 
 def test_check_partial_order_witnesses():
@@ -179,7 +207,7 @@ def test_staged_order_grows_and_stages_increment():
     order.add_pairs([(1, 2)])
     assert order.current.stage == 2
     assert order.current.holds(0, 2)  # added pairs are closed in
-    assert [s.stage for s in order.snapshots] == [0, 1, 2]
+    assert [s.stage for s in order.history] == [0, 1, 2]
 
 
 def test_staged_order_rejects_cycles():
@@ -244,7 +272,7 @@ def test_add_pairs_matches_per_pair_rules(case):
     order = StagedOrder(Kind.CE, Snapshot.from_pairs(n, []))
     rows = _rows(order.current.matrix)
     for batch in history:
-        before = order.snapshots
+        before = tuple(order.history)
         want, error = add_pairs_reference(rows, batch, n)
         if error is None:
             snap = order.add_pairs(batch)
@@ -255,17 +283,19 @@ def test_add_pairs_matches_per_pair_rules(case):
             with pytest.raises(StagedOrderError) as caught:
                 order.add_pairs(batch)
             assert (type(caught.value).__name__, str(caught.value)) == error
-            assert order.snapshots == before  # a failed batch appends nothing
+            assert tuple(order.history) == before  # a failed batch appends nothing
 
 
 def test_check_monotone_flags_backsliding():
     order = StagedOrder(Kind.CE, Snapshot.from_pairs(3, []))
     grown = order.add_pairs([(0, 1)])
-    assert check_monotone(order.snapshots, order.kind).passed
-    shrunk_again = Snapshot(3, 2, order.snapshots[0].matrix)
-    bad = check_monotone([order.snapshots[0], grown, shrunk_again], Kind.CE)
+    assert check_monotone(order.history, order.kind).passed
+    shrunk_again = Snapshot(3, 2, tuple(order.history)[0].matrix)
+    bad = check_monotone([tuple(order.history)[0], grown, shrunk_again], Kind.CE)
     assert not bad.passed
     assert bad.failures[0][0] == 2
+    with pytest.raises(StagedOrderError, match="disagree on domain size"):
+        check_monotone([grown, Snapshot.from_pairs(4, [])], Kind.CE)
 
 
 def test_random_histories_are_monotone_and_posets():
@@ -279,10 +309,31 @@ def test_random_histories_are_monotone_and_posets():
                 order.add_pairs([(u, v)])
             except StagedOrderError:
                 pass
-        for snap in order.snapshots:
+        for snap in order.history:
             rel = snap.pairs
             assert is_transitive(rel, n) and is_antisymmetric(rel)
-        assert check_monotone(order.snapshots, order.kind).passed
+        assert check_monotone(order.history, order.kind).passed
+
+
+@pytest.mark.parametrize(
+    "bad", [(True, 2), (2, False), (0.0, 1), (1, 2.0), ("0", 1), (np.bool_(True), 1), (None, 0)]
+)
+def test_pair_entries_must_be_integers(bad):
+    """A bool entry was read as a mask: (True, 2) put all of column 2 into a
+    snapshot, and add_pairs and remove_pairs raised numpy's ambiguous truth
+    ValueError. A float entry raised IndexError and a string TypeError.
+    Pairs are checked in the order given, so the first bad one is named."""
+    text = f"pair ({bad[0]!r}, {bad[1]!r}) must hold two integers"
+    coce = StagedOrder(Kind.COCE, Snapshot(3, 0, close_matrix(_matrix_of([(0, 1), (1, 2)], 3))))
+    ce = StagedOrder(Kind.CE, Snapshot.from_pairs(3, []))
+    for make in (lambda pairs: Snapshot.from_pairs(3, pairs), ce.add_pairs, coce.remove_pairs):
+        with pytest.raises(StagedOrderError) as caught:
+            make([(1, 2), bad, (0, 3)])
+        assert type(caught.value) is StagedOrderError and str(caught.value) == text
+        with pytest.raises(DomainTooSmall, match=r"^pair \(0, 3\) outside domain of size 3$"):
+            make([(1, 2), (0, 3), bad])
+    assert ce.current.stage == coce.current.stage == 0
+    assert coce.remove_pairs([(np.int64(1), 2)]).stage == 1  # numpy integers are integers
 
 
 def test_apply_permutation_relabels():

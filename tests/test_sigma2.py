@@ -84,8 +84,8 @@ def test_run_is_a_shrinking_poset_history():
     bound = required_domain_bound(pred)
     stages = stabilization_stage(pred, bound) + 2
     order, witnesses = build_run(pred, bound, stages)
-    assert check_monotone(order.snapshots, order.kind).passed
-    for snap in order.snapshots:
+    assert check_monotone(order.history, order.kind).passed
+    for snap in order.history:
         assert check_partial_order(snap).passed
     assert witnesses[0] == 0
     assert witnesses[2] == 2  # two defeats, then rest
@@ -106,7 +106,7 @@ def test_snapshots_freeze_after_stabilization():
     bound = required_domain_bound(pred)
     stab = stabilization_stage(pred, bound)
     order, _ = build_run(pred, bound, stab + 4)
-    tail = order.snapshots[stab:]
+    tail = tuple(order.history)[stab:]
     assert all(s.pairs == tail[0].pairs for s in tail)
 
 

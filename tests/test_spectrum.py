@@ -116,8 +116,8 @@ def test_histories_are_clean_posets():
     stages = required_stages(g, dom)
     for kind in (Kind.CE, Kind.COCE):
         order = build_spectrum_run(kind, g, dom, stages)
-        assert check_monotone(order.snapshots, order.kind).passed
-        for snap in order.snapshots:
+        assert check_monotone(order.history, order.kind).passed
+        for snap in order.history:
             assert check_partial_order(snap).passed
 
 
@@ -185,7 +185,7 @@ def test_decoder_flags_missing_and_duplicate_marks():
     dom = spectrum_gadget_code(0, 1, 1) + 1  # room for a second rung on the pair
     stages = required_stages(g, dom)
     order = build_spectrum_run(Kind.CE, g, dom, stages)
-    early = order.snapshots[0]
+    early = tuple(order.history)[0]
     # before any stage no rung touches a flag: nothing looks marked to the
     # shrinking reading, everything does to the growing one
     with pytest.raises(NoWitness):
