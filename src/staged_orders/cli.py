@@ -320,27 +320,33 @@ def solve(order_path, principle, threshold):
     _emit(dict(shape, principle=principle, elements=list(sol.elements)))
 
 
+_DOT_BLOCK = 1 << 16  # edge lines export-dot formats and writes at once
+
+
 @main.command("export-dot")
 @click.option("--snapshot", "snapshot_path", required=True, type=click.Path())
 @click.option("--reduction", is_flag=True, default=False)
 @_tool_errors
 def export_dot(snapshot_path, reduction):
     """Print the strict relation (optionally its transitive reduction) as DOT."""
-    from .kernel import transitive_reduction
+    from .kernel import _strict_pairs, transitive_reduction
     from .serialize import load_snapshot
 
     snap, _ = load_snapshot(snapshot_path)
-    edges = sorted(transitive_reduction(snap) if reduction else snap.strict)
+    edges = transitive_reduction(snap) if reduction else _strict_pairs(snap.matrix)
     out = ["digraph order {"]
     for x in range(snap.domain_size):
         label = snap.labels.get(x)
         text = f"{x}: {label}" if label else str(x)
         text = text.replace("\\", "\\\\").replace('"', '\\"')  # a DOT quoted string
         out.append(f'  "{x}" [label="{text}"];')
-    for u, v in edges:
-        out.append(f'  "{u}" -> "{v}";')
-    out.append("}")
     click.echo("\n".join(out))
+    # a block of edges at a time: at the domain cap there are 8.4M
+    edge = '  "{}" -> "{}";'.format
+    for lo in range(0, len(edges), _DOT_BLOCK):
+        block = edges[lo:lo + _DOT_BLOCK]
+        click.echo("\n".join(map(edge, block[:, 0].tolist(), block[:, 1].tolist())))
+    click.echo("}")
 
 
 if __name__ == "__main__":

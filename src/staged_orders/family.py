@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import random
+from itertools import pairwise
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -25,7 +26,7 @@ from .kernel import (
     StagedOrderError,
     _find_transitivity_witness,
     _matrix_of,
-    _pairs_of,
+    _pair_array,
     check_preorder,
     close_matrix,
 )
@@ -45,10 +46,14 @@ class CoCEPreorder(Record):
         report = check_preorder(self.limit)
         if self.limit.domain_size != self.n or not report.passed:
             raise ConfigError("limit must be a preorder on the declared domain")
-        covered = {pair for pair, _ in self.removal_stage}
-        if len(covered) != len(self.removal_stage):
+        covered = sorted(pair for pair, _ in self.removal_stage)
+        if any(p == q for p, q in pairwise(covered)):
             raise ConfigError("duplicate removal entries")
-        if covered != _pairs_of(~self.limit.matrix):
+        # no pair twice, so the schedule covers the complement iff it has
+        # the complement's size and lies inside it
+        idx, outside = _pair_array(covered, self.n), ~self.limit.matrix
+        if (idx is None or len(idx) != np.count_nonzero(outside)
+                or not outside[idx[:, 0], idx[:, 1]].all()):
             raise ConfigError(
                 "removal schedule must cover exactly the pairs outside the limit"
             )
@@ -195,6 +200,8 @@ class IsomorphismReport(Record):
 
 def verify_isomorphism(pre: CoCEPreorder, fam: SetFamily) -> IsomorphismReport:
     """The map i -> A_i must carry the limit order to inclusion exactly."""
+    if fam.n != pre.n:
+        raise ConfigError(f"family has {fam.n} sets but the preorder has {pre.n} indices")
     bad = []
     for i in range(pre.n):
         for j in range(pre.n):

@@ -174,9 +174,10 @@ def _strict(matrix: np.ndarray) -> np.ndarray:
     return matrix & ~np.eye(matrix.shape[0], dtype=bool)
 
 
-def _pairs_of(matrix: np.ndarray) -> frozenset:
-    """The (i, j) pairs a relation matrix holds."""
-    return frozenset(map(tuple, np.argwhere(matrix).tolist()))
+def _strict_pairs(matrix: np.ndarray) -> np.ndarray:
+    """The pairs (i, j), i != j, a relation matrix holds, as a sorted int64
+    (k, 2) array: the one shape a set of pairs takes in this package."""
+    return np.argwhere(_strict(matrix))
 
 
 def _first_pair(matrix: np.ndarray) -> Optional[Tuple[int, int]]:
@@ -317,11 +318,8 @@ class Snapshot:
 
     @property
     def pairs(self) -> frozenset:
-        return _pairs_of(self.matrix)
-
-    @property
-    def strict(self) -> frozenset:
-        return _pairs_of(_strict(self.matrix))
+        # kept only for bench/tracing.py, which wraps it by name
+        return frozenset(map(tuple, np.argwhere(self.matrix).tolist()))
 
     def __eq__(self, other):
         if not isinstance(other, Snapshot):
@@ -636,8 +634,9 @@ def apply_permutation(snapshot: Snapshot, perm: Sequence[int]) -> Snapshot:
     return Snapshot(n, snapshot.stage, matrix, labels)
 
 
-def transitive_reduction(snapshot: Snapshot) -> frozenset:
-    """Covering pairs of a partial order (minimal strict pairs)."""
+def transitive_reduction(snapshot: Snapshot) -> np.ndarray:
+    """Covering pairs of a partial order (minimal strict pairs), sorted, as
+    an int64 (k, 2) array."""
     _require(
         check_partial_order(snapshot),
         lambda check: StagedOrderError(
@@ -646,7 +645,7 @@ def transitive_reduction(snapshot: Snapshot) -> frozenset:
         ),
     )
     strict = _strict(snapshot.matrix)
-    return _pairs_of(strict & ~_strict_square(strict))
+    return np.argwhere(strict & ~_strict_square(strict))
 
 
 class Construction:

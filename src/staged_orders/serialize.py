@@ -66,7 +66,7 @@ import numpy as np
 
 from .kernel import (
     ConfigError, Delta, DomainLimitExceeded, Kind, Replay, Snapshot, _check_domain_size,
-    _pair_array, _strict,
+    _pair_array, _strict_pairs,
 )
 
 MANIFEST_NAME = "manifest.json"
@@ -120,7 +120,7 @@ def config_hash(config_obj) -> str:
 
 def _stage_obj(n: int, stage: int, kind: Kind, labels: Mapping[int, str], **relation) -> dict:
     """A stage file's object: its header, `relation`, its pair lists as
-    lists or int (k, 2) arrays, and `labels`."""
+    int (k, 2) arrays, and `labels`."""
     obj = {"domain_size": n, "stage": stage, "kind": kind.value}
     obj.update(relation)
     if labels:
@@ -128,30 +128,11 @@ def _stage_obj(n: int, stage: int, kind: Kind, labels: Mapping[int, str], **rela
     return obj
 
 
-def _full_obj(snapshot: Snapshot, kind: Kind) -> dict:
-    pairs = np.argwhere(_strict(snapshot.matrix))
-    return _stage_obj(snapshot.domain_size, snapshot.stage, kind, snapshot.labels, pairs=pairs)
-
-
 def snapshot_to_obj(snapshot: Snapshot, kind: Kind) -> dict:
-    obj = _full_obj(snapshot, kind)
-    obj["pairs"] = obj["pairs"].tolist()
-    return obj
-
-
-def delta_to_obj(snapshot: Snapshot, base: Snapshot, base_name: str, kind: Kind) -> dict:
-    """`snapshot` as the strict pairs it adds to and removes from `base`,
-    the stage before it, which is stored in the file `base_name`."""
-    now, before = _strict(snapshot.matrix), _strict(base.matrix)
-    return _stage_obj(
-        snapshot.domain_size,
-        snapshot.stage,
-        kind,
-        snapshot.labels,
-        base=base_name,
-        added=np.argwhere(now & ~before).tolist(),
-        removed=np.argwhere(before & ~now).tolist(),
-    )
+    """A full stage file's object, its pairs an int64 (k, 2) array: written
+    by canonical_dumps as their list."""
+    pairs = _strict_pairs(snapshot.matrix)
+    return _stage_obj(snapshot.domain_size, snapshot.stage, kind, snapshot.labels, pairs=pairs)
 
 
 def is_natural(value) -> bool:
@@ -449,13 +430,13 @@ def write_run(
     else:
         domain_size = history.first.domain_size if count else 0
     if count:
-        save_json(os.path.join(out_dir, names[0]), _full_obj(history.first, kind))
+        save_json(os.path.join(out_dir, names[0]), snapshot_to_obj(history.first, kind))
     for i, (added, removed, labels) in enumerate(history.middle, 1):
         obj = _stage_obj(domain_size, first + i, kind, labels, base=names[i - 1],
                          added=added, removed=removed)
         save_json(os.path.join(out_dir, names[i]), obj)
     if count > 1:
-        save_json(os.path.join(out_dir, names[-1]), _full_obj(history.last, kind))
+        save_json(os.path.join(out_dir, names[-1]), snapshot_to_obj(history.last, kind))
     manifest = {
         "construction": construction,
         "config_hash": config_hash(config_obj),

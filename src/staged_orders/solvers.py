@@ -114,21 +114,6 @@ def solve_ads(lin: Snapshot) -> AdsSolution:
     return AdsSolution("descending", tuple(desc))
 
 
-def sequence_valid(snapshot: Snapshot, direction: str, elements: Sequence[int]) -> bool:
-    """On the set, the order must agree with the natural order (ascending)
-    or its reverse (descending): x < y in N forces the matching relation."""
-    if list(elements) != sorted(set(elements)):
-        return False
-    m = snapshot.matrix
-    for t, x in enumerate(elements):
-        for y in elements[t + 1 :]:
-            if direction == "ascending" and not m[x, y]:
-                return False
-            if direction == "descending" and not m[y, x]:
-                return False
-    return True
-
-
 def _heights(strict: np.ndarray) -> List[int]:
     """Height of each element (1 for minimal ones) in a strict order."""
     h = [1] * strict.shape[0]
@@ -157,22 +142,6 @@ def longest_chain(snapshot: Snapshot) -> Tuple[int, ...]:
         return ()
     strict = _strict(snapshot.matrix)
     return _chain(strict, _heights(strict))
-
-
-def chain_valid(snapshot: Snapshot, elements: Sequence[int]) -> bool:
-    m = snapshot.matrix
-    return all(
-        m[x, y] or m[y, x] for t, x in enumerate(elements) for y in elements[t + 1 :]
-    )
-
-
-def antichain_valid(snapshot: Snapshot, elements: Sequence[int]) -> bool:
-    m = snapshot.matrix
-    return all(
-        not m[x, y] and not m[y, x]
-        for t, x in enumerate(elements)
-        for y in elements[t + 1 :]
-    )
 
 
 def solve_cac(snapshot: Snapshot) -> CacSolution:

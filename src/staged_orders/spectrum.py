@@ -27,7 +27,6 @@ from .kernel import (
     Snapshot,
     StagedOrder,
     StagedOrderError,
-    _pairs_of,
 )
 from .roles import spectrum_gadget_code, spectrum_label, spectrum_vertex_code
 from .serialize import is_natural
@@ -292,13 +291,14 @@ def decode_graph(
     return frozenset(zip(vertices[edges[:, 0]].tolist(), vertices[edges[:, 1]].tolist()))
 
 
-def comparability_graph(snapshot: Snapshot) -> FrozenSet[Tuple[int, int]]:
-    """Forget direction: unordered pairs related one way or the other."""
-    return _pairs_of(np.triu(snapshot.matrix | snapshot.matrix.T, 1))
+def comparability_graph(snapshot: Snapshot) -> np.ndarray:
+    """Forget direction: the pairs x < y related one way or the other, as a
+    sorted int64 (k, 2) array."""
+    return np.argwhere(np.triu(snapshot.matrix | snapshot.matrix.T, 1))
 
 
 def decode_from_comparability(
-    edges: FrozenSet[Tuple[int, int]],
+    edges: np.ndarray,
     kind: Kind,
     consts: Optional[SpectrumConsts] = None,
 ) -> FrozenSet[Tuple[int, int]]:
@@ -308,7 +308,7 @@ def decode_from_comparability(
     consts = consts or DEFAULT_SPECTRUM_CONSTS
     a, g, r0, r1 = consts
     nbr: Dict[int, set] = {}
-    for x, y in edges:
+    for x, y in edges.tolist():
         nbr.setdefault(x, set()).add(y)
         nbr.setdefault(y, set()).add(x)
     na = nbr.get(a, set())

@@ -33,6 +33,37 @@ def is_antisymmetric(rel: Set[Tuple[int, int]]) -> bool:
     return all(not (i != j and (j, i) in rel) for i, j in rel)
 
 
+def chain_valid(snapshot, elements: Sequence[int]) -> bool:
+    m = snapshot.matrix
+    return all(
+        m[x, y] or m[y, x] for t, x in enumerate(elements) for y in elements[t + 1 :]
+    )
+
+
+def antichain_valid(snapshot, elements: Sequence[int]) -> bool:
+    m = snapshot.matrix
+    return all(
+        not m[x, y] and not m[y, x]
+        for t, x in enumerate(elements)
+        for y in elements[t + 1 :]
+    )
+
+
+def sequence_valid(snapshot, direction: str, elements: Sequence[int]) -> bool:
+    """On the set, the order must agree with the natural order (ascending)
+    or its reverse (descending): x < y in N forces the matching relation."""
+    if list(elements) != sorted(set(elements)):
+        return False
+    m = snapshot.matrix
+    for t, x in enumerate(elements):
+        for y in elements[t + 1 :]:
+            if direction == "ascending" and not m[x, y]:
+                return False
+            if direction == "descending" and not m[y, x]:
+                return False
+    return True
+
+
 def lis_length(seq: Sequence[int]) -> int:
     """Longest strictly increasing subsequence, O(n^2)."""
     best: List[int] = []

@@ -21,15 +21,7 @@ from staged_orders.kernel import (
 )
 from staged_orders.roles import spectrum_vertex_code
 from staged_orders.serialize import load_run
-from staged_orders.solvers import (
-    antichain_valid,
-    ceil_sqrt,
-    chain_valid,
-    longest_chain,
-    sequence_valid,
-    solve_ads,
-    solve_cac,
-)
+from staged_orders.solvers import ceil_sqrt, longest_chain, solve_ads, solve_cac
 from staged_orders.spectrum import (
     DEFAULT_SPECTRUM_CONSTS,
     LimitGraph,
@@ -53,7 +45,14 @@ from _generators import (
     random_schedule_config,
     random_sigma2_config,
 )
-from _oracles import fw_close, lds_length, lis_length
+from _oracles import (
+    antichain_valid,
+    chain_valid,
+    fw_close,
+    lds_length,
+    lis_length,
+    sequence_valid,
+)
 from conftest import SHIPPED, build_run as cli_build_run
 
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import staged_orders
 from staged_orders.cli import main
-from staged_orders.kernel import ConfigError, DomainLimitExceeded, Kind, Snapshot
+from staged_orders.kernel import ConfigError, DomainLimitExceeded, Kind, Snapshot, _strict_pairs
 from staged_orders.serialize import (
     canonical_dumps,
     load_json,
@@ -170,7 +170,7 @@ def test_middle_snapshot_alone_names_its_base(shipped_runs, tmp_path):
 
 def _spoil_delta(obj, base, edit):
     """A delta object edited so that it no longer matches `base`."""
-    held = sorted(base.strict)[0]
+    held = tuple(_strict_pairs(base.matrix)[0].tolist())
     absent = held[::-1]  # an order holds no pair both ways
     if edit == "held added":
         obj["added"].append(list(held))
@@ -235,7 +235,7 @@ def test_cycle_added_by_a_delta_fails_the_poset_suite(shipped_runs, tmp_path):
     run = _copy_run(shipped_runs, "jump_cochain", tmp_path)
     paths = run_snapshot_paths(run)
     base, _ = load_snapshot(paths[4])
-    i, j = sorted(base.strict)[0]
+    i, j = _strict_pairs(base.matrix)[0].tolist()
     obj = load_json(paths[5])
     obj["added"].append([j, i])
     _write(paths[5], obj)
@@ -274,6 +274,26 @@ def test_family_json_bits_are_exactly_0_or_1(shipped_runs, tmp_path, bad):
         rows[at][rows[at].index(1)] = bad
     _write(path, family)
     _config_error(_invoke("verify", "--dir", run, "--suite", "isomorphism"), "membership")
+
+
+@pytest.mark.parametrize("rows", ["fewer", "none", "more"])
+def test_family_json_size_must_be_the_preorders(shipped_runs, tmp_path, rows):
+    """Fewer sets than the preorder has indices raised an IndexError with
+    exit 1, the code of a FAIL verdict; an extra all-zero set passed."""
+    run = _copy_run(shipped_runs, "family", tmp_path)
+    path = os.path.join(run, "family.json")
+    family = load_json(path)
+    n, membership = family["n"], family["membership"]
+    if rows == "fewer":
+        membership.pop()
+    elif rows == "none":
+        membership.clear()
+    else:
+        membership.append([0] * family["elements"])
+    family["n"] = len(membership)
+    _write(path, family)
+    _config_error(_invoke("verify", "--dir", run, "--suite", "isomorphism"),
+                  f"family has {len(membership)} sets but the preorder has {n} indices")
 
 
 @pytest.mark.parametrize("key, value", [("stages", "x"), ("stages", 1000000), ("kind", None)])
@@ -440,6 +460,22 @@ def test_export_dot_reduction_past_256_intermediates(tmp_path):
     assert result.exit_code == 0, result.stderr
     assert '"0" -> "1";' in result.output and '"256" -> "257";' in result.output
     assert '"0" -> "257"' not in result.output
+
+
+def test_export_dot_writes_every_strict_pair_in_order_across_blocks(tmp_path):
+    """A linear order on 400 elements has 79,800 strict pairs, more than
+    one block of edge lines; each is written once, in row-major order."""
+    m = np.triu(np.ones((400, 400), dtype=bool))
+    path = _write(tmp_path / "line.json", snapshot_to_obj(Snapshot(400, 0, m), Kind.CE))
+    result = _invoke("export-dot", "--snapshot", path)
+    assert result.exit_code == 0, result.stderr
+    lines = result.output.splitlines()
+    assert lines[0] == "digraph order {" and lines[-1] == "}" and result.output.endswith("}\n")
+    edges = [line for line in lines if " -> " in line]
+    want = np.argwhere(m & ~np.eye(400, dtype=bool))
+    assert len(want) == 79_800
+    assert edges == [f'  "{u}" -> "{v}";' for u, v in want.tolist()]
+    assert len(lines) == 1 + 400 + len(want) + 1
 
 
 @pytest.mark.parametrize("principle", ["ads", "cac", "ads-preorder"])

@@ -23,7 +23,6 @@ from staged_orders.jump import build_cochain_order, schedule_from_config
 from staged_orders.serialize import (
     canonical_dumps,
     config_hash,
-    delta_to_obj,
     load_json,
     load_run,
     load_snapshot,
@@ -56,6 +55,7 @@ def test_snapshot_obj_round_trip():
 def test_snapshot_obj_shape():
     snap = _order().current
     obj = snapshot_to_obj(snap, Kind.CE)
+    obj["pairs"] = obj["pairs"].tolist()
     assert obj["domain_size"] == 4 and obj["stage"] == 2 and obj["kind"] == "ce"
     assert [0, 0] not in obj["pairs"]  # reflexive pairs stay implicit
     assert obj["pairs"] == sorted(obj["pairs"])
@@ -208,6 +208,18 @@ def _histories(draw, monotone=True):
         np.fill_diagonal(matrix, True)
         snapshots.append(Snapshot(n, stage, matrix, draw(labels)))
     return kind, snapshots
+
+
+def delta_to_obj(snapshot, base, base_name, kind):
+    """`snapshot` as a delta file's object: the strict pairs it adds to and
+    removes from `base`, the stage before it, which is stored in the file
+    `base_name`. write_run writes deltas only from an order's history."""
+    obj = snapshot_to_obj(snapshot, kind)
+    del obj["pairs"]
+    off = ~np.eye(snapshot.domain_size, dtype=bool)
+    now, before = snapshot.matrix & off, base.matrix & off
+    obj.update(base=base_name, added=np.argwhere(now & ~before), removed=np.argwhere(before & ~now))
+    return obj
 
 
 def _write_history(out, kind, snapshots, full=(), last_delta=False):

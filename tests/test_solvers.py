@@ -9,13 +9,10 @@ from staged_orders.solvers import (
     NotPartialOrder,
     NotTotal,
     NotTotalPreorder,
-    antichain_valid,
     ceil_sqrt,
-    chain_valid,
     condense,
     longest_chain,
     pigeonhole_extract,
-    sequence_valid,
     solve_ads,
     solve_ads_preorder,
     solve_cac,
@@ -27,7 +24,14 @@ from _generators import (
     random_preorder,
     random_total_preorder,
 )
-from _oracles import lds_length, lis_length, longest_chain_length
+from _oracles import (
+    antichain_valid,
+    chain_valid,
+    lds_length,
+    lis_length,
+    longest_chain_length,
+    sequence_valid,
+)
 
 
 def _linear_from_ranks(ranks):
