@@ -142,3 +142,79 @@ def add_pairs_reference(rows: List[int], pairs, n: int):
 
 def _antisymmetry(i: int, j: int):
     return "AntisymmetryViolation", f"antisymmetry violated: {i} <= {j} and {j} <= {i} with {i} != {j}"
+
+
+def spectrum_batches_reference(grows: bool, graph, windows, stages: int, flags):
+    """spectrum.build_spectrum_run's stage loop as first written, one list
+    of pairs per stage 1..stages: every rung up to s of every pair with
+    j <= s, the active rung marked against the flag its value keeps
+    (growing) or drops (shrinking), every other rung against both flags.
+    `windows` maps each pair to its (rung, code) list, `flags` is (r0, r1)."""
+    r0, r1 = flags
+    for s in range(1, stages + 1):
+        touched = []
+        for (i, j), rungs in windows.items():
+            if j > min(s, graph.n - 1):
+                continue
+            active = graph.active_index(i, j, s)
+            fval = graph.value(i, j, s)
+            keep = r1 if fval else r0
+            drop = r0 if fval else r1
+            for k, code in rungs:
+                if k == active:
+                    touched.append((code, keep if grows else drop))
+                elif k <= s:
+                    touched.append((code, r0))
+                    touched.append((code, r1))
+        yield touched
+
+
+def sigma2_row_reference(matrix, consts, i: int):
+    """sigma2.locate_sequence as first written, element by element over a
+    list-of-lists matrix: (row, None), or (None, the NotFound text).
+
+    Regions: B below b, A below a but not B, C below c but neither; each
+    constant left out of its own region. Two A-elements are linked when a
+    C-element sits above both; a row walks links from an A-element below
+    f to one below l, starts and links tried in ascending order."""
+    n = len(matrix)
+    if i < 0:
+        return None, "row index must be a natural"
+    a, b, c, f, l = consts
+
+    def below(x, y):
+        return x != y and matrix[x][y]
+
+    b_set = [x for x in range(n) if below(x, b)]
+    a_set = [x for x in range(n) if below(x, a) and not below(x, b)]
+    c_set = [x for x in range(n) if below(x, c) and not below(x, a) and not below(x, b)]
+    if not a_set:
+        return None, f"no A-elements in a domain of {n}"
+    links = {
+        x: [y for y in a_set if y != x and any(matrix[x][z] and matrix[y][z] for z in c_set)]
+        for x in a_set
+    }
+    for x, ys in links.items():
+        if len(ys) > 2:
+            return None, f"A-element {x} has {len(ys)} links; scaffold rows are paths"
+    for x0 in (x for x in a_set if matrix[x][f]):
+        for row in [[x0, y] for y in links[x0]] if i else [[x0]]:
+            while len(row) <= i:
+                step = [y for y in links[row[-1]] if y not in row]
+                if not step:
+                    break
+                row.append(step[0])
+            if len(row) == i + 1 and matrix[row[-1]][l]:
+                return tuple(row), None
+    return None, f"no row of length {i + 1} in a domain of {n}"
+
+
+def sigma2_member_reference(matrix, consts, i: int):
+    """sigma2.membership_query as first written: (some B-element below
+    every element of the located row, None), or (None, the NotFound text)."""
+    row, error = sigma2_row_reference(matrix, consts, i)
+    if error is not None:
+        return None, error
+    b = consts[1]
+    b_set = [x for x in range(len(matrix)) if x != b and matrix[x][b]]
+    return any(all(matrix[y][x] for x in row) for y in b_set), None

@@ -1,15 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from staged_orders.kernel import (
     ConfigError,
     DomainTooSmall,
+    Snapshot,
     apply_permutation,
     check_monotone,
     check_partial_order,
 )
-from staged_orders.roles import sigma2_a_code, sigma2_b_code
+from staged_orders.roles import sigma2_a_code, sigma2_b_code, sigma2_c_code, sigma2_decode
 from staged_orders.sigma2 import (
     DEFAULT_CONSTS,
     MemberIndex,
@@ -29,6 +31,7 @@ from staged_orders.sigma2 import (
 )
 
 from _generators import random_permutation, random_sigma2_config
+from _oracles import sigma2_member_reference, sigma2_row_reference
 
 
 def _mixed_pred():
@@ -161,3 +164,77 @@ def test_random_configs_decode_exactly():
             for i in range(pred.bound)
         ]
         assert tuple(got) == pred.membership()
+
+
+def _outcome(call):
+    """What a decoder call gives: (its value, None) or (None, the NotFound text)."""
+    try:
+        return call(), None
+    except NotFound as exc:
+        return None, str(exc)
+
+
+@st.composite
+def sigma2_stages(draw):
+    """A stage of a random sigma2 run, maybe damaged, maybe relabeled;
+    its constants; and its index count. Damage clears everything below a,
+    puts A-elements below a C-element (extra links), cuts a row's link,
+    or flips a few entries."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    pred = predicate_from_config(random_sigma2_config(rng, rng.randrange(1, 6)))
+    bound = required_domain_bound(pred) + draw(st.sampled_from([0, 0, 8]))
+    order, _ = build_run(pred, bound, draw(st.integers(0, stabilization_stage(pred, bound) + 1)))
+    m = order.current.matrix.copy()
+    roles = {x: sigma2_decode(x)[0] for x in range(5, bound)}
+    a_elems = [x for x, role in roles.items() if role == "a"]
+    c_elems = [x for x, role in roles.items() if role == "c"]
+    damage = draw(st.sampled_from(["none", "no A", "links", "cut", "flips"]))
+    if damage == "no A":
+        m[:, DEFAULT_CONSTS.a] = False
+        m[DEFAULT_CONSTS.a, DEFAULT_CONSTS.a] = True
+    elif damage == "links" and c_elems:
+        z = draw(st.sampled_from(c_elems))
+        m[draw(st.lists(st.sampled_from(a_elems), min_size=1, max_size=5)), z] = True
+    elif damage == "cut" and c_elems:
+        m[draw(st.sampled_from(a_elems)), draw(st.sampled_from(c_elems))] = False
+    elif damage == "flips":
+        for _ in range(draw(st.integers(1, 6))):
+            x, y = draw(st.integers(0, bound - 1)), draw(st.integers(0, bound - 1))
+            m[x, y] = not m[x, y]
+    snap, consts = Snapshot(bound, 0, m), DEFAULT_CONSTS
+    if draw(st.booleans()):
+        perm = random_permutation(rng, bound)
+        snap = apply_permutation(snap, perm)
+        consts = Sigma2Consts(*(perm[c] for c in consts))
+    return snap, consts, pred.bound
+
+
+@given(sigma2_stages())
+@settings(max_examples=200, deadline=None)
+def test_row_search_and_membership_match_the_element_by_element_reference(case):
+    snap, consts, count = case
+    rows = snap.matrix.tolist()
+    for i in range(-1, count + 2):
+        assert _outcome(lambda: locate_sequence(snap, consts, i)) == sigma2_row_reference(rows, consts, i)
+        assert _outcome(lambda: membership_query(snap, consts, i)) == sigma2_member_reference(rows, consts, i)
+
+
+def test_each_refusal_names_what_is_missing():
+    pred = _mixed_pred()
+    bound = required_domain_bound(pred)
+    final = build_run(pred, bound, stabilization_stage(pred, bound) + 1)[0].current
+    no_a = final.matrix.copy()
+    no_a[:, DEFAULT_CONSTS.a] = False
+    no_a[DEFAULT_CONSTS.a, DEFAULT_CONSTS.a] = True
+    crowded = final.matrix.copy()
+    crowded[[sigma2_a_code(3, k) for k in range(4)], sigma2_c_code(3, 0)] = True
+    cases = [
+        (no_a, 0, f"no A-elements in a domain of {bound}"),
+        (crowded, 0, f"A-element {sigma2_a_code(3, 0)} has 3 links; scaffold rows are paths"),
+        (final.matrix, pred.bound, f"no row of length {pred.bound + 1} in a domain of {bound}"),
+    ]
+    for matrix, i, text in cases:
+        snap = Snapshot(bound, 0, matrix)
+        for call in (locate_sequence, membership_query):
+            assert _outcome(lambda: call(snap, DEFAULT_CONSTS, i)) == (None, text)
+        assert sigma2_row_reference(matrix.tolist(), DEFAULT_CONSTS, i) == (None, text)

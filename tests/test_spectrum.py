@@ -2,13 +2,16 @@ import itertools
 import random
 import re
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from staged_orders.kernel import (
     ConfigError,
     DomainTooSmall,
     Kind,
     Snapshot,
+    StagedOrder,
     apply_permutation,
     check_monotone,
     check_partial_order,
@@ -35,6 +38,7 @@ from staged_orders.spectrum import (
 )
 
 from _generators import random_limit_graph_config, random_permutation
+from _oracles import spectrum_batches_reference
 
 
 def test_value_follows_the_flip_schedule():
@@ -119,6 +123,48 @@ def test_histories_are_clean_posets():
         assert check_monotone(order.history, order.kind).passed
         for snap in order.history:
             assert check_partial_order(snap).passed
+
+
+@st.composite
+def spectrum_runs(draw):
+    """A kind, a graph of 2-6 vertices with flips, a domain (the required
+    one or larger) and a stage count (the required one or more)."""
+    n = draw(st.integers(2, 6))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = [p for p in pairs if draw(st.booleans())]
+    flips = {}
+    for p in pairs:
+        stages = draw(st.lists(st.integers(1, 6), max_size=3, unique=True))
+        if stages:
+            flips[p] = tuple(sorted(stages))
+    graph = LimitGraph(n, edges, flips)
+    domain = required_domain_bound(graph) + draw(st.sampled_from([0, 0, 1, 9, 40]))
+    stages = required_stages(graph, domain) + draw(st.integers(0, 3))
+    return draw(st.sampled_from([Kind.CE, Kind.COCE])), graph, domain, stages
+
+
+@given(spectrum_runs())
+@example((Kind.CE, LimitGraph(2, [(0, 1)], {(0, 1): (1, 2, 3)}), 40, 12))  # a flip every stage
+@example((Kind.COCE, LimitGraph(3, [(0, 2)], {(0, 1): (2, 5), (1, 2): (4,)}), 60, 20))
+@settings(max_examples=150, deadline=None)
+def test_stage_loop_matches_the_every_rung_loop(case):
+    """Stage by stage, the run is the one that re-touches every rung of
+    every processed pair: the same first stage, the same added and
+    removed pairs at each stage, the same last stage."""
+    kind, graph, domain, stages = case
+    got = build_spectrum_run(kind, graph, domain, stages).history
+    windows = _windows(graph, domain)
+    order = StagedOrder(kind, build_spectrum_initial(kind, graph, domain, windows))
+    flags = DEFAULT_SPECTRUM_CONSTS.r0, DEFAULT_SPECTRUM_CONSTS.r1
+    mutate = order.add_pairs if kind is Kind.CE else order.remove_pairs
+    for batch in spectrum_batches_reference(kind is Kind.CE, graph, windows, stages, flags):
+        mutate(batch)
+    want = order.history
+    assert got.first == want.first and got.last == want.last
+    assert len(got.middle) == len(want.middle) == stages - 1
+    for (g_added, g_removed, g_labels), (w_added, w_removed, w_labels) in zip(got.middle, want.middle):
+        assert np.array_equal(g_added, w_added) and np.array_equal(g_removed, w_removed)
+        assert g_labels == w_labels
 
 
 def test_initial_snapshot_is_written_closed():
