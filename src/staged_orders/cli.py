@@ -237,7 +237,8 @@ def verify(run_dir, suite):
 
 
 def _parse_consts(text: Optional[str], default: Tuple[int, ...], n: int) -> Tuple[int, ...]:
-    """The --consts values, or the defaults; either way elements of 0..n-1."""
+    """The --consts values, or the defaults; either way distinct elements
+    of 0..n-1, one per role."""
     from .kernel import ConfigError
 
     if text is None:
@@ -255,6 +256,8 @@ def _parse_consts(text: Optional[str], default: Tuple[int, ...], n: int) -> Tupl
         raise ConfigError(f"--consts must name exactly {len(default)} elements")
     if not all(0 <= value < n for value in values):
         raise ConfigError(f"--consts must name elements of 0..{n - 1}")
+    if len(set(values)) != len(values):
+        raise ConfigError("--consts must name distinct elements")
     return values
 
 

@@ -243,12 +243,16 @@ def _find_antisymmetry_witness(matrix: np.ndarray) -> Optional[Tuple[int, int]]:
     return _first_pair(np.triu(matrix & matrix.T, 1))
 
 
+def _middles(strict: np.ndarray) -> np.ndarray:
+    """The elements with both a predecessor and a successor in a relation
+    S without diagonal: no other element can be the middle of a path."""
+    return np.flatnonzero(strict.any(axis=0) & strict.any(axis=1))
+
+
 def _strict_square(strict: np.ndarray) -> np.ndarray:
-    """S.S for a relation S without diagonal, composed only through the
-    middle elements: those with both a predecessor and a successor in S.
-    No other element can be the middle of a path, so this is S.S exactly,
-    at n*n*|middle| cost instead of n**3."""
-    middle = np.flatnonzero(strict.any(axis=0) & strict.any(axis=1))
+    """S.S for a relation S without diagonal, composed only through its
+    middles, so exactly, at n*n*|middles| cost instead of n**3."""
+    middle = _middles(strict)
     return _compose(strict[:, middle], strict[middle, :])
 
 
@@ -264,8 +268,10 @@ def _find_transitivity_witness(matrix: np.ndarray) -> Optional[Tuple[int, int, i
 
 
 def close_matrix(matrix: np.ndarray) -> np.ndarray:
-    """Transitively close a boolean relation matrix in place and return it."""
-    _close_in_place(matrix, range(matrix.shape[0]))
+    """Transitively close a boolean relation matrix in place and return it.
+    Only the middles are pivots: an element with no predecessor, or no
+    successor, has none after closing either, so it is inside no path."""
+    _close_in_place(matrix, _middles(_strict(matrix)))
     return matrix
 
 
@@ -486,10 +492,33 @@ def _close_batch(
     a 2-cycle too: checking the heads' rows is enough. A row that gains a
     pair newly reaches a head: on a path to that pair with the fewest
     B-pairs, the row did not reach the first B-pair's head in R. So only
-    those rows are compared with R."""
+    those rows are compared with R.
+
+    A batch is already closed, and needs none of that, when every tail is
+    minimal in R (its column holds only the diagonal), every head is
+    maximal in R (its row holds only the diagonal) and no head is a tail.
+    Then an R-step into a tail or out of a head stays put, and a B-pair
+    cannot follow another, as the R-step between them would make a head
+    a tail. So a path holds at most one B-pair and reaches nothing beyond
+    R | B, which is therefore closed. It has no 2-cycle: for (t, h) in B,
+    h <= t in R would make h = t, as h is maximal, and (h, t) in B would
+    make h a tail. So the closure adds exactly the fresh pairs, returned
+    sorted and unique as the general path returns them. The head-is-a-tail
+    test runs first: it is the cheapest, and it is what fails on chains."""
     fresh = idx[~matrix[idx[:, 0], idx[:, 1]]]
     if not fresh.size:
         return matrix, _NO_PAIRS
+    n = matrix.shape[0]
+    is_tail = np.zeros(n, dtype=bool)
+    is_tail[fresh[:, 0]] = True
+    if (
+        not is_tail[fresh[:, 1]].any()
+        and np.count_nonzero(matrix[:, fresh[:, 0]]) == len(fresh)
+        and np.count_nonzero(matrix[fresh[:, 1]]) == len(fresh)
+    ):
+        closed = matrix.copy()
+        closed[fresh[:, 0], fresh[:, 1]] = True
+        return closed, np.column_stack(np.divmod(np.unique(fresh[:, 0] * n + fresh[:, 1]), n))
     tails, row = np.unique(fresh[:, 0], return_inverse=True)
     heads, col = np.unique(fresh[:, 1], return_inverse=True)
     batch = np.zeros((tails.size, heads.size), dtype=bool)
@@ -538,9 +567,12 @@ class StagedOrder:
     it.
 
     A ce stage is closed in one pass over its batch's heads
-    (`_close_batch`) and checked for antisymmetry once. The pairs are
-    walked one at a time only when that pass refuses the batch, to name
-    the first error (`_add_pair_by_pair`).
+    (`_close_batch`) and checked for antisymmetry once. A batch whose
+    tails are minimal, whose heads are maximal and whose heads are no
+    tails is already closed, and is set as it is; an empty batch appends
+    the current matrix at once. The pairs are walked one at a time only
+    when the pass refuses the batch, to name the first error
+    (`_add_pair_by_pair`).
     """
 
     def __init__(self, kind: Kind, initial: Snapshot):
@@ -578,6 +610,8 @@ class StagedOrder:
         pairs = list(pairs)
         n = self.domain_size
         before = self._current.matrix
+        if not pairs:
+            return self._append(before, _NO_PAIRS, _NO_PAIRS)
         idx = _pair_array(pairs, n)
         closed = None if idx is None else _close_batch(before, idx)
         if closed is None:

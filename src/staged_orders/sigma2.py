@@ -265,9 +265,7 @@ def build_initial(domain_bound: int, pred: SyntheticSigma2Predicate) -> Snapshot
             put(code, consts.c)
             put(sigma2_a_code(i, k), code)
             put(sigma2_a_code(i, k + 1), code)
-    for b in b_codes:
-        for a in a_codes:
-            matrix[b, a] = True
+    matrix[np.ix_(b_codes, a_codes)] = True
     close_matrix(matrix)
     labels = {code: sigma2_label(code) for code in range(n)}
     return Snapshot(n, 0, matrix, labels)
@@ -295,22 +293,62 @@ def build_run(
     return order, witnesses
 
 
-def identify_regions(
-    snapshot: Snapshot, consts: Sigma2Consts = DEFAULT_CONSTS
-) -> Tuple[frozenset, frozenset, frozenset]:
-    """Split the domain by the constants: B below b, A below a but not b,
-    C below c but neither a nor b."""
-    m = snapshot.matrix
+def _regions(m: np.ndarray, consts: Sigma2Consts) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The A, B and C elements of a relation matrix, as sorted int arrays."""
     below_a = m[:, consts.a].copy()
     below_a[consts.a] = False
     below_b = m[:, consts.b].copy()
     below_b[consts.b] = False
     below_c = m[:, consts.c].copy()
     below_c[consts.c] = False
-    b_set = frozenset(int(x) for x in np.nonzero(below_b)[0])
-    a_set = frozenset(int(x) for x in np.nonzero(below_a & ~below_b)[0])
-    c_set = frozenset(int(x) for x in np.nonzero(below_c & ~below_a & ~below_b)[0])
-    return a_set, b_set, c_set
+    return (
+        np.flatnonzero(below_a & ~below_b),
+        np.flatnonzero(below_b),
+        np.flatnonzero(below_c & ~below_a & ~below_b),
+    )
+
+
+def identify_regions(
+    snapshot: Snapshot, consts: Sigma2Consts = DEFAULT_CONSTS
+) -> Tuple[frozenset, frozenset, frozenset]:
+    """Split the domain by the constants: B below b, A below a but not b,
+    C below c but neither a nor b."""
+    a_elems, b_elems, c_elems = _regions(snapshot.matrix, consts)
+    return frozenset(a_elems.tolist()), frozenset(b_elems.tolist()), frozenset(c_elems.tolist())
+
+
+def _locate(
+    m: np.ndarray, a_elems: np.ndarray, c_elems: np.ndarray, consts: Sigma2Consts, i: int
+) -> Tuple[int, ...]:
+    """locate_sequence, given the A and C elements from _regions."""
+    if i < 0:
+        raise NotFound("row index must be a natural")
+    if not a_elems.size:
+        raise NotFound(f"no A-elements in a domain of {m.shape[0]}")
+    above = m[np.ix_(a_elems, c_elems)]
+    linked = _compose(above, above.T)
+    np.fill_diagonal(linked, False)
+    counts = np.count_nonzero(linked, axis=1)
+    crowded = np.flatnonzero(counts > 2)
+    if crowded.size:
+        x, count = a_elems[crowded[0]].item(), counts[crowded[0]].item()
+        raise NotFound(f"A-element {x} has {count} links; scaffold rows are paths")
+    links = {x: [] for x in a_elems.tolist()}
+    # nonzero runs row by row, so each element's links come out ascending
+    for x, y in zip(*(a_elems[t].tolist() for t in np.nonzero(linked))):
+        links[x].append(y)
+    starts = a_elems[m[a_elems, consts.f]].tolist()
+    ends = set(a_elems[m[a_elems, consts.l]].tolist())
+    for x0 in starts:
+        for row in [[x0, y] for y in links[x0]] if i else [[x0]]:
+            while len(row) <= i:
+                step = [y for y in links[row[-1]] if y not in row]
+                if not step:
+                    break
+                row.append(step[0])
+            if len(row) == i + 1 and row[-1] in ends:
+                return tuple(row)
+    raise NotFound(f"no row of length {i + 1} in a domain of {m.shape[0]}")
 
 
 def locate_sequence(
@@ -326,32 +364,8 @@ def locate_sequence(
     f-image to one below the l-image; starts and their links are tried in
     sorted order.
     """
-    if i < 0:
-        raise NotFound("row index must be a natural")
-    m = snapshot.matrix
-    a_set, _, c_set = identify_regions(snapshot, consts)
-    a_elems = sorted(a_set)
-    if not a_elems:
-        raise NotFound(f"no A-elements in a domain of {snapshot.domain_size}")
-    above = m[np.ix_(a_elems, sorted(c_set))]
-    linked = _compose(above, above.T)
-    np.fill_diagonal(linked, False)
-    links = {x: [a_elems[t] for t in np.flatnonzero(row)] for x, row in zip(a_elems, linked)}
-    for x, ys in links.items():
-        if len(ys) > 2:
-            raise NotFound(f"A-element {x} has {len(ys)} links; scaffold rows are paths")
-    starts = [x for x in a_elems if m[x, consts.f]]
-    ends = {x for x in a_elems if m[x, consts.l]}
-    for x0 in starts:
-        for row in [[x0, y] for y in links[x0]] if i else [[x0]]:
-            while len(row) <= i:
-                step = [y for y in links[row[-1]] if y not in row]
-                if not step:
-                    break
-                row.append(step[0])
-            if len(row) == i + 1 and row[-1] in ends:
-                return tuple(row)
-    raise NotFound(f"no row of length {i + 1} in a domain of {snapshot.domain_size}")
+    a_elems, _, c_elems = _regions(snapshot.matrix, consts)
+    return _locate(snapshot.matrix, a_elems, c_elems, consts, i)
 
 
 def membership_query(
@@ -359,10 +373,10 @@ def membership_query(
 ) -> bool:
     """Decide i's membership from the snapshot: some B-element below the
     whole located row. Exact once the stage has passed stabilization."""
-    row = locate_sequence(snapshot, consts, i)
     m = snapshot.matrix
-    _, b_set, _ = identify_regions(snapshot, consts)
-    return any(all(m[b, x] for x in row) for b in sorted(b_set))
+    a_elems, b_elems, c_elems = _regions(m, consts)
+    row = _locate(m, a_elems, c_elems, consts, i)
+    return bool(m[np.ix_(b_elems, row)].all(axis=1).any())
 
 
 class Sigma2Construction(Construction):

@@ -223,7 +223,15 @@ def build_spectrum_run(
 ) -> StagedOrder:
     """The run through `stages` stages. Stage s marks each processed pair's
     active rung against the flag its current value keeps (growing) or
-    drops (shrinking), and neutralizes its other rungs up to s."""
+    drops (shrinking), and neutralizes its other rungs up to s.
+
+    Pair (i, j) is processed from stage j on. Its first stage touches
+    every rung up to j. A later stage s can move only two rungs: rung s,
+    now in reach, and, after a flip at s, the rung active at s-1, which
+    loses the mark to rung s. Between flips the active rung and its flag
+    stay put, so every other rung's touch would re-assert a pair the
+    order already holds (growing) or already lacks (shrinking), and the
+    kernel would drop it. Only the two are touched, by the same rules."""
     windows = _windows(graph, domain_bound)
     need = _stages_needed(graph, windows)
     if stages < need:
@@ -233,16 +241,24 @@ def build_spectrum_run(
     for s in range(1, stages + 1):
         touched: List[Tuple[int, int]] = []
         for (i, j), rungs in windows.items():
-            if j > min(s, graph.n - 1):
+            if j > s:
                 continue
             active = graph.active_index(i, j, s)
-            fval = graph.value(i, j, s)
-            keep = r1 if fval else r0
-            drop = r0 if fval else r1
-            for k, code in rungs:
+            # rungs[k] is rung k, and a slice past the window is empty
+            if j == s:
+                moved = rungs[: s + 1]
+            else:
+                before = graph.active_index(i, j, s - 1)
+                moved = rungs[s : s + 1]
+                if before != active:
+                    moved = rungs[before : before + 1] + moved
+            for k, code in moved:
                 if k == active:
+                    fval = graph.value(i, j, s)
+                    keep = r1 if fval else r0
+                    drop = r0 if fval else r1
                     touched.append((code, keep if kind is Kind.CE else drop))
-                elif k <= s:
+                else:
                     touched.append((code, r0))
                     touched.append((code, r1))
         if kind is Kind.CE:
@@ -293,8 +309,13 @@ def decode_graph(
 
 def comparability_graph(snapshot: Snapshot) -> np.ndarray:
     """Forget direction: the pairs x < y related one way or the other, as a
-    sorted int64 (k, 2) array."""
-    return np.argwhere(np.triu(snapshot.matrix | snapshot.matrix.T, 1))
+    sorted int64 (k, 2) array. Read from the held pairs, each folded to
+    (min, max), so it costs what the order holds, not n*n."""
+    n = snapshot.domain_size
+    x, y = np.divmod(np.flatnonzero(snapshot.matrix), n)
+    strict = x != y
+    low, high = np.minimum(x, y)[strict], np.maximum(x, y)[strict]
+    return np.column_stack(np.divmod(np.unique(low * n + high), n))
 
 
 def decode_from_comparability(

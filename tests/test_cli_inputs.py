@@ -74,6 +74,30 @@ def test_decode_consts_outside_the_domain(shipped_runs, tmp_path, run_name, cons
     _config_error(_invoke(*args), "--consts")
 
 
+@pytest.mark.parametrize(
+    "run_name, construction, consts",
+    [
+        ("spectrum_ce", "spectrum-ce", "0,0,2,3"),
+        ("spectrum_coce", "spectrum-coce", "0,1,3,3"),
+        ("sigma2", "sigma2", "0,0,2,3,4"),
+        ("sigma2", "sigma2", "0,1,2,3,0"),
+    ],
+)
+@pytest.mark.parametrize("with_perm", [False, True])
+def test_decode_consts_must_be_distinct(shipped_runs, tmp_path, run_name, construction, consts, with_perm):
+    """A repeated element names one element for two roles. spectrum-ce
+    read 0,0,2,3 as no edges with exit 0, and sigma2 refused 0,0,2,3,4
+    with a misleading "no A-elements"."""
+    snap_path = run_snapshot_paths(shipped_runs[run_name])[-1]
+    args = ["decode", "--snapshot", snap_path, "--construction", construction, "--consts", consts]
+    if with_perm:
+        n = load_json(snap_path)["domain_size"]
+        perm = list(range(n))
+        random.Random(5).shuffle(perm)
+        args += ["--perm", _write(tmp_path / "perm.json", perm)]
+    _config_error(_invoke(*args), "--consts must name distinct elements")
+
+
 @pytest.mark.parametrize("construction", ["sigma2", "spectrum-coce"])
 def test_decode_default_consts_outside_a_small_domain(tmp_path, construction):
     """sigma2's five default constants, or spectrum's four, do not fit a

@@ -2,8 +2,9 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from staged_orders import kernel
 from staged_orders.kernel import (
     AntisymmetryViolation,
     BadPermutation,
@@ -291,6 +292,64 @@ def test_add_pairs_matches_per_pair_rules(case):
                 order.add_pairs(batch)
             assert (type(caught.value).__name__, str(caught.value)) == error
             assert tuple(order.history) == before  # a failed batch appends nothing
+
+
+def _batch_outcome(monkeypatch, start, batch, n):
+    """add_pairs on the closure of `start`, against add_pairs_reference:
+    the outcome must agree, and a batch the kernel takes must come back
+    from _close_batch with exactly the pairs it adds, sorted and unique.
+    Returns whether that batch took the direct path (no Warshall pass)."""
+    order = StagedOrder(Kind.CE, Snapshot(n, 0, _matrix(start, n)))
+    before = order.current.matrix
+    want, error = add_pairs_reference(_rows(before), batch, n)
+    pivots = []
+    real = kernel._close_in_place
+    monkeypatch.setattr(kernel, "_close_in_place", lambda m, ks: pivots.append(1) or real(m, ks))
+    if error is not None:
+        with pytest.raises(StagedOrderError) as caught:
+            order.add_pairs(batch)
+        assert (type(caught.value).__name__, str(caught.value)) == error
+        return not pivots
+    assert _rows(order.add_pairs(batch).matrix) == want
+    del pivots[:]
+    closed, added = kernel._close_batch(before, np.array(batch, dtype=np.int64).reshape(-1, 2))
+    assert np.array_equal(added, np.argwhere(closed & ~before))
+    return not pivots
+
+
+@pytest.mark.parametrize(
+    "start, batch, direct",
+    [
+        ([], [(0, 3), (1, 3), (0, 4), (0, 3)], True),  # repeated pair
+        ([(0, 1), (2, 1)], [(0, 1), (0, 5), (3, 5), (3, 4)], True),  # a held pair
+        ([(0, 1), (0, 2)], [(3, 1), (3, 2), (4, 5)], True),  # heads with other tails below
+        ([], [(0, 1), (1, 2)], False),  # a chain: head 1 is a tail
+        ([(0, 1)], [(1, 2)], False),  # tail 1 has a strict predecessor
+        ([(1, 2)], [(0, 1)], False),  # head 1 has a strict successor
+        ([(2, 3)], [(4, 5), (3, 4), (5, 2)], False),  # closes a 2-cycle
+        ([], [(0, 1), (2, 3), (1, 0)], False),  # a 2-cycle inside the batch
+    ],
+)
+def test_add_pairs_direct_path_only_on_closed_batches(monkeypatch, start, batch, direct):
+    assert _batch_outcome(monkeypatch, start, batch, 6) is direct
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_add_pairs_direct_path_matches_per_pair_rules(data):
+    """Random closed orders and batches from minimal to maximal elements,
+    no head a tail: the per-pair result, by the direct path."""
+    n = data.draw(st.integers(2, 9))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    start = data.draw(st.lists(pair.filter(lambda p: p[0] < p[1]), max_size=8))
+    m = _matrix(start, n)
+    minimal = np.flatnonzero(m.sum(axis=0) == 1).tolist()
+    tails = data.draw(st.lists(st.sampled_from(minimal), min_size=1, max_size=4))
+    heads = [h for h in np.flatnonzero(m.sum(axis=1) == 1).tolist() if h not in tails]
+    assume(heads)
+    batch = [(t, data.draw(st.sampled_from(heads))) for t in tails]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert _batch_outcome(monkeypatch, start, batch, n)
 
 
 def test_check_monotone_flags_backsliding():
