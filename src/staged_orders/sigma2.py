@@ -295,12 +295,8 @@ def build_run(
 
 def _regions(m: np.ndarray, consts: Sigma2Consts) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The A, B and C elements of a relation matrix, as sorted int arrays."""
-    below_a = m[:, consts.a].copy()
-    below_a[consts.a] = False
-    below_b = m[:, consts.b].copy()
-    below_b[consts.b] = False
-    below_c = m[:, consts.c].copy()
-    below_c[consts.c] = False
+    below_a, below_b, below_c = m[:, [consts.a, consts.b, consts.c]].T  # a gathered copy
+    below_a[consts.a] = below_b[consts.b] = below_c[consts.c] = False
     return (
         np.flatnonzero(below_a & ~below_b),
         np.flatnonzero(below_b),
@@ -313,18 +309,28 @@ def identify_regions(
 ) -> Tuple[frozenset, frozenset, frozenset]:
     """Split the domain by the constants: B below b, A below a but not b,
     C below c but neither a nor b."""
-    a_elems, b_elems, c_elems = _regions(snapshot.matrix, consts)
-    return frozenset(a_elems.tolist()), frozenset(b_elems.tolist()), frozenset(c_elems.tolist())
+    return tuple(frozenset(region.tolist()) for region in _regions(snapshot.matrix, consts))
 
 
-def _locate(
-    m: np.ndarray, a_elems: np.ndarray, c_elems: np.ndarray, consts: Sigma2Consts, i: int
+def locate_sequence(
+    snapshot: Snapshot, consts: Sigma2Consts, i: int
 ) -> Tuple[int, ...]:
-    """locate_sequence, given the A and C elements from _regions."""
+    """Find the i+1 elements playing a_{i,0}..a_{i,i} in a (possibly
+    permuted) copy.
+
+    Two A-elements are linked when some C-element sits above both. The
+    scaffold links a_{i,k} only to a_{i,k-1} and a_{i,k+1}, so each row is
+    a path; an A-element with more than two links is refused. The row of
+    index i is the walk of i+1 elements from an A-element below the
+    f-image to one below the l-image; starts and their links are tried in
+    sorted order.
+    """
     if i < 0:
         raise NotFound("row index must be a natural")
+    m = snapshot.matrix
+    a_elems, _, c_elems = _regions(m, consts)
     if not a_elems.size:
-        raise NotFound(f"no A-elements in a domain of {m.shape[0]}")
+        raise NotFound(f"no A-elements in a domain of {snapshot.domain_size}")
     above = m[np.ix_(a_elems, c_elems)]
     linked = _compose(above, above.T)
     np.fill_diagonal(linked, False)
@@ -348,24 +354,7 @@ def _locate(
                 row.append(step[0])
             if len(row) == i + 1 and row[-1] in ends:
                 return tuple(row)
-    raise NotFound(f"no row of length {i + 1} in a domain of {m.shape[0]}")
-
-
-def locate_sequence(
-    snapshot: Snapshot, consts: Sigma2Consts, i: int
-) -> Tuple[int, ...]:
-    """Find the i+1 elements playing a_{i,0}..a_{i,i} in a (possibly
-    permuted) copy.
-
-    Two A-elements are linked when some C-element sits above both. The
-    scaffold links a_{i,k} only to a_{i,k-1} and a_{i,k+1}, so each row is
-    a path; an A-element with more than two links is refused. The row of
-    index i is the walk of i+1 elements from an A-element below the
-    f-image to one below the l-image; starts and their links are tried in
-    sorted order.
-    """
-    a_elems, _, c_elems = _regions(snapshot.matrix, consts)
-    return _locate(snapshot.matrix, a_elems, c_elems, consts, i)
+    raise NotFound(f"no row of length {i + 1} in a domain of {snapshot.domain_size}")
 
 
 def membership_query(
@@ -373,10 +362,11 @@ def membership_query(
 ) -> bool:
     """Decide i's membership from the snapshot: some B-element below the
     whole located row. Exact once the stage has passed stabilization."""
-    m = snapshot.matrix
-    a_elems, b_elems, c_elems = _regions(m, consts)
-    row = _locate(m, a_elems, c_elems, consts, i)
-    return bool(m[np.ix_(b_elems, row)].all(axis=1).any())
+    row = locate_sequence(snapshot, consts, i)
+    # the elements below b and below every element of the row, but b itself
+    hits = snapshot.matrix.take([consts.b, *row], axis=1).all(axis=1)
+    hits[consts.b] = False
+    return bool(hits.any())
 
 
 class Sigma2Construction(Construction):
