@@ -502,35 +502,34 @@ def _close_batch(
     a tail. So a path holds at most one B-pair and reaches nothing beyond
     R | B, which is therefore closed. It has no 2-cycle: for (t, h) in B,
     h <= t in R would make h = t, as h is maximal, and (h, t) in B would
-    make h a tail. So the closure adds exactly the fresh pairs, returned
-    sorted and unique as the general path returns them. The head-is-a-tail
-    test runs first: it is the cheapest, and it is what fails on chains."""
+    make h a tail. So the closure adds exactly the fresh pairs, and only
+    the tails' rows change. The head-is-a-tail test runs first: it is the
+    cheapest, and it is what fails on chains."""
     fresh = idx[~matrix[idx[:, 0], idx[:, 1]]]
     if not fresh.size:
         return matrix, _NO_PAIRS
-    n = matrix.shape[0]
-    is_tail = np.zeros(n, dtype=bool)
+    is_tail = np.zeros(matrix.shape[0], dtype=bool)
     is_tail[fresh[:, 0]] = True
+    closed = matrix.copy()
     if (
         not is_tail[fresh[:, 1]].any()
         and np.count_nonzero(matrix[:, fresh[:, 0]]) == len(fresh)
         and np.count_nonzero(matrix[fresh[:, 1]]) == len(fresh)
     ):
-        closed = matrix.copy()
         closed[fresh[:, 0], fresh[:, 1]] = True
-        return closed, np.column_stack(np.divmod(np.unique(fresh[:, 0] * n + fresh[:, 1]), n))
-    tails, row = np.unique(fresh[:, 0], return_inverse=True)
-    heads, col = np.unique(fresh[:, 1], return_inverse=True)
-    batch = np.zeros((tails.size, heads.size), dtype=bool)
-    batch[row, col] = True
-    closed = matrix.copy()
-    closed[:, heads] |= _compose(matrix[:, tails], batch)
-    _close_in_place(closed, heads)
-    reach = closed[:, heads]
-    # reflexive, so a head is on no 2-cycle iff it meets the transpose only at itself
-    if np.count_nonzero(closed[heads] & reach.T) != heads.size:
-        return None
-    rows = np.flatnonzero((reach != matrix[:, heads]).any(axis=1))
+        rows = np.flatnonzero(is_tail)
+    else:
+        tails, row = np.unique(fresh[:, 0], return_inverse=True)
+        heads, col = np.unique(fresh[:, 1], return_inverse=True)
+        batch = np.zeros((tails.size, heads.size), dtype=bool)
+        batch[row, col] = True
+        closed[:, heads] |= _compose(matrix[:, tails], batch)
+        _close_in_place(closed, heads)
+        reach = closed[:, heads]
+        # reflexive, so a head is on no 2-cycle iff it meets the transpose only at itself
+        if np.count_nonzero(closed[heads] & reach.T) != heads.size:
+            return None
+        rows = np.flatnonzero((reach != matrix[:, heads]).any(axis=1))
     # flat indices: nonzero over a 2-d array is many times slower
     which, cols = np.divmod(np.flatnonzero(closed[rows] != matrix[rows]), matrix.shape[1])
     return closed, np.column_stack((rows[which], cols))

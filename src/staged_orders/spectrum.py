@@ -309,13 +309,14 @@ def decode_graph(
 
 def comparability_graph(snapshot: Snapshot) -> np.ndarray:
     """Forget direction: the pairs x < y related one way or the other, as a
-    sorted int64 (k, 2) array. Read from the held pairs, each folded to
-    (min, max), so it costs what the order holds, not n*n."""
+    sorted int64 (k, 2) array. Each held strict pair is folded to (min, max)
+    in one flat mask, which reads the matrix once and never transposes it."""
     n = snapshot.domain_size
     x, y = np.divmod(np.flatnonzero(snapshot.matrix), n)
     strict = x != y
-    low, high = np.minimum(x, y)[strict], np.maximum(x, y)[strict]
-    return np.column_stack(np.divmod(np.unique(low * n + high), n))
+    folded = np.zeros(n * n, dtype=bool)
+    folded[np.minimum(x, y)[strict] * n + np.maximum(x, y)[strict]] = True
+    return np.column_stack(np.divmod(np.flatnonzero(folded), n))
 
 
 def decode_from_comparability(
