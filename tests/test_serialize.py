@@ -462,7 +462,8 @@ def test_stage_file_loads_as_json_reads_it(stage_dir, case):
     "[[1,2],[3]]", "[[1,2,3]]", "[[01,2]]", "[[4294967296,0]]", "[[9999999999,1]]",
     "[[1,2],[3,4],]", '[[1,2],["]]"]]', "[[1,2]]]", "[[١,2]]", "[[1,2],[3,4]",
     "[[1;2]]", "[[1,2].[3,4]]", "[[1,2]3,4[,],[5,6]]", "[[1,2],[,]]", "[1[,2]]",
-    "[[1,2],[3,10]]",
+    "[[1,2],[3,10]]", "[[,]]", "[[,],[,]]", "[[00,1]]", "[[1,00]]",
+    "[[99999999999999999999,1]]", "[[999999999,0]]", "[[1,2]3]",
 ])
 def test_odd_pair_lists_load_as_json_reads_them(tmp_path, pairs):
     """Lists that come close to the compact grammar, some with two faults
