@@ -48,10 +48,11 @@ leading zero).
 
 Stage files are read without a Python object per pair: a pair list written
 compactly, as the writers write it ([[i,j],...], no whitespace, plain
-decimals of at most 9 digits), is parsed in whole-array passes over the
-file's bytes, and the other values of the object by json's own scanner.
-Any other text, valid JSON or not, goes to json.loads whole, with the same
-checks and error texts. Configs, manifests, family.json and permutation
+decimals of at most 9 digits), is checked against that grammar in
+whole-text passes, then numpy's text parser reads its numbers; the other
+values of the object are read by json's own scanner. Any other text,
+valid JSON or not, goes to json.loads whole, with the same checks and
+error texts. Configs, manifests, family.json and permutation
 files are plain JSON, read by load_json.
 """
 
@@ -281,42 +282,40 @@ def load_json(path: str):
 
 _PAIR_KEYS = ("pairs", "added", "removed")
 _scan_value = json.JSONDecoder().scan_once  # one JSON value at an index, as json.loads reads it
+_BLANKS = bytes.maketrans(b"[],", b"   ")  # a pair list's brackets and commas to spaces
 
 
 def _compact_pairs(text: str, i: int) -> Optional[Tuple[np.ndarray, int]]:
     """The pair list opened at text[i] and the index after it, if it is
     written compactly: [[i,j],...], no whitespace, each number a plain
-    decimal (no sign or leading zero) of at most 9 digits. The pairs come
-    as an int64 (k, 2) array, parsed in whole-array passes over the bytes;
-    None for any other text."""
+    decimal (no sign or leading zero) of at most 9 digits. Once the
+    brackets and commas are checked, numpy's text parser reads the
+    numbers into an int64 (k, 2) array; None for any other text."""
     if text.startswith("[]", i):
         return np.empty((0, 2), np.int64), i + 2
     end = text.find("]]", i) + 2  # a compact list ends at its first "]]"
     if end == 1:
         return None
     raw = text[i:end].encode("ascii")
-    # Brackets and commas must spell [[,],[,],...,[,]] for k pairs, and the
-    # 2k runs of digits must sit in the numbers' places: the first run 2
-    # bytes in, and 3 bytes ("],[") between pairs. The byte count then
-    # leaves exactly 1 between a pair's two runs, and 2 after the last.
+    # Brackets and commas must spell [[,],[,],...,[,]] for k pairs. With
+    # "[[" at the start and every one of the k-1 "],[" literal, digits can
+    # sit only in the 2k numbers' places.
     skeleton = raw.translate(None, b"0123456789")
     k = (len(skeleton) - 1) // 4
-    if skeleton != b"[" + b"[,]," * (k - 1) + b"[,]]":
+    if (skeleton != b"[" + b"[,]," * (k - 1) + b"[,]]" or not raw.startswith(b"[[")
+            or raw.count(b"],[") != k - 1):
         return None
-    digits = np.frombuffer(raw, np.uint8) - 48  # every other byte wraps above 9
-    edges = np.flatnonzero(np.diff(digits < 10))  # the byte before each run, its last byte
-    steps = np.diff(edges)  # per pair: length, gap, length, gap
-    if len(edges) != 4 * k or edges[0] != 1 or (steps[3::4] != 3).any():
+    digits = len(raw) - len(skeleton)
+    blanked = raw.translate(_BLANKS)
+    del raw, skeleton  # numpy then parses beside one byte copy of the list, not two
+    values = np.fromstring(blanked, np.int64, sep=" ")
+    # numpy reads a blank text as one 0, saturates past int64 and reads
+    # "01" as 1: so 2k values below 10^9, with no digit more than they need
+    if len(values) != 2 * k or values.max() >= 10**9:
         return None
-    starts, lengths = edges[0::2] + 1, steps[0::2]
-    width = lengths.max()
-    values = digits[starts].astype(np.int32)  # 9 digits fit
-    if width > 9 or not values[lengths > 1].all():  # too long, or a leading zero
+    if len(values) + sum(np.count_nonzero(values >= 10**j) for j in range(1, 9)) != digits:
         return None
-    for j in range(1, width):
-        more = np.take(digits[j:], starts, mode="clip")  # past a short number: masked below
-        values = np.where(lengths > j, values * 10 + more, values)
-    return values.astype(np.int64).reshape(-1, 2), end
+    return values.reshape(-1, 2), end
 
 
 def _scan_stage(text: str) -> Optional[dict]:

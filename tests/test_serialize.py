@@ -513,6 +513,23 @@ def test_a_long_run_is_built_and_written_in_a_few_matrices_of_memory(tmp_path):
     assert load_peak < 128 * n * n
 
 
+def test_a_full_file_loads_in_a_few_bytes_per_byte_of_text(tmp_path):
+    """The closed linear order on 512 elements, a 1.25 MB full file, loads
+    with a tracemalloc peak below 8 bytes per byte of the file: the text,
+    the pair array and the parse's temporaries together."""
+    n = 512
+    path = str(tmp_path / "linear.json")
+    save_json(path, snapshot_to_obj(Snapshot(n, 0, np.triu(np.ones((n, n), bool))), Kind.CE))
+    tracemalloc.start()
+    try:
+        snapshot, _ = load_snapshot(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert snapshot.matrix.sum() == n * (n + 1) // 2
+    assert peak < 8 * os.path.getsize(path)
+
+
 def test_snapshot_name_width_grows(tmp_path):
     order = StagedOrder(Kind.CE, Snapshot(2, 2500, np.eye(2, dtype=bool)))
     for _ in range(4):
