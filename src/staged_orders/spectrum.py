@@ -169,29 +169,35 @@ def required_domain_bound(graph: LimitGraph) -> int:
 Windows = Dict[Tuple[int, int], List[Tuple[int, int]]]
 
 
+def _window(i: int, j: int, domain_bound: int) -> List[Tuple[int, int]]:
+    """Pair (i, j)'s gadget rungs that fit under the domain bound, as
+    (rung, element code) in rung order."""
+    rungs = []
+    code = spectrum_gadget_code(i, j, 0)
+    while code < domain_bound:
+        rungs.append((len(rungs), code))
+        code = spectrum_gadget_code(i, j, len(rungs))
+    return rungs
+
+
 def _windows(graph: LimitGraph, domain_bound: int) -> Windows:
-    """Each vertex pair's gadget rungs that fit under the domain bound, as
-    (rung, element code) in rung order, pairs in lexicographic order."""
-    out = {}
-    for i, j in graph._pairs():
-        rungs = []
-        code = spectrum_gadget_code(i, j, 0)
-        while code < domain_bound:
-            rungs.append((len(rungs), code))
-            code = spectrum_gadget_code(i, j, len(rungs))
-        out[(i, j)] = rungs
-    return out
+    """Each vertex pair's window, pairs in lexicographic order."""
+    return {(i, j): _window(i, j, domain_bound) for i, j in graph._pairs()}
 
 
-def _stages_needed(graph: LimitGraph, windows: Windows) -> int:
+def _stages_needed(graph: LimitGraph, first_window: List[Tuple[int, int]]) -> int:
+    """The stage count, given pair (0, 1)'s window. For a fixed rung a
+    gadget's code grows with its pair's rank, and a window is the rungs
+    below the first that does not fit, so pair (0, 1), of rank 0, has
+    the longest window: no other pair has a later rung to reach."""
     need = max(graph.n - 1, graph.max_modulus, 0)
-    return max([need] + [rungs[-1][0] for rungs in windows.values() if rungs])
+    return max(need, first_window[-1][0]) if first_window else need
 
 
 def required_stages(graph: LimitGraph, domain_bound: int) -> int:
     """Stages needed so every pair is processed, every flip has passed,
     and every in-window gadget rung has been marked or neutralized."""
-    return _stages_needed(graph, _windows(graph, domain_bound))
+    return _stages_needed(graph, _window(0, 1, domain_bound) if graph.n >= 2 else [])
 
 
 def build_spectrum_initial(
@@ -233,7 +239,7 @@ def build_spectrum_run(
     order already holds (growing) or already lacks (shrinking), and the
     kernel would drop it. Only the two are touched, by the same rules."""
     windows = _windows(graph, domain_bound)
-    need = _stages_needed(graph, windows)
+    need = _stages_needed(graph, windows.get((0, 1), []))
     if stages < need:
         raise InsufficientStages(f"stages {stages} below required {need}")
     order = StagedOrder(kind, build_spectrum_initial(kind, graph, domain_bound, windows))

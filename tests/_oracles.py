@@ -169,6 +169,14 @@ def spectrum_batches_reference(grows: bool, graph, windows, stages: int, flags):
         yield touched
 
 
+def required_stages_reference(graph, windows) -> int:
+    """spectrum.required_stages as first written: the last vertex, the
+    last flip or the last in-window rung of any pair, whichever is latest.
+    `windows` maps each pair to its (rung, code) list."""
+    need = max(graph.n - 1, graph.max_modulus, 0)
+    return max([need] + [rungs[-1][0] for rungs in windows.values() if rungs])
+
+
 def sigma2_row_reference(matrix, consts, i: int):
     """sigma2.locate_sequence as first written, element by element over a
     list-of-lists matrix: (row, None), or (None, the NotFound text).

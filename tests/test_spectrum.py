@@ -38,7 +38,7 @@ from staged_orders.spectrum import (
 )
 
 from _generators import random_limit_graph_config, random_permutation
-from _oracles import spectrum_batches_reference
+from _oracles import required_stages_reference, spectrum_batches_reference
 
 
 def test_value_follows_the_flip_schedule():
@@ -165,6 +165,29 @@ def test_stage_loop_matches_the_every_rung_loop(case):
     for (g_added, g_removed, g_labels), (w_added, w_removed, w_labels) in zip(got.middle, want.middle):
         assert np.array_equal(g_added, w_added) and np.array_equal(g_removed, w_removed)
         assert g_labels == w_labels
+
+
+@st.composite
+def graphs_and_domains(draw):
+    """A graph of 0-8 vertices with flips, and a domain from 0 to well
+    past the required one."""
+    n = draw(st.integers(0, 8))
+    flips = {}
+    for p in itertools.combinations(range(n), 2):
+        stages = draw(st.lists(st.integers(1, 40), max_size=3, unique=True))
+        if stages:
+            flips[p] = tuple(sorted(stages))
+    graph = LimitGraph(n, [], flips)
+    return graph, draw(st.integers(0, required_domain_bound(graph) + 2000))
+
+
+@given(graphs_and_domains())
+@settings(max_examples=200, deadline=None)
+def test_required_stages_matches_the_every_window_maximum(case):
+    """Pair (0, 1)'s window alone gives the stage count that the last
+    rung of every pair's window gives."""
+    graph, domain = case
+    assert required_stages(graph, domain) == required_stages_reference(graph, _windows(graph, domain))
 
 
 def test_initial_snapshot_is_written_closed():
