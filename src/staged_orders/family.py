@@ -128,9 +128,6 @@ class SetFamily(Record):
     element_count: int
     rows: Tuple[frozenset, ...]  # rows[i] = A_i as a set of allocated elements
 
-    def row(self, i: int) -> frozenset:
-        return self.rows[i]
-
     def included(self, i: int, j: int) -> bool:
         return self.rows[i] <= self.rows[j]
 

@@ -304,14 +304,6 @@ def _regions(m: np.ndarray, consts: Sigma2Consts) -> Tuple[np.ndarray, np.ndarra
     )
 
 
-def identify_regions(
-    snapshot: Snapshot, consts: Sigma2Consts = DEFAULT_CONSTS
-) -> Tuple[frozenset, frozenset, frozenset]:
-    """Split the domain by the constants: B below b, A below a but not b,
-    C below c but neither a nor b."""
-    return tuple(frozenset(region.tolist()) for region in _regions(snapshot.matrix, consts))
-
-
 def locate_sequence(
     snapshot: Snapshot, consts: Sigma2Consts, i: int
 ) -> Tuple[int, ...]:

@@ -194,7 +194,7 @@ def condense(pre: Snapshot) -> CondensationResult:
     return CondensationResult(classes, tuple(reps), Snapshot(len(reps), pre.stage, induced))
 
 
-def pigeonhole_extract(pre: Snapshot, classes: Sequence[Sequence[int]]) -> Tuple[int, ...]:
+def pigeonhole_extract(classes: Sequence[Sequence[int]]) -> Tuple[int, ...]:
     """Largest class (least index on ties): ascending and descending at once.
     An empty preorder has no class, and the empty sequence answers it."""
     if not classes:
@@ -211,7 +211,7 @@ def solve_ads_preorder(pre: Snapshot, threshold: Optional[int] = None) -> AdsSol
     if threshold is None:
         threshold = ceil_sqrt(pre.domain_size)
     if len(cond.classes) <= threshold:
-        return AdsSolution("ascending", pigeonhole_extract(pre, cond.classes))
+        return AdsSolution("ascending", pigeonhole_extract(cond.classes))
     inner = solve_ads(cond.induced)
     return AdsSolution(
         inner.direction, tuple(cond.representatives[t] for t in inner.elements)

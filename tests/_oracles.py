@@ -177,6 +177,21 @@ def required_stages_reference(graph, windows) -> int:
     return max([need] + [rungs[-1][0] for rungs in windows.values() if rungs])
 
 
+def sigma2_regions_reference(rows, consts):
+    """sigma2's region split, element by element over `rows`, a matrix's
+    tolist(): B below b, A below a but not b, C below c but neither a nor
+    b, each constant not counted below itself. Three sorted lists."""
+    a_elems, b_elems, c_elems = [], [], []
+    for x, row in enumerate(rows):
+        if row[consts.b] and x != consts.b:
+            b_elems.append(x)
+        elif row[consts.a] and x != consts.a:
+            a_elems.append(x)
+        elif row[consts.c] and x != consts.c:
+            c_elems.append(x)
+    return a_elems, b_elems, c_elems
+
+
 def sigma2_row_reference(matrix, consts, i: int):
     """sigma2.locate_sequence as first written, element by element over a
     list-of-lists matrix: (row, None), or (None, the NotFound text).

@@ -20,8 +20,8 @@ from staged_orders.sigma2 import (
     Sigma2Consts,
     SyntheticSigma2Predicate,
     build_run,
+    _regions,
     b_count,
-    identify_regions,
     locate_sequence,
     membership_query,
     predicate_from_config,
@@ -31,7 +31,7 @@ from staged_orders.sigma2 import (
 )
 
 from _generators import random_permutation, random_sigma2_config
-from _oracles import sigma2_member_reference, sigma2_row_reference
+from _oracles import sigma2_member_reference, sigma2_regions_reference, sigma2_row_reference
 
 
 def _mixed_pred():
@@ -117,7 +117,7 @@ def test_regions_partition_the_scaffolding():
     pred = _mixed_pred()
     bound = required_domain_bound(pred)
     order, _ = build_run(pred, bound, 3)
-    a_set, b_set, c_set = identify_regions(order.current)
+    a_set, b_set, c_set = (set(r.tolist()) for r in _regions(order.current.matrix, DEFAULT_CONSTS))
     assert sigma2_a_code(0, 0) in a_set
     assert sigma2_b_code(0) in b_set
     assert not (a_set & b_set) and not (a_set & c_set) and not (b_set & c_set)
@@ -214,6 +214,7 @@ def sigma2_stages(draw):
 def test_row_search_and_membership_match_the_element_by_element_reference(case):
     snap, consts, count = case
     rows = snap.matrix.tolist()
+    assert tuple(r.tolist() for r in _regions(snap.matrix, consts)) == sigma2_regions_reference(rows, consts)
     for i in range(-1, count + 2):
         assert _outcome(lambda: locate_sequence(snap, consts, i)) == sigma2_row_reference(rows, consts, i)
         assert _outcome(lambda: membership_query(snap, consts, i)) == sigma2_member_reference(rows, consts, i)

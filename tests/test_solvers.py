@@ -156,9 +156,9 @@ def test_condense_rejects_partial_preorders():
 
 def test_pigeonhole_takes_largest_earliest():
     classes = [(0, 1), (2, 3), (4,)]
-    assert pigeonhole_extract(None, classes) == (0, 1)
+    assert pigeonhole_extract(classes) == (0, 1)
     classes = [(0,), (1, 2, 3), (4, 5, 6)]
-    assert pigeonhole_extract(None, classes) == (1, 2, 3)
+    assert pigeonhole_extract(classes) == (1, 2, 3)
 
 
 def test_ads_preorder_both_branches():
