@@ -52,8 +52,8 @@ decimals of at most 9 digits), is checked against that grammar in
 whole-text passes, then numpy's text parser reads its numbers; the other
 values of the object are read by json's own scanner. Any other text,
 valid JSON or not, goes to json.loads whole, with the same checks and
-error texts. Configs, manifests, family.json and permutation
-files are plain JSON, read by load_json.
+error texts. Configs, manifests, family.json and permutation files are
+plain JSON, read by load_json.
 """
 
 from __future__ import annotations
@@ -307,7 +307,7 @@ def _compact_pairs(text: str, i: int) -> Optional[Tuple[np.ndarray, int]]:
         return None
     digits = len(raw) - len(skeleton)
     blanked = raw.translate(_BLANKS)
-    del raw, skeleton  # numpy then parses beside one byte copy of the list, not two
+    del raw, skeleton  # so that only the copy numpy reads is held while it parses
     values = np.fromstring(blanked, np.int64, sep=" ")
     # numpy reads a blank text as one 0, saturates past int64 and reads
     # "01" as 1: so 2k values below 10^9, with no digit more than they need

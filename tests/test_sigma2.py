@@ -19,8 +19,8 @@ from staged_orders.sigma2 import (
     NotFound,
     Sigma2Consts,
     SyntheticSigma2Predicate,
-    build_run,
     _regions,
+    build_run,
     b_count,
     locate_sequence,
     membership_query,
