@@ -313,7 +313,8 @@ def _compact_pairs(text: str, i: int) -> Optional[Tuple[np.ndarray, int]]:
     # "01" as 1: so 2k values below 10^9, with no digit more than they need
     if len(values) != 2 * k or values.max() >= 10**9:
         return None
-    if len(values) + sum(np.count_nonzero(values >= 10**j) for j in range(1, 9)) != digits:
+    reached = range(1, len(str(values.max())))  # the powers of ten some value reaches
+    if len(values) + sum(np.count_nonzero(values >= 10**j) for j in reached) != digits:
         return None
     return values.reshape(-1, 2), end
 
