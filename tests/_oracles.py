@@ -241,3 +241,33 @@ def sigma2_member_reference(matrix, consts, i: int):
     b = consts[1]
     b_set = [x for x in range(len(matrix)) if x != b and matrix[x][b]]
     return any(all(matrix[y][x] for x in row) for y in b_set), None
+
+
+def order_checks_reference(rows, antisymmetric: bool):
+    """check_partial_order (antisymmetric=True) or check_preorder as first
+    written, over `rows`, a matrix's tolist(): one (axiom, passed, witness)
+    triple per axiom. The reflexivity witness is the first element off the
+    diagonal; the antisymmetry witness the first pair i < j held both
+    ways; the transitivity witness the first pair (i, k) that a two-step
+    path reaches and the relation lacks, with its least middle j. Rows are
+    int bitmasks, so no numpy is involved."""
+    n = len(rows)
+    bits = [sum(1 << j for j, held in enumerate(row) if held) for row in rows]
+    rw = next(((i,) for i in range(n) if not rows[i][i]), None)
+    aw = None
+    if antisymmetric:
+        aw = next(((i, j) for i in range(n) for j in range(i + 1, n)
+                   if rows[i][j] and rows[j][i]), None)
+    tw = None
+    for i in range(n):
+        reach = 0
+        for j in range(n):
+            if bits[i] >> j & 1:
+                reach |= bits[j]
+        missing = reach & ~bits[i]
+        if missing:
+            k = (missing & -missing).bit_length() - 1
+            tw = (i, next(j for j in range(n) if rows[i][j] and rows[j][k]), k)
+            break
+    return [("reflexive", rw is None, rw), ("antisymmetric", aw is None, aw),
+            ("transitive", tw is None, tw)]

@@ -7,10 +7,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 from staged_orders import kernel
 from staged_orders.kernel import (
     AntisymmetryViolation,
+    AxiomCheck,
     BadPermutation,
     DomainLimitExceeded,
     DomainTooSmall,
     Kind,
+    PosetReport,
     Snapshot,
     StagedOrder,
     StagedOrderError,
@@ -28,7 +30,13 @@ from staged_orders.kernel import (
     transitive_reduction,
 )
 
-from _oracles import add_pairs_reference, fw_close, is_antisymmetric, is_transitive
+from _oracles import (
+    add_pairs_reference,
+    fw_close,
+    is_antisymmetric,
+    is_transitive,
+    order_checks_reference,
+)
 
 
 def _matrix(pairs, n):
@@ -420,6 +428,32 @@ def test_apply_permutation_refuses_what_is_not_a_permutation_of_integers(perm):
         apply_permutation(snap, perm)
 
 
+@pytest.mark.parametrize(
+    "perm",
+    [
+        [0, 0, 1],
+        [0, -1, 2],
+        [0, 1, 3],
+        [0, 1],
+        [0, 1, 2, 3],
+        [True, False, 2],
+        [0, 1.0, 2],
+        [0, 1, 2**70],
+        [-(2**70), 0, 1],
+        np.array([0, 0, 1]),
+        np.array([0.0, 2.0, 1.0]),
+        np.array([True, False, True]),
+    ],
+    ids=["duplicate", "negative", "out of range", "short", "long", "bool", "float",
+         "beyond int64", "below int64", "array duplicate", "float array", "bool array"],
+)
+def test_apply_permutation_refusals_keep_their_text(perm):
+    snap = Snapshot.from_pairs(3, [(0, 1)], labels={0: "x"})
+    with pytest.raises(BadPermutation) as caught:
+        apply_permutation(snap, perm)
+    assert str(caught.value) == "not a permutation of 0..2"
+
+
 def test_transitive_reduction_covers():
     snap = Snapshot(4, 0, _matrix([(0, 1), (1, 2), (2, 3)], 4))
     assert _pair_set(transitive_reduction(snap)) == {(0, 1), (1, 2), (2, 3)}
@@ -559,3 +593,101 @@ def test_compositions_on_a_sparse_300_element_order():
         for window in (1, 37, 150, 299):
             view = broken[:window, :window]
             assert _find_transitivity_witness(view) == _witness_reference(view.copy())
+
+
+def _expected_report(m, antisymmetric):
+    return PosetReport(*(AxiomCheck(*check) for check in order_checks_reference(m.tolist(), antisymmetric)))
+
+
+def _assert_checks_match_the_reference(m):
+    """Both checks give the reference's report, field for field; repr
+    also tells a numpy integer in a witness from a Python one."""
+    snap = Snapshot(len(m), 0, m)
+    assert repr(check_partial_order(snap)) == repr(_expected_report(m, True))
+    assert repr(check_preorder(snap)) == repr(_expected_report(m, False))
+
+
+@given(relations())
+@settings(max_examples=300, deadline=None)
+def test_order_checks_match_the_pure_python_reference(m):
+    _assert_checks_match_the_reference(m)
+
+
+def _large_relations():
+    """Relations above 256 elements, where a uint8 count would wrap: the
+    fan with and without its top pair, a sparse order, and that order
+    with a 2-cycle, a broken pair and a missing diagonal entry."""
+    rng = np.random.default_rng(257)
+    order = np.triu(rng.random((300, 300)) < 0.01, 1) | np.eye(300, dtype=bool)
+    close_matrix(order)
+    cycle, broken, unreflexive = order.copy(), order.copy(), order.copy()
+    i, k = np.argwhere(order & ~np.eye(300, dtype=bool) & ~_matrix_of(transitive_reduction(
+        Snapshot(300, 0, order)), 300))[7]
+    cycle[k, i] = True
+    broken[i, k] = False
+    unreflexive[299, 299] = False
+    return [_fan(False).matrix, _fan(True).matrix, order, cycle, broken, unreflexive]
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_order_checks_match_the_pure_python_reference_above_256(index):
+    _assert_checks_match_the_reference(_large_relations()[index])
+
+
+def _stage_orders():
+    """StagedOrders of every construction that builds one, and two driven
+    by hand through empty, held, fresh and pair-by-pair batches."""
+    from staged_orders import jump, sigma2, spectrum
+
+    from _generators import random_sigma2_config
+
+    graph = spectrum.LimitGraph(4, [(0, 1), (1, 3)], {(0, 2): (1, 3), (1, 3): (2,)})
+    domain = spectrum.required_domain_bound(graph)
+    stages = spectrum.required_stages(graph, domain)
+    orders = [spectrum.build_spectrum_run(kind, graph, domain, stages) for kind in Kind]
+    pred = sigma2.predicate_from_config(random_sigma2_config(random.Random(3), 4))
+    bound = sigma2.required_domain_bound(pred)
+    orders.append(sigma2.build_run(pred, bound, sigma2.stabilization_stage(pred, bound) + 1)[0])
+    sched = jump.EnumerationSchedule(((3, 4), (1, 6), (7, 9)))
+    orders += [jump.build_cochain_order(sched, 12, 10), jump.build_antichain_order(sched, 12, 10)]
+    ce = StagedOrder(Kind.CE, Snapshot.from_pairs(5, [], labels={0: "x"}))
+    for batch in ([], [(0, 1)], [(0, 1)], [(np.int64(1), np.int64(2))], [(3, 4), (2, 3)], []):
+        ce.add_pairs(batch)
+    coce = StagedOrder(Kind.COCE, Snapshot(5, 0, np.triu(np.ones((5, 5), bool)), {4: "y"}))
+    for batch in ([], [(3, 4), (2, 4), (1, 4), (0, 4)], [(1, 0)], [(0, 2), (0, 1), (0, 3)], []):
+        coce.remove_pairs(batch)
+    return orders + [ce, coce]
+
+
+def test_stage_snapshots_are_frozen_owned_and_hold_their_own_labels():
+    """Every stage an order appends, and every stage a walk of its history
+    gives: a read-only matrix that owns its data, or the stage before's
+    own matrix when the stage changed nothing; equal to the same stage
+    built through the public constructor; labels in a dict of its own."""
+    for order in _stage_orders():
+        walks = [list(order.history), list(order.history)]
+        appended = [walks[0][0]]
+        replayed = StagedOrder(order.kind, walks[0][0])
+        for before, after in zip(walks[0], walks[0][1:]):
+            changed = np.argwhere(before.matrix ^ after.matrix).tolist()
+            if order.kind is Kind.CE:
+                appended.append(replayed.add_pairs(changed))
+            else:
+                appended.append(replayed.remove_pairs(changed))
+        for stages in walks + [appended]:
+            assert len(stages) == len(order.history)
+            for before, snap in zip([None] + stages, stages):
+                m = snap.matrix
+                assert not m.flags.writeable
+                if before is not None and m is before.matrix:
+                    assert not (before.matrix ^ m).any()
+                else:
+                    assert m.flags.owndata
+                assert snap == Snapshot(snap.domain_size, snap.stage, m, snap.labels)
+                if before is not None:
+                    assert snap.labels is not before.labels
+                    assert snap.labels == before.labels
+                    before.labels[-1] = "changed"
+                    assert -1 not in snap.labels
+                    del before.labels[-1]
+        assert walks[0][-1] is order.current
