@@ -24,7 +24,7 @@ from .kernel import (
     Record,
     Snapshot,
     StagedOrderError,
-    _find_transitivity_witness,
+    _is_transitive,
     _matrix_of,
     _pair_array,
     check_preorder,
@@ -114,7 +114,7 @@ def speedup(pre: CoCEPreorder, s: int, horizon: Optional[int] = None) -> int:
     budget = limit_stage if horizon is None else horizon
     t = s
     while True:
-        if _find_transitivity_witness(pre.view(t)[:window, :window]) is None:
+        if _is_transitive(pre.view(t)[:window, :window]):
             return t
         t += 1
         if t > budget:
@@ -173,19 +173,19 @@ def build_family(pre: CoCEPreorder, stages: int) -> SetFamily:
     rows: List[set] = [set() for _ in range(pre.n)]
     fresh = 0
     for s in range(stages):
-        view = pre.view(speedup(pre, s))
+        view = pre.view(speedup(pre, s)).tolist()  # lists index faster than numpy
         w = min(s, pre.n - 1)
         if pre.n and s <= pre.n - 1:
             for i in range(s + 1):
-                if view[i, s]:
+                if view[i][s]:
                     rows[s] |= rows[i]
         for i in range(w + 1):
             for j in range(w + 1):
-                if i != j and not view[i, j]:
+                if i != j and not view[i][j]:
                     e = fresh
                     fresh += 1
                     for k in range(w + 1):
-                        if view[i, k]:
+                        if view[i][k]:
                             rows[k].add(e)
     return SetFamily(pre.n, fresh, tuple(frozenset(r) for r in rows))
 

@@ -6,6 +6,12 @@ approximation, the relation only shrinks). Every stage must leave the
 relation reflexive and transitively closed; additions must also keep it
 antisymmetric. The kernel enforces those invariants at mutation time.
 
+An order check that passes returns after a few whole-matrix passes,
+without a witness search; only a relation that fails is searched for its
+first witness. The domain cap is checked wherever a matrix of a new size
+is made, so a stage made from a checked stage, by a mutation or by a
+walk of a history, is not checked against it again.
+
 A history takes one shape wherever it goes, from build through the run
 files to verify: a `Replay`, which holds two immutable boolean matrices,
 its first stage and its last, and for every stage between only the
@@ -71,7 +77,9 @@ class DomainLimitExceeded(StagedOrderError):
 
 
 def max_domain() -> int:
-    """Current domain-size cap, read from STAGED_ORDERS_MAX_DOMAIN each call."""
+    """Current domain-size cap, read from STAGED_ORDERS_MAX_DOMAIN each call.
+    It is called wherever a matrix of a new size is made; a stage made from
+    a checked stage has that stage's size, and is not checked again."""
     raw = os.environ.get("STAGED_ORDERS_MAX_DOMAIN")
     if raw is None:
         return DEFAULT_MAX_DOMAIN
@@ -171,7 +179,9 @@ def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _strict(matrix: np.ndarray) -> np.ndarray:
     """The relation without its diagonal, as a new matrix."""
-    return matrix & ~np.eye(matrix.shape[0], dtype=bool)
+    strict = matrix.copy()  # C-ordered, so its flat view steps n + 1 along the diagonal
+    strict.reshape(-1)[:: strict.shape[0] + 1] = False
+    return strict
 
 
 def _strict_pairs(matrix: np.ndarray) -> np.ndarray:
@@ -246,14 +256,20 @@ def _find_antisymmetry_witness(matrix: np.ndarray) -> Optional[Tuple[int, int]]:
 def _middles(strict: np.ndarray) -> np.ndarray:
     """The elements with both a predecessor and a successor in a relation
     S without diagonal: no other element can be the middle of a path."""
-    return np.flatnonzero(strict.any(axis=0) & strict.any(axis=1))
+    # the ufunc's own reduce: ndarray.any goes through a Python wrapper
+    return (np.logical_or.reduce(strict, 0) & np.logical_or.reduce(strict, 1)).nonzero()[0]
 
 
 def _strict_square(strict: np.ndarray) -> np.ndarray:
     """S.S for a relation S without diagonal, composed only through its
     middles, so exactly, at n*n*|middles| cost instead of n**3."""
     middle = _middles(strict)
-    return _compose(strict[:, middle], strict[middle, :])
+    return _compose(strict.take(middle, 1), strict.take(middle, 0))
+
+
+def _is_transitive(matrix: np.ndarray) -> bool:
+    """Whether R.R lies inside R; see _find_transitivity_witness."""
+    return not (_strict_square(_strict(matrix)) > matrix).any()  # > on bools: and-not
 
 
 def _find_transitivity_witness(matrix: np.ndarray) -> Optional[Tuple[int, int, int]]:
@@ -305,6 +321,19 @@ class Snapshot:
 
     def __setattr__(self, name, value):
         raise AttributeError("Snapshot is immutable")
+
+    def _next(self, matrix: np.ndarray, labels: Mapping[int, str]) -> "Snapshot":
+        """The stage after this one, holding `matrix`: a fresh read-only
+        matrix that owns its data, or this stage's own when the stage
+        changes nothing. Nothing is checked again: the domain size passed
+        the cap when this stage was made, and the matrix has its shape.
+        The labels are copied, so no two stages share a dict."""
+        after = object.__new__(Snapshot)
+        object.__setattr__(after, "domain_size", self.domain_size)
+        object.__setattr__(after, "stage", self.stage + 1)
+        object.__setattr__(after, "matrix", matrix)
+        object.__setattr__(after, "labels", dict(labels))
+        return after
 
     @classmethod
     def from_pairs(
@@ -366,7 +395,23 @@ class PosetReport(Record):
         return (self.reflexive, self.antisymmetric, self.transitive)
 
 
+_PASSED = PosetReport(
+    AxiomCheck("reflexive", True), AxiomCheck("antisymmetric", True), AxiomCheck("transitive", True)
+)
+
+
 def _report(matrix: np.ndarray, antisymmetric: bool) -> PosetReport:
+    """The axioms' report. A relation that passes is told apart in a few
+    whole-matrix passes: reflexive, then, for a reflexive relation,
+    antisymmetric iff R & R^T is the diagonal alone, then transitive. Only
+    a relation that fails runs the witness searches below."""
+    n = matrix.shape[0]
+    if (
+        np.count_nonzero(matrix.diagonal()) == n
+        and (not antisymmetric or np.count_nonzero(matrix & matrix.T) == n)
+        and _is_transitive(matrix)
+    ):
+        return _PASSED
     unreflexive = np.flatnonzero(~np.diagonal(matrix))
     rw = (int(unreflexive[0]),) if unreflexive.size else None
     aw = _find_antisymmetry_witness(matrix) if antisymmetric else None
@@ -466,7 +511,7 @@ class Replay:
                 matrix[added[:, 0], added[:, 1]] = True
                 matrix[removed[:, 0], removed[:, 1]] = False
                 matrix.setflags(write=False)
-            snapshot = Snapshot(snapshot.domain_size, snapshot.stage + 1, matrix, labels)
+            snapshot = snapshot._next(matrix, labels)
             yield snapshot
         if self.last is not self.first:
             yield self.last
@@ -598,8 +643,7 @@ class StagedOrder:
         record its delta: fresh arrays, made read-only here, not copied."""
         added.setflags(write=False)
         removed.setflags(write=False)
-        current = self._current
-        self._current = Snapshot(self.domain_size, current.stage + 1, matrix, current.labels)
+        self._current = self._current._next(matrix, self._current.labels)
         self._deltas.append((added, removed))
         return self._current
 
@@ -657,11 +701,20 @@ def apply_permutation(snapshot: Snapshot, perm: Sequence[int]) -> Snapshot:
     """Relabel elements: new relation holds at (p[i], p[j]) iff old at (i, j)."""
     n = snapshot.domain_size
     perm = list(perm)
-    # bools and floats sort like integers; refuse them before they become labels
-    integers = all(t is int or issubclass(t, np.integer) for t in set(map(type, perm)))
-    if not integers or sorted(perm) != list(range(n)):
-        raise BadPermutation(f"not a permutation of 0..{n - 1}")
-    inverse = np.argsort(perm)
+    refused = BadPermutation(f"not a permutation of 0..{n - 1}")
+    # bools and floats index like integers; refuse them before they become labels
+    if len(perm) != n or not all(t is int or issubclass(t, np.integer) for t in set(map(type, perm))):
+        raise refused
+    try:
+        entries = np.array(perm, dtype=np.int64)
+    except OverflowError:  # beyond int64, so outside every domain
+        raise refused from None
+    if n and (entries.min() < 0 or entries.max() >= n):
+        raise refused
+    inverse = np.full(n, -1, dtype=np.int64)
+    inverse[entries] = np.arange(n)
+    if (inverse < 0).any():  # n entries that miss a value repeat another
+        raise refused
     matrix = np.take(np.take(snapshot.matrix, inverse, axis=0), inverse, axis=1)
     labels = {perm[i]: lab for i, lab in snapshot.labels.items()}
     return Snapshot(n, snapshot.stage, matrix, labels)

@@ -24,6 +24,7 @@ ranking instead of Cantor pairing so no code is ever invalid.
 from __future__ import annotations
 
 import math
+from typing import Callable, Dict, List
 
 SIGMA2_CONSTANTS = ("a", "b", "c", "f", "l")
 SPECTRUM_CONSTANTS = ("a", "g", "r0", "r1")
@@ -132,3 +133,31 @@ def spectrum_label(code: int) -> str:
     if len(role) == 2:
         return "a_%d" % role[1]
     return "%s_{%d,%d,%d}" % role
+
+
+def _tabulated(table: list, fn: Callable, n: int) -> list:
+    """[fn(0), ..., fn(n - 1)] from `table`, which holds fn of every code
+    below the largest n asked for so far, so each is computed once. The
+    tables stay no longer than the largest domain a process builds."""
+    table.extend(map(fn, range(len(table), n)))
+    return table[:n]
+
+
+_SIGMA2_ROLES: List[tuple] = []
+_SIGMA2_LABELS: List[str] = []
+_SPECTRUM_LABELS: List[str] = []
+
+
+def _sigma2_roles(n: int) -> List[tuple]:
+    """sigma2_decode of every code below n."""
+    return _tabulated(_SIGMA2_ROLES, sigma2_decode, n)
+
+
+def _sigma2_labels(n: int) -> Dict[int, str]:
+    """sigma2_label of every code below n, by code."""
+    return dict(enumerate(_tabulated(_SIGMA2_LABELS, sigma2_label, n)))
+
+
+def _spectrum_labels(n: int) -> Dict[int, str]:
+    """spectrum_label of every code below n, by code."""
+    return dict(enumerate(_tabulated(_SPECTRUM_LABELS, spectrum_label, n)))

@@ -39,7 +39,7 @@ from .kernel import (
     _compose,
     close_matrix,
 )
-from .roles import sigma2_a_code, sigma2_b_code, sigma2_c_code, sigma2_decode, sigma2_label
+from .roles import _sigma2_labels, _sigma2_roles, sigma2_a_code, sigma2_b_code, sigma2_c_code
 from .serialize import is_natural
 
 
@@ -242,33 +242,28 @@ def build_initial(domain_bound: int, pred: SyntheticSigma2Predicate) -> Snapshot
     a_codes = []
     b_codes = []
     consts = DEFAULT_CONSTS
+    below, above = [], []  # the pairs to put, set in one assignment
 
-    def put(u, v):
-        if u < n and v < n:
-            matrix[u, v] = True
-
-    for code in range(5, n):
-        role = sigma2_decode(code)
+    for code, role in enumerate(_sigma2_roles(n)[5:], 5):
         if role[0] == "a":
             _, i, k = role
             a_codes.append(code)
-            put(code, consts.a)
-            if k == 0:
-                put(code, consts.f)
-            if k == i:
-                put(code, consts.l)
+            tops = [consts.a] + [consts.f] * (k == 0) + [consts.l] * (k == i)
+            below += [code] * len(tops)
+            above += tops
         elif role[0] == "b":
             b_codes.append(code)
-            put(code, consts.b)
+            below.append(code)
+            above.append(consts.b)
         else:
             _, i, k = role
-            put(code, consts.c)
-            put(sigma2_a_code(i, k), code)
-            put(sigma2_a_code(i, k + 1), code)
+            bottoms = [x for x in (sigma2_a_code(i, k), sigma2_a_code(i, k + 1)) if x < n]
+            below += [code] + bottoms
+            above += [consts.c] + [code] * len(bottoms)
+    matrix[below, above] = True
     matrix[np.ix_(b_codes, a_codes)] = True
     close_matrix(matrix)
-    labels = {code: sigma2_label(code) for code in range(n)}
-    return Snapshot(n, 0, matrix, labels)
+    return Snapshot(n, 0, matrix, _sigma2_labels(n))
 
 
 def build_run(
@@ -304,6 +299,40 @@ def _regions(m: np.ndarray, consts: Sigma2Consts) -> Tuple[np.ndarray, np.ndarra
     )
 
 
+_SCAFFOLD: list = [None, None, None]  # the last snapshot and constants read, and what was read
+
+
+def _scaffold(snapshot: Snapshot, consts: Sigma2Consts):
+    """The links of each A-element, ascending, the A-elements below the
+    f-image and the set of those below the l-image; NotFound if there are
+    no A-elements or one has more than two links. Kept for the last
+    snapshot and constants asked for, as a decode asks for every row of
+    one snapshot. A Snapshot is immutable, so it is known by identity; a
+    NotFound is not kept."""
+    if _SCAFFOLD[0] is snapshot and _SCAFFOLD[1] == consts:
+        return _SCAFFOLD[2]
+    m = snapshot.matrix
+    a_elems, _, c_elems = _regions(m, consts)
+    if not a_elems.size:
+        raise NotFound(f"no A-elements in a domain of {snapshot.domain_size}")
+    above = m.take(a_elems, 0).take(c_elems, 1)
+    linked = _compose(above, above.T)
+    np.fill_diagonal(linked, False)
+    counts = np.count_nonzero(linked, axis=1)
+    crowded = np.flatnonzero(counts > 2)
+    if crowded.size:
+        x, count = a_elems[crowded[0]].item(), counts[crowded[0]].item()
+        raise NotFound(f"A-element {x} has {count} links; scaffold rows are paths")
+    links = {x: [] for x in a_elems.tolist()}
+    # nonzero runs row by row, so each element's links come out ascending
+    for x, y in zip(*(a_elems[t].tolist() for t in np.nonzero(linked))):
+        links[x].append(y)
+    starts = a_elems[m[a_elems, consts.f]].tolist()
+    ends = set(a_elems[m[a_elems, consts.l]].tolist())
+    _SCAFFOLD[:] = snapshot, consts, (links, starts, ends)
+    return links, starts, ends
+
+
 def locate_sequence(
     snapshot: Snapshot, consts: Sigma2Consts, i: int
 ) -> Tuple[int, ...]:
@@ -319,24 +348,7 @@ def locate_sequence(
     """
     if i < 0:
         raise NotFound("row index must be a natural")
-    m = snapshot.matrix
-    a_elems, _, c_elems = _regions(m, consts)
-    if not a_elems.size:
-        raise NotFound(f"no A-elements in a domain of {snapshot.domain_size}")
-    above = m[np.ix_(a_elems, c_elems)]
-    linked = _compose(above, above.T)
-    np.fill_diagonal(linked, False)
-    counts = np.count_nonzero(linked, axis=1)
-    crowded = np.flatnonzero(counts > 2)
-    if crowded.size:
-        x, count = a_elems[crowded[0]].item(), counts[crowded[0]].item()
-        raise NotFound(f"A-element {x} has {count} links; scaffold rows are paths")
-    links = {x: [] for x in a_elems.tolist()}
-    # nonzero runs row by row, so each element's links come out ascending
-    for x, y in zip(*(a_elems[t].tolist() for t in np.nonzero(linked))):
-        links[x].append(y)
-    starts = a_elems[m[a_elems, consts.f]].tolist()
-    ends = set(a_elems[m[a_elems, consts.l]].tolist())
+    links, starts, ends = _scaffold(snapshot, consts)
     for x0 in starts:
         for row in [[x0, y] for y in links[x0]] if i else [[x0]]:
             while len(row) <= i:

@@ -64,7 +64,10 @@ def _require_partial_order(snapshot: Snapshot) -> None:
 
 
 def _incomparable_witness(matrix: np.ndarray) -> Optional[Tuple[int, int]]:
-    return _first_pair(np.triu(~(matrix | matrix.T), 1))
+    related = matrix | matrix.T
+    if np.count_nonzero(related) == related.size:  # total: nothing to search for
+        return None
+    return _first_pair(np.triu(~related, 1))
 
 
 def _longest_monotone(values: Sequence[int]) -> List[int]:
@@ -116,12 +119,12 @@ def solve_ads(lin: Snapshot) -> AdsSolution:
 
 def _heights(strict: np.ndarray) -> List[int]:
     """Height of each element (1 for minimal ones) in a strict order."""
-    h = [1] * strict.shape[0]
+    h = np.ones(strict.shape[0], dtype=np.int64)
     for x in np.argsort(strict.sum(axis=0), kind="stable").tolist():
-        below = np.nonzero(strict[:, x])[0]
+        below = h[strict[:, x]]
         if below.size:
-            h[x] = 1 + max(h[int(y)] for y in below)
-    return h
+            h[x] = below.max() + 1
+    return h.tolist()
 
 
 def _chain(strict: np.ndarray, h: List[int]) -> Tuple[int, ...]:

@@ -27,8 +27,9 @@ from .kernel import (
     Snapshot,
     StagedOrder,
     StagedOrderError,
+    _first_pair,
 )
-from .roles import spectrum_gadget_code, spectrum_label, spectrum_vertex_code
+from .roles import _spectrum_labels, spectrum_gadget_code, spectrum_vertex_code
 from .serialize import is_natural
 
 
@@ -217,11 +218,14 @@ def build_spectrum_initial(
     flags = [r0, r1] if kind is Kind.COCE else []
     matrix = np.eye(domain_bound, dtype=bool)
     matrix[[spectrum_vertex_code(i) for i in range(graph.n)], a] = True
+    below, above = [], []  # every window's pairs, set in one assignment
     for (i, j), rungs in windows.items():
-        above = [a, g, spectrum_vertex_code(i), spectrum_vertex_code(j)] + flags
-        matrix[np.ix_([code for _, code in rungs], above)] = True
-    labels = {x: spectrum_label(x) for x in range(domain_bound)}
-    return Snapshot(domain_bound, 0, matrix, labels)
+        tops = [a, g, spectrum_vertex_code(i), spectrum_vertex_code(j)] + flags
+        for _, code in rungs:
+            below += [code] * len(tops)
+            above += tops
+    matrix[below, above] = True
+    return Snapshot(domain_bound, 0, matrix, _spectrum_labels(domain_bound))
 
 
 def build_spectrum_run(
@@ -292,25 +296,30 @@ def decode_graph(
     vertex = m[:, a] & ~m[:, g]
     vertex[a] = False
     pool = m[:, a] & m[:, g]
-    pool[[a, g]] = False
+    pool[a] = pool[g] = False
     below_r0, below_r1 = m[:, r0], m[:, r1]
     distinguished = ~(below_r0 & below_r1) if kind is Kind.CE else below_r0 | below_r1
-    marked = np.flatnonzero(pool & distinguished)
-    vertices = np.flatnonzero(vertex)
-    below = m[np.ix_(marked, vertices)].astype(np.float32)
-    # counts of at most the domain size, so exact in float32
+    marked = (pool & distinguished).nonzero()[0]
+    vertices = vertex.nonzero()[0]
+    below = m.take(marked, 0).take(vertices, 1).astype(np.float32)
+    # counts of at most the domain size, so exact in float32, and symmetric
     witnesses = below.T @ below
-    bad = np.argwhere(np.triu(witnesses != 1, 1))
-    if bad.size:
-        ai, aj = bad[0]
+    bad = witnesses != 1
+    bad.reshape(-1)[:: len(vertices) + 1] = False
+    # bad is symmetric, so its first pair in row order has ai < aj: a pair
+    # (ai, aj) with aj < ai would put (aj, ai) in an earlier row
+    first = _first_pair(bad)
+    if first is not None:
+        ai, aj = first
         x, y = vertices[ai].item(), vertices[aj].item()
         found = marked[(below[:, ai] > 0) & (below[:, aj] > 0)].tolist()
         if not found:
             raise NoWitness(f"no marked gadget for vertex pair ({x}, {y})")
         raise MultipleWitnesses(f"gadgets {found} all marked for vertex pair ({x}, {y})")
-    edge_witnesses = (below * below_r1[marked, None]).T @ below
-    edges = np.argwhere(np.triu(edge_witnesses > 0, 1))
-    return frozenset(zip(vertices[edges[:, 0]].tolist(), vertices[edges[:, 1]].tolist()))
+    edge_witnesses = (below * below_r1.take(marked)[:, None]).T @ below
+    ai, aj = (edge_witnesses > 0).nonzero()
+    upper = ai < aj
+    return frozenset(zip(vertices[ai[upper]].tolist(), vertices[aj[upper]].tolist()))
 
 
 def comparability_graph(snapshot: Snapshot) -> np.ndarray:

@@ -239,3 +239,38 @@ def test_each_refusal_names_what_is_missing():
         for call in (locate_sequence, membership_query):
             assert _outcome(lambda: call(snap, DEFAULT_CONSTS, i)) == (None, text)
         assert sigma2_row_reference(matrix.tolist(), DEFAULT_CONSTS, i) == (None, text)
+
+
+def test_row_memo_answers_each_snapshot_and_constants_for_themselves():
+    """A decode reads every row of one snapshot, so the scaffold read is
+    kept for the last snapshot and constants asked for. Interleaving two
+    stages, two distinct but equal snapshots, two sets of constants and
+    snapshots the decoder refuses must give every call its own answer."""
+    rng = random.Random(11)
+    pred = predicate_from_config(random_sigma2_config(rng, 4))
+    bound = required_domain_bound(pred)
+    stages = list(build_run(pred, bound, stabilization_stage(pred, bound) + 1)[0].history)
+    first, last = stages[0], stages[-1]
+    twin = Snapshot(bound, last.stage, last.matrix.copy())
+    perm = random_permutation(rng, bound)
+    moved = apply_permutation(last, perm)
+    moved_consts = Sigma2Consts(*(perm[c] for c in DEFAULT_CONSTS))
+    no_a = last.matrix.copy()
+    no_a[:, DEFAULT_CONSTS.a] = False
+    no_a[DEFAULT_CONSTS.a, DEFAULT_CONSTS.a] = True
+    refused = Snapshot(bound, 0, no_a)
+    cases = [(first, DEFAULT_CONSTS), (last, DEFAULT_CONSTS), (refused, DEFAULT_CONSTS),
+             (twin, DEFAULT_CONSTS), (moved, moved_consts), (moved, DEFAULT_CONSTS),
+             (last, moved_consts), (refused, DEFAULT_CONSTS)]
+    answers = set()
+    for i in range(-1, pred.bound + 1):
+        for snap, consts in cases + cases[::-1]:
+            rows = snap.matrix.tolist()
+            row = _outcome(lambda: locate_sequence(snap, consts, i))
+            assert row == sigma2_row_reference(rows, consts, i)
+            member = _outcome(lambda: membership_query(snap, consts, i))
+            assert member == sigma2_member_reference(rows, consts, i)
+            answers.add(member)
+    # the cases differ: a kept answer given to the wrong call would show
+    assert {(True, None), (False, None)} <= answers
+    assert (None, f"no A-elements in a domain of {bound}") in answers
