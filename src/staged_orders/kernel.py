@@ -562,22 +562,26 @@ def _close_batch(
         and np.count_nonzero(matrix[fresh[:, 1]]) == len(fresh)
     ):
         closed[fresh[:, 0], fresh[:, 1]] = True
-        rows = np.flatnonzero(is_tail)
+        rows = is_tail.nonzero()[0]
     else:
-        tails, row = np.unique(fresh[:, 0], return_inverse=True)
-        heads, col = np.unique(fresh[:, 1], return_inverse=True)
+        is_head = np.zeros(matrix.shape[0], dtype=bool)
+        is_head[fresh[:, 1]] = True
+        tails, heads = is_tail.nonzero()[0], is_head.nonzero()[0]
+        # an element's place among the tails (heads) is the count up to it, less one
         batch = np.zeros((tails.size, heads.size), dtype=bool)
-        batch[row, col] = True
-        closed[:, heads] |= _compose(matrix[:, tails], batch)
+        batch[np.cumsum(is_tail)[fresh[:, 0]] - 1, np.cumsum(is_head)[fresh[:, 1]] - 1] = True
+        closed[:, heads] |= _compose(matrix.take(tails, 1), batch)
         _close_in_place(closed, heads)
         reach = closed[:, heads]
         # reflexive, so a head is on no 2-cycle iff it meets the transpose only at itself
         if np.count_nonzero(closed[heads] & reach.T) != heads.size:
             return None
-        rows = np.flatnonzero((reach != matrix[:, heads]).any(axis=1))
+        rows = np.logical_or.reduce(reach != matrix.take(heads, 1), 1).nonzero()[0]
     # flat indices: nonzero over a 2-d array is many times slower
-    which, cols = np.divmod(np.flatnonzero(closed[rows] != matrix[rows]), matrix.shape[1])
-    return closed, np.column_stack((rows[which], cols))
+    which, cols = np.divmod((closed[rows] != matrix[rows]).ravel().nonzero()[0], matrix.shape[1])
+    added = np.empty((cols.size, 2), dtype=np.int64)
+    added[:, 0], added[:, 1] = rows[which], cols
+    return closed, added
 
 
 def _add_pair_by_pair(matrix: np.ndarray, pairs, n: int) -> np.ndarray:

@@ -282,8 +282,9 @@ def build_run(
         for i, x in defeated:
             b = sigma2_b_code(x)
             if b < n:
-                a_row = (sigma2_a_code(i, k) for k in range(i + 1))
-                gone.extend((b, a) for a in a_row if a < n)
+                # a_{i,0}..a_{i,i} are every third code from a_{i,0} on
+                a_row = range(sigma2_a_code(i, 0), min(sigma2_a_code(i, i) + 1, n), 3)
+                gone += [(b, a) for a in a_row]
         order.remove_pairs(gone)
     return order, witnesses
 

@@ -344,20 +344,22 @@ def decode_from_comparability(
     test in both variants."""
     consts = consts or DEFAULT_SPECTRUM_CONSTS
     a, g, r0, r1 = consts
-    nbr: Dict[int, set] = {}
-    for x, y in edges.tolist():
-        nbr.setdefault(x, set()).add(y)
-        nbr.setdefault(y, set()).add(x)
-    na = nbr.get(a, set())
-    ng = nbr.get(g, set())
-    n0, n1 = nbr.get(r0, set()), nbr.get(r1, set())
+    lows, highs = edges[:, 0], edges[:, 1]
+
+    def nbr(v: int) -> set:
+        """v's neighbours, added in ascending order: the pairs are sorted,
+        so those below v come first, each ascending."""
+        return set(np.concatenate((lows[highs == v], highs[lows == v])).tolist())
+
+    na, ng, n0, n1 = nbr(a), nbr(g), nbr(r0), nbr(r1)
     vertices = sorted(na - ng - {g})
     flagged = [w for w in (na & ng) - {a, g} if (w in n0) != (w in n1)]
+    near = {x: nbr(x) for x in vertices}
     out = set()
     for ai, x in enumerate(vertices):
-        near_x = [w for w in flagged if w in nbr[x]]
+        near_x = [w for w in flagged if w in near[x]]
         for y in vertices[ai + 1 :]:
-            marked = [w for w in near_x if w in nbr[y]]
+            marked = [w for w in near_x if w in near[y]]
             if not marked:
                 raise NoWitness(f"no marked gadget for vertex pair ({x}, {y})")
             if len(marked) > 1:

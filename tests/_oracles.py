@@ -271,3 +271,31 @@ def order_checks_reference(rows, antisymmetric: bool):
             break
     return [("reflexive", rw is None, rw), ("antisymmetric", aw is None, aw),
             ("transitive", tw is None, tw)]
+
+
+def remove_pairs_reference(rows: List[int], pairs, n: int):
+    """StagedOrder.remove_pairs' per-pair rules on a closed order whose
+    rows are int bitmasks. Returns (rows, None) with the held pairs
+    removed, or (None, (error name, text)) for the first pair, in the
+    order given, that is not two ints inside 0..n-1 or is reflexive, or
+    else for the first held pair, in that order, whose removal leaves a
+    path i <= j <= k around it, named with its least j."""
+    gone = []
+    for u, v in pairs:
+        if not (type(u) is int and type(v) is int):
+            return None, ("StagedOrderError", f"pair ({u!r}, {v!r}) must hold two integers")
+        if not (0 <= u < n and 0 <= v < n):
+            return None, ("DomainTooSmall", f"pair ({u}, {v}) outside domain of size {n}")
+        if u == v:
+            return None, ("StagedOrderError", f"cannot remove reflexive pair ({u}, {u})")
+        if rows[u] >> v & 1:
+            gone.append((u, v))
+    rows = list(rows)
+    for u, v in gone:
+        rows[u] &= ~(1 << v)
+    for u, v in gone:
+        for j in range(n):
+            if rows[u] >> j & 1 and rows[j] >> v & 1:
+                return None, ("TransitivityViolation",
+                              f"transitivity violated: {u} <= {j} and {j} <= {v} but not {u} <= {v}")
+    return rows, None

@@ -36,6 +36,7 @@ from _oracles import (
     is_antisymmetric,
     is_transitive,
     order_checks_reference,
+    remove_pairs_reference,
 )
 
 
@@ -298,6 +299,52 @@ def test_add_pairs_matches_per_pair_rules(case):
         else:
             with pytest.raises(StagedOrderError) as caught:
                 order.add_pairs(batch)
+            assert (type(caught.value).__name__, str(caught.value)) == error
+            assert tuple(order.history) == before  # a failed batch appends nothing
+
+
+@st.composite
+def remove_histories(draw):
+    """A closed order on up to 9 elements and up to six batches for
+    remove_pairs: held, missing, repeated and reflexive pairs, and in one
+    batch in four a pair outside the domain or with a bool or float entry,
+    at a random place."""
+    n = draw(st.integers(1, 9))
+    inside = st.integers(0, n - 1)
+    start = close_matrix(_matrix_of(draw(st.lists(st.tuples(inside, inside).filter(
+        lambda p: p[0] < p[1]), max_size=20)), n))
+    held = [tuple(p) for p in np.argwhere(start & ~np.eye(n, dtype=bool)).tolist()]
+    pair = st.sampled_from(held) | st.tuples(inside, inside) if held else st.tuples(inside, inside)
+    outside = st.sampled_from([-1, n, n + 3, True, 1.0])
+    history = []
+    for _ in range(draw(st.integers(1, 6))):
+        batch = draw(st.lists(pair, max_size=8))
+        if draw(st.integers(0, 3)) == 0:
+            bad = draw(st.tuples(inside | outside, outside))
+            bad = bad[::-1] if draw(st.booleans()) else bad
+            batch.insert(draw(st.integers(0, len(batch))), bad)
+        history.append([list(p) for p in batch] if draw(st.booleans()) else batch)
+    return n, start, history
+
+
+@given(remove_histories())
+@example((3, np.triu(np.ones((3, 3), bool)), [[(0, 1), (1, 1), (0, 5)], [(0, 2), (0, 1)]]))
+@settings(max_examples=300, deadline=None)
+def test_remove_pairs_matches_per_pair_rules(case):
+    n, start, history = case
+    order = StagedOrder(Kind.COCE, Snapshot(n, 0, start))
+    rows = _rows(start)
+    for batch in history:
+        before = tuple(order.history)
+        want, error = remove_pairs_reference(rows, batch, n)
+        if error is None:
+            snap = order.remove_pairs(batch)
+            assert _rows(snap.matrix) == want
+            assert snap.stage == before[-1].stage + 1 and order.current is snap
+            rows = want
+        else:
+            with pytest.raises(StagedOrderError) as caught:
+                order.remove_pairs(batch)
             assert (type(caught.value).__name__, str(caught.value)) == error
             assert tuple(order.history) == before  # a failed batch appends nothing
 

@@ -127,3 +127,10 @@ def test_spectrum_labels_of_codes_and_roles_agree():
     for code in range(10_000):
         role = spectrum_decode(code)
         assert spectrum_label(code) == formats[len(role)].format(*role)
+
+
+def test_a_row_is_every_third_code():
+    """sigma2.build_run removes a row a_{i,0}..a_{i,i} as a range of codes."""
+    for i in range(40):
+        row = [sigma2_a_code(i, k) for k in range(i + 1)]
+        assert row == list(range(sigma2_a_code(i, 0), sigma2_a_code(i, i) + 1, 3))
