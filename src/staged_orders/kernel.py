@@ -692,7 +692,7 @@ class StagedOrder:
         # temporary; only a broken batch is walked pair by pair, in the
         # order given, to name its first broken pair.
         slices = (idx[lo:lo + 256] for lo in range(0, len(idx), 256))
-        if any((matrix[part[:, 0]] & matrix[:, part[:, 1]].T).any() for part in slices):
+        if any((matrix.take(part[:, 0], 0) & matrix.take(part[:, 1], 1).T).any() for part in slices):
             for u, v in removed:
                 mid = np.flatnonzero(matrix[u] & matrix[:, v])
                 if mid.size:
