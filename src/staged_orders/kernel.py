@@ -213,7 +213,9 @@ def _pair_array(pairs, n: int) -> Optional[np.ndarray]:
             pairs = np.fromiter(entries, np.int64, len(entries)).reshape(-1, 2)
         except OverflowError:  # beyond int64, so outside every domain
             return None
-    return pairs if not pairs.size or (pairs.min() >= 0 and pairs.max() < n) else None
+    if pairs.size and (np.minimum.reduce(pairs, None) < 0 or np.maximum.reduce(pairs, None) >= n):
+        return None
+    return pairs
 
 
 def _checked_pair(pair, n: int) -> Tuple[int, int]:
@@ -553,23 +555,24 @@ def _close_batch(
     fresh = idx[~matrix[idx[:, 0], idx[:, 1]]]
     if not fresh.size:
         return matrix, _NO_PAIRS
+    fresh_tails, fresh_heads = fresh[:, 0], fresh[:, 1]
     is_tail = np.zeros(matrix.shape[0], dtype=bool)
-    is_tail[fresh[:, 0]] = True
+    is_tail[fresh_tails] = True
     closed = matrix.copy()
     if (
-        not is_tail[fresh[:, 1]].any()
-        and np.count_nonzero(matrix[:, fresh[:, 0]]) == len(fresh)
-        and np.count_nonzero(matrix[fresh[:, 1]]) == len(fresh)
+        not is_tail[fresh_heads].any()
+        and np.count_nonzero(matrix.take(fresh_tails, 1)) == len(fresh)
+        and np.count_nonzero(matrix.take(fresh_heads, 0)) == len(fresh)
     ):
-        closed[fresh[:, 0], fresh[:, 1]] = True
+        closed[fresh_tails, fresh_heads] = True
         rows = is_tail.nonzero()[0]
     else:
         is_head = np.zeros(matrix.shape[0], dtype=bool)
-        is_head[fresh[:, 1]] = True
+        is_head[fresh_heads] = True
         tails, heads = is_tail.nonzero()[0], is_head.nonzero()[0]
         # an element's place among the tails (heads) is the count up to it, less one
         batch = np.zeros((tails.size, heads.size), dtype=bool)
-        batch[np.cumsum(is_tail)[fresh[:, 0]] - 1, np.cumsum(is_head)[fresh[:, 1]] - 1] = True
+        batch[np.cumsum(is_tail)[fresh_tails] - 1, np.cumsum(is_head)[fresh_heads] - 1] = True
         closed[:, heads] |= _compose(matrix.take(tails, 1), batch)
         _close_in_place(closed, heads)
         reach = closed[:, heads]
@@ -578,7 +581,8 @@ def _close_batch(
             return None
         rows = np.logical_or.reduce(reach != matrix.take(heads, 1), 1).nonzero()[0]
     # flat indices: nonzero over a 2-d array is many times slower
-    which, cols = np.divmod((closed[rows] != matrix[rows]).ravel().nonzero()[0], matrix.shape[1])
+    which, cols = np.divmod((closed.take(rows, 0) != matrix.take(rows, 0)).ravel().nonzero()[0],
+                            matrix.shape[1])
     added = np.empty((cols.size, 2), dtype=np.int64)
     added[:, 0], added[:, 1] = rows[which], cols
     return closed, added

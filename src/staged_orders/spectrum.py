@@ -253,12 +253,13 @@ def build_spectrum_run(
         for (i, j), rungs in windows.items():
             if j > s:
                 continue
-            active = graph.active_index(i, j, s)
+            flips = (i, j) in graph.flips  # without flips the active rung stays 0
+            active = graph.active_index(i, j, s) if flips else 0
             # rungs[k] is rung k, and a slice past the window is empty
             if j == s:
                 moved = rungs[: s + 1]
             else:
-                before = graph.active_index(i, j, s - 1)
+                before = graph.active_index(i, j, s - 1) if flips else 0
                 moved = rungs[s : s + 1]
                 if before != active:
                     moved = rungs[before : before + 1] + moved
