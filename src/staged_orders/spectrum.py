@@ -348,8 +348,10 @@ def decode_from_comparability(
     lows, highs = edges[:, 0], edges[:, 1]
 
     def nbr(v: int) -> set:
-        """v's neighbours, added in ascending order: the pairs are sorted,
-        so those below v come first, each ascending."""
+        """v's neighbours, added to the set in ascending order (the pairs
+        are sorted, so those below v come first), as a map of every
+        element's neighbours built pair by pair adds them: the sets
+        iterate in the same order, and so do the gadgets an error names."""
         return set(np.concatenate((lows[highs == v], highs[lows == v])).tolist())
 
     na, ng, n0, n1 = nbr(a), nbr(g), nbr(r0), nbr(r1)
