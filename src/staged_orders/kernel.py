@@ -714,15 +714,17 @@ def apply_permutation(snapshot: Snapshot, perm: Sequence[int]) -> Snapshot:
     if len(perm) != n or not all(t is int or issubclass(t, np.integer) for t in set(map(type, perm))):
         raise refused
     try:
-        entries = np.array(perm, dtype=np.int64)
+        entries = np.fromiter(perm, np.int64, n)
     except OverflowError:  # beyond int64, so outside every domain
         raise refused from None
-    if n and (entries.min() < 0 or entries.max() >= n):
+    if n and (np.minimum.reduce(entries) < 0 or np.maximum.reduce(entries) >= n):
         raise refused
-    inverse = np.full(n, -1, dtype=np.int64)
+    seen = np.zeros(n, dtype=bool)
+    seen[entries] = True
+    if np.count_nonzero(seen) != n:  # n entries that miss a value repeat another
+        raise refused
+    inverse = np.empty(n, dtype=np.int64)
     inverse[entries] = np.arange(n)
-    if (inverse < 0).any():  # n entries that miss a value repeat another
-        raise refused
     matrix = np.take(np.take(snapshot.matrix, inverse, axis=0), inverse, axis=1)
     labels = {perm[i]: lab for i, lab in snapshot.labels.items()}
     return Snapshot(n, snapshot.stage, matrix, labels)
