@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import random
 from itertools import pairwise
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .kernel import (
     Kind,
     Record,
     Snapshot,
-    StagedOrderError,
     _is_transitive,
     _matrix_of,
     _pair_array,
@@ -31,10 +30,6 @@ from .kernel import (
     close_matrix,
 )
 from .serialize import FAMILY_NAME, is_natural, load_json
-
-
-class SpeedupBudgetExceeded(StagedOrderError):
-    pass
 
 
 class CoCEPreorder(Record):
@@ -106,21 +101,16 @@ def preorder_from_config(blob: dict) -> CoCEPreorder:
     return CoCEPreorder(n, Snapshot(n, 0, matrix), tuple(schedule))
 
 
-def speedup(pre: CoCEPreorder, s: int, horizon: Optional[int] = None) -> int:
+def speedup(pre: CoCEPreorder, s: int) -> int:
     """Least stage s' >= s whose view is transitive on the working window
-    {0..s+1}. The enumeration is fast-forwarded, never edited."""
+    {0..s+1}. The enumeration is fast-forwarded, never edited. The search
+    stops by the last removal stage: from there on the view is the limit,
+    which CoCEPreorder has checked is a preorder."""
     window = min(s + 1, pre.n - 1) + 1 if pre.n else 0
-    limit_stage = max(s, pre.max_removal_stage)
-    budget = limit_stage if horizon is None else horizon
     t = s
-    while True:
-        if _is_transitive(pre.view(t)[:window, :window]):
-            return t
+    while not _is_transitive(pre.view(t)[:window, :window]):
         t += 1
-        if t > budget:
-            raise SpeedupBudgetExceeded(
-                f"no transitive stage in [{s}, {budget}] for window {window}"
-            )
+    return t
 
 
 class SetFamily(Record):

@@ -231,13 +231,13 @@ def _checked_pair(pair, n: int) -> Tuple[int, int]:
     return u, v
 
 
-def _matrix_of(pairs: Iterable[Tuple[int, int]], n: int, reflexive: bool = True) -> np.ndarray:
-    """A relation matrix holding `pairs`, an iterable of pairs or an array
-    from `_pair_array`. The cap is checked before anything is allocated,
-    and every pair must pass `_checked_pair`."""
+def _matrix_of(pairs: Iterable[Tuple[int, int]], n: int) -> np.ndarray:
+    """A reflexive relation matrix holding `pairs`, an iterable of pairs or
+    an array from `_pair_array`. The cap is checked before anything is
+    allocated, and every pair must pass `_checked_pair`."""
     _check_domain_size(n)
     matrix = np.zeros((n, n), dtype=bool)
-    np.fill_diagonal(matrix, reflexive)
+    np.fill_diagonal(matrix, True)
     if not isinstance(pairs, np.ndarray):
         pairs = list(pairs)
     idx = _pair_array(pairs, n)
@@ -344,9 +344,8 @@ class Snapshot:
         pairs: Iterable[Tuple[int, int]],
         stage: int = 0,
         labels: Optional[Mapping[int, str]] = None,
-        reflexive: bool = True,
     ) -> "Snapshot":
-        matrix = _matrix_of(pairs, domain_size, reflexive)
+        matrix = _matrix_of(pairs, domain_size)
         matrix.setflags(write=False)  # fresh, so the snapshot takes it uncopied
         return cls(domain_size, stage, matrix, labels)
 

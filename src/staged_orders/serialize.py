@@ -16,8 +16,11 @@ Delta (a middle stage of a run):
    "labels": {"5": "b_0", ...}}    # optional; all of this stage's labels
 
 A middle file given alone loads as long as its bases sit beside it: its
-chain of bases is followed back to a full file, and then each delta, the
-oldest first, is checked against the stage before it and applied to one
+chain of bases is followed back to a full file. A run directory is read
+by load_run in one pass over its files: each file is parsed and checked
+on its own, then the files against the manifest. Both then go through
+the same fold, in stage order: each delta's base must be the file before
+it, and the delta is checked against that stage and applied to one
 working matrix. A delta is refused unless its stage is the base's stage
 + 1, its domain size and kind are the base's, every added pair is absent
 from the base, every removed pair is held by it and no pair in either
@@ -25,15 +28,12 @@ list is reflexive; the refusal names the delta's file. A full file is
 accepted at any stage. A domain size over the cap (kernel.max_domain) is
 refused before any pair is read.
 
-A run directory is read by load_run in one pass over its files. Each file
-is parsed and checked on its own, then the files against the manifest,
-then each delta against the stage before it, in stage order, on one
-working matrix, by the same step as a lone middle file's chain. The
-stages come back as a kernel.Replay: the first and last snapshots and,
-for each stage between, its checked added and removed pairs and its
-labels, equal labels shared (a full file between is kept as its delta).
-A stage is rebuilt only when the replay is walked, so a walk holds two
-matrices at a time, however many stages the run has.
+The fold gives a kernel.Replay: the first and last snapshots and, for
+each stage between, its checked added and removed pairs and its labels,
+equal labels shared (a full file between is kept as its delta). A lone
+file is the last snapshot of its chain's fold. A stage is rebuilt only
+when the replay is walked, so a walk holds two matrices at a time,
+however many stages the run has.
 
 All files are emitted with sorted keys, compact separators and a trailing
 newline so reruns are byte-identical.
@@ -367,26 +367,18 @@ def load_config(run_dir: str) -> dict:
 def load_snapshot(path: str) -> Tuple[Snapshot, Kind]:
     """One snapshot file. A delta is rebuilt from the full file its chain
     of bases reaches in the same directory."""
-    chain, seen = [], set()
+    chain = {}  # each file's name to its object, from the file asked for back
     obj = _load_stage(path)
     while _is_delta(obj):
         name = os.path.basename(path)
-        chain.append((name, obj))
-        seen.add(name)
+        chain[name] = obj
         base = _base_name(name, obj["base"])
-        _expect(base not in seen, f"{name}: its chain of bases loops")
+        _expect(base not in chain, f"{name}: its chain of bases loops")
         path = os.path.join(os.path.dirname(path), base)
         _expect(os.path.isfile(path), f"{name}: its base {path} is missing")
         obj = _load_stage(path)
-    snapshot, kind = snapshot_from_obj(obj)
-    if not chain:
-        return snapshot, kind
-    matrix, stage = snapshot.matrix.copy(), snapshot.stage
-    for name, obj in reversed(chain):
-        _, _, labels = _apply_delta(name, obj, matrix, stage, kind)
-        stage += 1
-    matrix.setflags(write=False)  # fresh, so the snapshot takes it uncopied
-    return Snapshot(snapshot.domain_size, stage, matrix, labels), kind
+    chain[os.path.basename(path)], kind = snapshot_from_obj(obj)
+    return _fold(list(reversed(chain.items())), kind).last, kind
 
 
 def _snapshot_name(stage: int, last_stage: int) -> str:
@@ -492,33 +484,40 @@ def load_run(run_dir: str) -> Tuple[dict, dict, Replay, Kind]:
         all(f[1] == manifest.get("domain_size") for f in files),
         "a snapshot's domain size disagrees with the manifest",
     )
-    # Every file now has the run's kind and domain size, and stage s follows
-    # stage s - 1, so each delta's header meets its base's.
-    first, middle, last = None, [], None
-    matrix, labels = None, {}  # the stage before, writable; the last labels kept
-    for stage, n, name, entry in files:
+    return manifest, config, _fold([f[2:] for f in files], kind), kind
+
+
+def _fold(files, kind: Kind) -> Replay:
+    """The stages of `files`, (file name, Snapshot or delta object) pairs
+    in stage order, as a Replay. Each delta's base must be the file before
+    it; the delta is then checked against that stage and applied to one
+    working matrix, copied only when a delta first writes to it. A full
+    file between is kept as its delta, a last stage written as a delta
+    becomes a Snapshot, and equal labels are shared between stages."""
+    first = entry = matrix = previous = None  # entry ends as the last stage
+    middle, labels = [], {}
+    for position, (name, entry) in enumerate(files):
+        between = 0 < position < len(files) - 1
         if isinstance(entry, Snapshot):
-            now = entry.matrix
-            if 0 < stage < count - 1:  # a full file between is kept as its delta
-                delta = np.argwhere(now & ~matrix), np.argwhere(matrix & ~now), entry.labels
-            if stage < count - 1:
-                matrix = now.copy()
+            if between:  # a full file between is kept as its delta
+                now, own = entry.matrix, entry.labels
+                added, removed = np.argwhere(now & ~matrix), np.argwhere(matrix & ~now)
+            matrix = entry.matrix
         else:
-            previous = files[stage - 1][2] if stage else None
             _expect(
                 _base_name(name, entry["base"]) == previous,
                 f"{name}: base {entry['base']!r} is not the previous stage's file {previous}",
             )
-            delta = _apply_delta(name, entry, matrix, stage - 1, kind)
-            if stage == count - 1:
-                matrix.setflags(write=False)  # no longer worked on: taken uncopied
-                entry = Snapshot(n, stage, matrix, delta[2])
-        if 0 < stage < count - 1:
-            added, removed, own = delta
+            if not matrix.flags.writeable:
+                matrix = matrix.copy()
+            added, removed, own = _apply_delta(name, entry, matrix, first.stage + position - 1, kind)
+            if not between:  # the last stage: its matrix is no longer worked on
+                matrix.setflags(write=False)
+                entry = Snapshot(len(matrix), first.stage + position, matrix, own)
+        if between:
             labels = labels if own == labels else own
             middle.append((added, removed, labels))
-        if stage == 0:
+        if position == 0:
             first = entry
-        if stage == count - 1:
-            last = entry
-    return manifest, config, Replay(first, middle, last), kind
+        previous = name
+    return Replay(first, middle, entry)

@@ -205,27 +205,20 @@ def stabilization_stage(pred: SyntheticSigma2Predicate, domain_bound: int) -> in
 
     Members are stable once the witness reaches its resting value;
     nonmembers once the witness has marched past every b-element the
-    window contains.
+    window contains. The walk always ends: a member has a finite defeat
+    stage for every witness below its resting one, a nonmember's rule
+    gives one for every witness, and an eligible index whose witness
+    waits on a stage at or before s is moved at s.
     """
     count = b_count(domain_bound)
     targets = [
         spec.witness if isinstance(spec, MemberIndex) else count
         for spec in pred.indices
     ]
-    relevant = [0]
-    for spec in pred.indices:
-        if isinstance(spec, MemberIndex):
-            relevant.extend(spec.defeats)
-        else:
-            relevant.append(spec.offset + spec.step * max(count - 1, 0))
-    cap = max(relevant) + count + pred.bound + 2
-    witnesses = (0,) * pred.bound
-    stages = _witness_stages(pred)
-    for s in range(cap + 1):
+    start = ((), (0,) * pred.bound)  # stage 0: nothing defeated, every witness at 0
+    for s, (_, witnesses) in enumerate(itertools.chain([start], _witness_stages(pred))):
         if all(w >= t for w, t in zip(witnesses, targets)):
             return s
-        _, witnesses = next(stages)
-    raise StagedOrderError("witness dynamics failed to stabilize")
 
 
 def build_initial(domain_bound: int, pred: SyntheticSigma2Predicate) -> Snapshot:

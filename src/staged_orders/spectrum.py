@@ -73,10 +73,11 @@ class LimitGraph:
         if not is_natural(n):
             raise ConfigError("vertex count must be a natural")
         self.n = n
-        self.edges = frozenset(tuple(e) for e in edges)
-        for i, j in self.edges:
+        edges = [tuple(e) for e in edges]
+        for i, j in edges:  # in list order, so the first bad edge is named
             if not (is_natural(i) and is_natural(j) and i < j < n):
                 raise ConfigError(f"bad edge ({i!r}, {j!r})")
+        self.edges = frozenset(edges)
         self.flips = {}
         for pair, stages in (flips or {}).items():
             i, j = pair

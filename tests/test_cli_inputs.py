@@ -2,7 +2,10 @@
 never a traceback, never a silent PASS. Input that is right gets an
 exact answer at every domain size."""
 
+import copy
+import functools
 import json
+import operator
 import os
 import random
 import re
@@ -14,7 +17,7 @@ import tempfile
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import staged_orders
 from staged_orders.cli import main
@@ -28,7 +31,7 @@ from staged_orders.serialize import (
     snapshot_to_obj,
 )
 
-from conftest import run_snapshot_paths
+from conftest import SHIPPED, run_snapshot_paths, shipped_config_path
 
 
 def _invoke(*args):
@@ -320,6 +323,43 @@ def test_family_json_size_must_be_the_preorders(shipped_runs, tmp_path, rows):
                   f"family has {len(membership)} sets but the preorder has {n} indices")
 
 
+@pytest.mark.parametrize(
+    "family, needle",
+    [([1], "family JSON must be an object"),
+     ({"n": 6, "elements": 3}, "family JSON needs n, elements, membership")],
+)
+def test_family_json_must_be_an_object_with_its_keys(shipped_runs, tmp_path, family, needle):
+    run = _copy_run(shipped_runs, "family", tmp_path)
+    _write(os.path.join(run, "family.json"), family)
+    _config_error(_invoke("verify", "--dir", run, "--suite", "isomorphism"), needle)
+
+
+def test_run_with_no_snapshots_has_nothing_to_decode(shipped_runs, tmp_path):
+    run = _copy_run(shipped_runs, "jump_cochain", tmp_path)
+    for path in run_snapshot_paths(run):
+        os.remove(path)
+    manifest = os.path.join(run, "manifest.json")
+    _write(manifest, dict(load_json(manifest), snapshot_count=0, stages=0))
+    for suite in ("decode", "witness"):
+        _config_error(_invoke("verify", "--dir", run, "--suite", suite),
+                      "run has no snapshots to decode")
+
+
+def test_spectrum_decode_suite_compares_its_two_readouts(shipped_runs, tmp_path):
+    """g below vertex 4 leaves the order readout as it was, but in the
+    comparability graph 4 now touches g and is no vertex."""
+    run = _copy_run(shipped_runs, "spectrum_ce", tmp_path)
+    last = run_snapshot_paths(run)[-1]
+    obj = load_json(last)
+    obj["pairs"].append([1, 4])
+    _write(last, obj)
+    result = _invoke("verify", "--dir", run, "--suite", "decode")
+    assert result.exit_code == 1, result.output
+    lines = result.output.splitlines()
+    assert "comparability readout disagrees with order readout" in lines, lines
+    assert not any(line.startswith("expected edges") for line in lines), lines
+
+
 @pytest.mark.parametrize("key, value", [("stages", "x"), ("stages", 1000000), ("kind", None)])
 def test_manifest_stages_and_kind_are_checked(shipped_runs, tmp_path, key, value):
     """A string stage count raised a TypeError; a wrong one, or no kind
@@ -375,10 +415,35 @@ _MEMBER = {"i": 0, "member": True}
         ([_MEMBER, {"i": True, "member": True}], "index entry"),
         ([{"i": 0, "member": "no", "witness": 0}], "'member'"),
         ([{"i": 0, "member": 1, "defeat_rule": {"offset": 0, "step": 1}}], "'member'"),
+        ([_MEMBER, _MEMBER], "duplicate index 0"),
     ],
 )
 def test_sigma2_config_fields_are_checked(tmp_path, indices, needle):
     _config_error(_build(tmp_path, {"construction": "sigma2", "indices": indices}), needle)
+
+
+def test_sigma2_window_too_small_for_its_witness_is_named(tmp_path):
+    """A window too small for a member's resting witness is DomainTooSmall.
+    The stabilisation walk had a budget that ran out first, and the build
+    ended in 'witness dynamics failed to stabilize' instead."""
+    member = {"i": 0, "member": True, "witness": 6, "defeats": [0, 0, 0, 0, 0, 0]}
+    path = _write(tmp_path / "cfg.json", {"construction": "sigma2", "indices": [member]})
+    result = _invoke("build", "--config", path, "--domain", "8", "--out", str(tmp_path / "run"))
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.stderr) == {
+        "error": "DomainTooSmall", "message": "domain bound 8 too small; need 24 for 1 indices"}
+
+
+# four bad edges: a set of them yields them in an order PYTHONHASHSEED sets
+_SPREAD_BAD_EDGES = {"construction": "spectrum-ce", "n": 3,
+                     "edges": [[0, "a"], [1, "b"], [2, "c"], [0, "d"]]}
+
+
+def _child_env():
+    """The environment for a CLI child that imports this tree's package."""
+    src = os.path.dirname(os.path.dirname(staged_orders.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 @pytest.mark.parametrize(
@@ -389,10 +454,33 @@ def test_sigma2_config_fields_are_checked(tmp_path, indices, needle):
         ({"construction": "spectrum-ce", "n": True, "edges": []}, "vertex count"),
         ({"construction": "spectrum-coce", "n": 2, "edges": [[False, True]]}, "bad edge"),
         ({"construction": "spectrum-ce", "n": 2, "edges": [], "flips": {"0,1": [True]}}, "flip stages"),
+        ({"construction": "jump-cochain", "entries": [[0]], "n": 5}, "malformed entry [0]"),
+        ({"construction": "spectrum-ce", "n": 2, "edges": {}}, "'edges' list and 'flips' object"),
+        ({"construction": "spectrum-ce", "n": 2, "flips": []}, "'edges' list and 'flips' object"),
+        ({"construction": "spectrum-ce", "n": 2, "edges": [[0, 1, 2]]}, "malformed edge [0, 1, 2]"),
+        ({"construction": "spectrum-ce", "n": 2, "flips": {"0,1": 2}}, "flip stages for '0,1'"),
+        ({"construction": "spectrum-ce", "n": 2, "flips": {"1,0": [2]}}, "non-pair (1, 0)"),
+        ({"construction": "spectrum-ce", "n": 2, "edges": [[0, [1]]]}, "bad edge (0, [1])"),
+        (_SPREAD_BAD_EDGES, "bad edge (0, 'a')"),
     ],
 )
 def test_jump_and_spectrum_configs_reject_booleans(tmp_path, cfg, needle):
     _config_error(_build(tmp_path, cfg), needle)
+
+
+def test_spectrum_names_the_first_bad_edge_under_any_hash_seed(tmp_path):
+    """Edges were checked in the order of the set built from them, so which
+    bad edge an error named depended on PYTHONHASHSEED."""
+    config = _write(tmp_path / "cfg.json", _SPREAD_BAD_EDGES)
+    argv = [sys.executable, "-m", "staged_orders.cli", "build", "--config", config,
+            "--out", str(tmp_path / "run")]
+    errors = set()
+    for seed in ("1", "2"):
+        proc = subprocess.run(argv, env=dict(_child_env(), PYTHONHASHSEED=seed),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        errors.add(proc.stderr)
+    assert len(errors) == 1, errors
 
 
 @pytest.mark.parametrize("flips", [{" 0,+1": [2]}, {"0,1": [2], "00,1": [3]}])
@@ -425,6 +513,9 @@ _LIMIT = {"limit_pairs": [[0, 1], [0, 2], [1, 2]]}
         ({"n": True}, "natural 'n'"),
         (_LIMIT | {"removals": [[1, 0, 1], [2, 0, 1], [2, 1, True]]}, "malformed removal"),
         (_LIMIT | {"removals": [[True, 0, 11], [2, 0, 1], [2, 1, 1]]}, "malformed removal"),
+        ({"limit_pairs": {}}, "config needs 'limit_pairs' and 'removals' lists"),
+        ({"removals": "x"}, "config needs 'limit_pairs' and 'removals' lists"),
+        ({"removal_horizon": None}, "family config needs 'removals' or 'removal_horizon'"),
     ],
 )
 def test_family_config_is_checked(tmp_path, change, needle):
@@ -463,9 +554,7 @@ def test_build_checks_the_cap_before_building(tmp_path, cfg, flags):
     """A domain over the cap, named or implied, ends in a JSON error before
     any matrix is allocated or gadget rung enumerated. A fresh interpreter
     with a timeout, so a build that hangs fails instead."""
-    src = os.path.dirname(os.path.dirname(staged_orders.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = _child_env()
     env.pop("STAGED_ORDERS_MAX_DOMAIN", None)
     config = _write(tmp_path / "cfg.json", cfg)
     argv = ["build", "--config", config, *flags, "--out", str(tmp_path / "run")]
@@ -615,3 +704,53 @@ def test_a_damaged_run_is_refused_or_judged_never_crashes(fuzz_runs, data):
         result = _invoke("verify", "--dir", run, "--suite", suite)
     assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
     assert result.exit_code in (0, 1, 2), result.output
+
+
+_CONFIG_VALUES = [None, False, True, -1, 0, 1, 2.5, "x", "1", [], {}, [1], [[1]], [[-1, 0]],
+                  [[0, 2**70]], {"a": 1}]
+
+
+def _places(value, path=()):
+    """The path to every value inside a JSON object or list, depth first."""
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from _places(child, path + (key,))
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_mutated_build_config_is_refused_or_built_never_crashes(data):
+    """A shipped config with up to three of its values replaced, deleted or
+    nested in a list, built with or without --stages or --domain: the build
+    exits 0, or exits 2 with one JSON object on stderr, and never raises."""
+    draw = data.draw
+    cfg = load_json(shipped_config_path(draw(st.sampled_from(SHIPPED))))
+    for _ in range(draw(st.integers(1, 3))):
+        *path, key = draw(st.sampled_from(list(_places(cfg))))
+        parent = functools.reduce(operator.getitem, path, cfg)
+        how = draw(st.sampled_from(["replace", "delete", "nest"]))
+        if how == "replace":
+            parent[key] = copy.deepcopy(draw(st.sampled_from(_CONFIG_VALUES)))
+        elif how == "delete":
+            del parent[key]
+        else:
+            parent[key] = [parent[key]]
+    flag = draw(st.sampled_from([None, "--stages", "--domain"]))
+    flags = [flag, str(draw(st.sampled_from([0, 1, 5])))] if flag else []
+    # A jump entry at stage 2**70 with no stage budget is a valid config that
+    # builds 2**70 stages, as a bare `stages` of 2**70 would.
+    assume("stages" in cfg or flag == "--stages" or str(2**70) not in json.dumps(cfg))
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setenv("STAGED_ORDERS_MAX_DOMAIN", "200")
+        config = _write(os.path.join(tmp, "cfg.json"), cfg)
+        result = _invoke("build", "--config", config, *flags, "--out", os.path.join(tmp, "run"))
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code in (0, 2), result.output
+    if result.exit_code == 2:
+        assert isinstance(json.loads(result.stderr), dict), result.stderr

@@ -7,6 +7,7 @@ from staged_orders.jump import (
     EnumerationSchedule,
     InvalidAntichain,
     InvalidChain,
+    WitnessReport,
     build_antichain_order,
     build_cochain_order,
     decode_antichain,
@@ -18,6 +19,7 @@ from staged_orders.jump import (
 )
 from staged_orders.kernel import (
     ConfigError,
+    Snapshot,
     check_monotone,
     check_partial_order,
 )
@@ -152,6 +154,18 @@ def test_witness_reports():
         # cross-check the chain length claim against a dumb DP
         snap = ce.current
         assert len(longest_chain(snap)) == longest_chain_length(snap.holds, n)
+
+
+def test_witness_reports_name_what_breaks_them():
+    flat = Snapshot.from_pairs(3, [])
+    # entry (0, 1): t(0) = 0 and t(1) = t(2) = 1, so 0 must be below 1 and 2, and 1 below 2
+    sched = EnumerationSchedule(((0, 1),))
+    assert no_infinite_antichain_witness(flat, sched) == WitnessReport(
+        False, ((0, 1), (0, 2), (1, 2)))
+    # no entry opens a window, so the longest chain is predicted to be one element
+    line = Snapshot.from_pairs(3, [(0, 1), (0, 2), (1, 2)])
+    assert finite_chain_witness(line, EnumerationSchedule(()), 4) == WitnessReport(False, ((3, 1),))
+    assert finite_chain_witness(Snapshot.from_pairs(0, []), sched, 4) == WitnessReport(True, ())
 
 
 def test_greedy_antichain_is_an_antichain():

@@ -116,7 +116,7 @@ def test_closed_cycle_fails_antisymmetry():
     [
         (_matrix_of([(0, 1), (1, 2)], 3), TransitivityViolation,
          "transitivity violated: 0 <= 1 and 1 <= 2 but not 0 <= 2"),
-        (_matrix_of([(0, 1)], 3, reflexive=False), StagedOrderError,
+        (np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=bool), StagedOrderError,
          "initial snapshot not reflexive at (0,)"),
     ],
     ids=["not transitive", "not reflexive"],
@@ -541,10 +541,9 @@ def test_matrix_of_names_the_first_pair_outside_the_domain(pairs, culprit):
 
 def test_matrix_of_empty_and_irreflexive():
     assert np.array_equal(_matrix_of([], 3), np.eye(3, dtype=bool))
-    assert not _matrix_of([], 3, reflexive=False).any()
     assert _matrix_of([], 0).shape == (0, 0)
-    snap = Snapshot.from_pairs(3, [(2, 0), (0, 1), (2, 0), (1, 1)], reflexive=False)
-    assert snap.pairs == {(0, 1), (1, 1), (2, 0)}
+    snap = Snapshot.from_pairs(3, [(2, 0), (0, 1), (2, 0), (1, 1)])
+    assert snap.pairs == {(0, 0), (0, 1), (1, 1), (2, 0), (2, 2)}
 
 
 def test_matrix_of_checks_the_cap_before_allocating(monkeypatch):
