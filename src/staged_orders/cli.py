@@ -105,10 +105,11 @@ class RunPlan:
         if self.seed is not None and type(self.seed) is not int:
             raise ConfigError("seed must be an integer")
 
-    def stages_or(self, default: int) -> int:
-        """The stage budget, defaulting to what the construction needs."""
+    def stages_or(self, need) -> int:
+        """The stage budget, defaulting to need(), what the construction
+        needs; need is called only when no budget is given."""
         if self.stages is None:
-            self.stages = default
+            self.stages = need()
         return self.stages
 
     def domain_or(self, default: int) -> int:

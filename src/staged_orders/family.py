@@ -229,7 +229,7 @@ class FamilyConstruction(Construction):
                 random.Random(plan.seed), n, limit_pairs, horizon
             )
         pre = preorder_from_config(payload)
-        stages = plan.stages_or(sufficient_stages(pre))
+        stages = plan.stages_or(lambda: sufficient_stages(pre))
         return None, build_family(pre, stages).to_obj()
 
     def readout(self, snap, kind, consts, config, original) -> dict:

@@ -11,7 +11,7 @@ the first i bits of K.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -73,15 +73,23 @@ def schedule_from_config(blob: dict) -> EnumerationSchedule:
     return EnumerationSchedule(tuple(parsed))
 
 
-def _trigger_block(sched: EnumerationSchedule, n: int, s: int) -> List[Tuple[int, int]]:
-    """Pairs touched at stage s: everything strictly between two points of
-    the window (min entering element, min(s, n-1)]."""
-    entering = [e for e, stage in sched.entries if stage == s]
-    if not entering:
-        return []
-    lo = min(entering) + 1
-    hi = min(s, n - 1)
-    return [(j, k) for j in range(lo, hi + 1) for k in range(j + 1, hi + 1)]
+def _entry_windows(sched: EnumerationSchedule, n: int) -> Dict[int, Tuple[int, int]]:
+    """For each stage s >= 1 at which elements enter, the window it
+    triggers: (least entering element + 1, min(s, n-1)), in stage order."""
+    least: Dict[int, int] = {}
+    for e, s in sched.entries:
+        if s >= 1:
+            least[s] = min(least.get(s, e), e)
+    return {s: (least[s] + 1, min(s, n - 1)) for s in sorted(least)}
+
+
+def _stage_blocks(sched: EnumerationSchedule, n: int, stages: int) -> List[List[Tuple[int, int]]]:
+    """The pairs each stage 1..stages touches: everything strictly between
+    two points of its window, none at a stage no element enters."""
+    blocks = [[] for _ in range(stages)]
+    for s, (lo, hi) in _entry_windows(sched, n).items():
+        blocks[s - 1] = [(j, k) for j in range(lo, hi + 1) for k in range(j + 1, hi + 1)]
+    return blocks
 
 
 def _check_budget(sched: EnumerationSchedule, stages: int) -> None:
@@ -95,16 +103,14 @@ def build_cochain_order(sched: EnumerationSchedule, n: int, stages: int) -> Stag
     _check_budget(sched, stages)
     matrix = np.triu(np.ones((n, n), dtype=bool))
     order = StagedOrder(Kind.COCE, Snapshot(n, 0, matrix))
-    for s in range(1, stages + 1):
-        order.remove_pairs(_trigger_block(sched, n, s))
+    order.remove_stages(_stage_blocks(sched, n, stages))
     return order
 
 
 def build_antichain_order(sched: EnumerationSchedule, n: int, stages: int) -> StagedOrder:
     _check_budget(sched, stages)
     order = StagedOrder(Kind.CE, Snapshot(n, 0, np.eye(n, dtype=bool)))
-    for s in range(1, stages + 1):
-        order.add_pairs(_trigger_block(sched, n, s))
+    order.add_stages(_stage_blocks(sched, n, stages))
     return order
 
 
@@ -171,15 +177,7 @@ def no_infinite_antichain_witness(
 
 
 def _merged_blocks(sched: EnumerationSchedule, n: int, stages: int) -> List[Tuple[int, int]]:
-    raw = []
-    for s in range(1, stages + 1):
-        entering = [e for e, stage in sched.entries if stage == s]
-        if not entering:
-            continue
-        lo, hi = min(entering) + 1, min(s, n - 1)
-        if lo < hi:
-            raw.append((lo, hi))
-    raw.sort()
+    raw = sorted((lo, hi) for s, (lo, hi) in _entry_windows(sched, n).items() if s <= stages and lo < hi)
     merged: List[Tuple[int, int]] = []
     for lo, hi in raw:
         if merged and lo <= merged[-1][1]:
@@ -231,7 +229,7 @@ class JumpConstruction(Construction):
             raise ConfigError("jump configs need a natural 'n' (or --domain)")
         n = plan.domain_or(n)
         plan.payload.setdefault("n", n)
-        stages = plan.stages_or(sched.max_entry_stage)
+        stages = plan.stages_or(lambda: sched.max_entry_stage)
         builder = build_cochain_order if self.kind is Kind.COCE else build_antichain_order
         return builder(sched, n, stages).history, None
 

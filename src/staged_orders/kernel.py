@@ -324,15 +324,15 @@ class Snapshot:
     def __setattr__(self, name, value):
         raise AttributeError("Snapshot is immutable")
 
-    def _next(self, matrix: np.ndarray, labels: Mapping[int, str]) -> "Snapshot":
-        """The stage after this one, holding `matrix`: a fresh read-only
-        matrix that owns its data, or this stage's own when the stage
-        changes nothing. Nothing is checked again: the domain size passed
-        the cap when this stage was made, and the matrix has its shape.
-        The labels are copied, so no two stages share a dict."""
+    def _next(self, matrix: np.ndarray, labels: Mapping[int, str], stages: int = 1) -> "Snapshot":
+        """The stage `stages` after this one, holding `matrix`: a fresh
+        read-only matrix that owns its data, or this stage's own when the
+        stages between change nothing. Nothing is checked again: the domain
+        size passed the cap when this stage was made, and the matrix has
+        its shape. The labels are copied, so no two stages share a dict."""
         after = object.__new__(Snapshot)
         object.__setattr__(after, "domain_size", self.domain_size)
-        object.__setattr__(after, "stage", self.stage + 1)
+        object.__setattr__(after, "stage", self.stage + stages)
         object.__setattr__(after, "matrix", matrix)
         object.__setattr__(after, "labels", dict(labels))
         return after
@@ -522,75 +522,129 @@ _NO_PAIRS = np.empty((0, 2), dtype=np.int64)
 _NO_PAIRS.setflags(write=False)
 
 
-def _close_batch(
-    matrix: np.ndarray, idx: np.ndarray
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """The closure of the closed order `matrix` with the pairs of the int64
-    (k, 2) array `idx` added, and the sorted pairs the closure added; None
-    if that closure has a 2-cycle. If nothing is added, `matrix` itself.
-
-    Let R be the order and B the pairs R does not hold yet. R is reflexive
-    and transitive, so every path in R and B is a run of "R-step, then a
-    B-pair" segments and one last R-step, and each segment ends on a head
-    of B. Hence R | R.B, closed over B's heads only, is the closure; R.B
-    needs R's columns at B's tails only, and fills columns at heads only.
-    A 2-cycle in the closure uses a B-pair, so it puts that pair's head on
-    a 2-cycle too: checking the heads' rows is enough. A row that gains a
-    pair newly reaches a head: on a path to that pair with the fewest
-    B-pairs, the row did not reach the first B-pair's head in R. So only
-    those rows are compared with R.
-
-    A batch is already closed, and needs none of that, when every tail is
-    minimal in R (its column holds only the diagonal), every head is
-    maximal in R (its row holds only the diagonal) and no head is a tail.
-    Then an R-step into a tail or out of a head stays put, and a B-pair
-    cannot follow another, as the R-step between them would make a head
-    a tail. So a path holds at most one B-pair and reaches nothing beyond
-    R | B, which is therefore closed. It has no 2-cycle: for (t, h) in B,
-    h <= t in R would make h = t, as h is maximal, and (h, t) in B would
-    make h a tail. So the closure adds exactly the fresh pairs, and only
-    the tails' rows change. The head-is-a-tail test runs first: it is the
-    cheapest, and it is what fails on chains."""
-    fresh = idx[~matrix[idx[:, 0], idx[:, 1]]]
-    if not fresh.size:
-        return matrix, _NO_PAIRS
-    fresh_tails, fresh_heads = fresh[:, 0], fresh[:, 1]
-    is_tail = np.zeros(matrix.shape[0], dtype=bool)
-    is_tail[fresh_tails] = True
-    closed = matrix.copy()
-    if (
-        not is_tail[fresh_heads].any()
-        and np.count_nonzero(matrix.take(fresh_tails, 1)) == len(fresh)
-        and np.count_nonzero(matrix.take(fresh_heads, 0)) == len(fresh)
-    ):
-        closed[fresh_tails, fresh_heads] = True
-        rows = is_tail.nonzero()[0]
-    else:
-        is_head = np.zeros(matrix.shape[0], dtype=bool)
-        is_head[fresh_heads] = True
-        tails, heads = is_tail.nonzero()[0], is_head.nonzero()[0]
-        # an element's place among the tails (heads) is the count up to it, less one
-        batch = np.zeros((tails.size, heads.size), dtype=bool)
-        batch[np.cumsum(is_tail)[fresh_tails] - 1, np.cumsum(is_head)[fresh_heads] - 1] = True
-        closed[:, heads] |= _compose(matrix.take(tails, 1), batch)
-        _close_in_place(closed, heads)
-        reach = closed[:, heads]
-        # reflexive, so a head is on no 2-cycle iff it meets the transpose only at itself
-        if np.count_nonzero(closed[heads] & reach.T) != heads.size:
-            return None
-        rows = np.logical_or.reduce(reach != matrix.take(heads, 1), 1).nonzero()[0]
-    # flat indices: nonzero over a 2-d array is many times slower
-    which, cols = np.divmod((closed.take(rows, 0) != matrix.take(rows, 0)).ravel().nonzero()[0],
-                            matrix.shape[1])
-    added = np.empty((cols.size, 2), dtype=np.int64)
-    added[:, 0], added[:, 1] = rows[which], cols
-    return closed, added
+def _label_dtype(count: int) -> np.dtype:
+    """The smallest unsigned dtype that holds the labels 0..count + 1."""
+    return next(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                if count + 1 <= np.iinfo(t).max)
 
 
-def _add_pair_by_pair(matrix: np.ndarray, pairs, n: int) -> np.ndarray:
-    """Add the pairs to a closed order one at a time, raising for the first
-    one outside the domain or making a 2-cycle; that first error is what
-    add_pairs reports. Changes and returns `matrix`."""
+def _checked_stages(batches: List[list], n: int) -> Tuple[int, np.ndarray]:
+    """The number of leading stages whose every pair passes `_checked_pair`,
+    and their pairs as an int64 (k, 2) array. This is the walk for stages
+    that `_pair_array` refuses as a whole: numpy integers, or a bad pair."""
+    pairs: List[Tuple[int, int]] = []
+    for t, batch in enumerate(batches):
+        try:
+            pairs += [tuple(map(int, _checked_pair(pair, n))) for pair in batch]
+        except Exception:  # the stage is refused; its walk raises the error again
+            return t, np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return len(batches), np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def _close_labels(labels: np.ndarray, pivots: np.ndarray, top) -> None:
+    """Bottleneck Warshall over the given pivots: afterwards labels[i, j] is
+    the least, over paths from i to j whose inner elements are pivots, of
+    the largest label on the path; `top` is no path."""
+    for k in pivots.tolist():
+        col = labels[:, k]
+        rows = (col != top).nonzero()[0]
+        labels[rows] = np.minimum(labels[rows], np.maximum(col[rows, None], labels[k]))
+
+
+def _by_label(flat: np.ndarray, labels: np.ndarray):
+    """Flat pair indices in ascending order and their labels, reordered by
+    label and, within a label, still by index."""
+    order = np.argsort(labels, kind="stable")
+    return flat[order], labels[order]
+
+
+def _grown(before: np.ndarray, flat: np.ndarray, labels: np.ndarray, top):
+    """Stage labels for additions to the closed order `before`: the pairs
+    first held at each stage, as flat indices sorted by label and then by
+    index, their labels, and the first label whose stage closes a 2-cycle
+    (`top` if none). `flat` and `labels` give each pair added and the label
+    of its stage, in stage order.
+
+    Label a pair 0 if `before` holds it and by its first stage if it is
+    added; a pair is first held at the stage of the least, over paths, of
+    the largest label on the path. Pairs of `before` are closed, so a path
+    can leave out every element that is not the tail or head of an added
+    pair, and every element with no predecessor or no successor in the
+    union: the pivots that remain are tails and heads that are middles.
+    With none, every tail is minimal, every head maximal and no head a
+    tail, so no path holds two added pairs and the labels are closed as
+    they stand. A 2-cycle runs through the tail of an added pair, which is
+    a pivot, so only the pivots' rows and columns are searched for one.
+    Only rows that reach a tail in `before` can gain a pair."""
+    n = before.shape[0]
+    fresh = ~np.take(before, flat)
+    flat, first = np.unique(flat[fresh], return_index=True)  # a pair's first stage
+    labels = labels[fresh][first]
+    tails, heads = np.divmod(flat, n)
+    is_tail = np.zeros(n, dtype=bool)
+    is_tail[tails] = True
+    is_head = np.zeros(n, dtype=bool)
+    is_head[heads] = True
+    tails, heads = is_tail.nonzero()[0], is_head.nonzero()[0]
+    pivots = np.union1d(
+        tails[is_head[tails] | (np.count_nonzero(before.take(tails, 1), 0) > 1)],
+        heads[is_tail[heads] | (np.count_nonzero(before.take(heads, 0), 1) > 1)],
+    )
+    if not pivots.size:
+        return (*_by_label(flat, labels), top)
+    reach = np.where(before, top.dtype.type(0), top)
+    reach.reshape(-1)[flat] = labels
+    _close_labels(reach, pivots, top)
+    cycles = np.maximum(reach.take(pivots, 0), reach.take(pivots, 1).T)
+    cycles[np.arange(pivots.size), pivots] = top
+    rows = np.logical_or.reduce(before.take(tails, 1), 1).nonzero()[0]
+    gained = reach.take(rows, 0).ravel()
+    at = ((gained != 0) & (gained != top)).nonzero()[0]  # flat nonzero: 2-d is many times slower
+    which, cols = np.divmod(at, n)
+    return (*_by_label(rows[which] * n + cols, gained[at]), np.minimum.reduce(cycles, None))
+
+
+def _shrunk(before: np.ndarray, flat: np.ndarray, labels: np.ndarray, top):
+    """Stage labels for removals from the closed order `before`, as
+    `_grown` gives them: the pairs removed at each stage, sorted by label
+    and then by index, their labels, and the first label whose stage
+    breaks transitivity (`top` if none).
+
+    Label a pair `top` if `before` holds it and no stage removes it, and by
+    its first stage if one does. Stage t holds the pairs labelled above t.
+    Removing pairs from a closed relation can break transitivity only at a
+    removed pair, so stage t is refused iff a pair (u, v) labelled t has
+    some w with min(label[u, w], label[w, v]) > t. Only the tails' rows
+    and the heads' columns are labelled, and the test runs over every
+    removed pair in whole-array passes, a slice at a time to bound the
+    (pairs, n) temporary, in label order, so the first broken slice holds
+    the least broken label."""
+    n = before.shape[0]
+    held = np.take(before, flat)
+    flat, first = np.unique(flat[held], return_index=True)  # a pair's first stage
+    flat, labels = _by_label(flat, labels[held][first])
+    tails, heads = np.divmod(flat, n)
+    tail_rows, at_tail = np.unique(tails, return_inverse=True)
+    head_cols, at_head = np.unique(heads, return_inverse=True)
+    zero = top.dtype.type(0)
+    rows = np.where(before.take(tail_rows, 0), top, zero)
+    rows[at_tail, heads] = labels
+    cols = np.where(before.take(head_cols, 1).T, top, zero)
+    cols[at_head, tails] = labels
+    for lo in range(0, flat.size, 256):
+        part = slice(lo, lo + 256)
+        paths = np.minimum(rows[at_tail[part]], cols[at_head[part]]) > labels[part, None]
+        broken = np.logical_or.reduce(paths, 1).nonzero()[0]
+        if broken.size:
+            return flat, labels, labels[lo + broken[0]]
+    return flat, labels, top
+
+
+def _refuse_additions(matrix: np.ndarray, pairs, n: int) -> None:
+    """Add a refused stage's pairs to a copy of the closed order `matrix`
+    one at a time, raising for the first one outside the domain or making
+    a 2-cycle."""
+    matrix = matrix.copy()
     for pair in pairs:
         u, v = _checked_pair(pair, n)
         if matrix[u, v]:
@@ -600,30 +654,58 @@ def _add_pair_by_pair(matrix: np.ndarray, pairs, n: int) -> np.ndarray:
         # x <= u and v <= y gives x <= y; includes (u,v) itself. No such
         # pair reverses a held one: y <= x would close to v <= u.
         matrix |= np.logical_and.outer(matrix[:, u], matrix[v, :])
-    return matrix
+
+
+def _refuse_removals(matrix: np.ndarray, pairs, n: int) -> None:
+    """Walk a refused stage's removals from the closed order `matrix` to
+    raise its first error: a pair, in the order given, that is not two
+    integers inside the domain or is reflexive; else the first held pair,
+    in that order, that the stage's other removals leave a middle for,
+    named with its least middle."""
+    removed = {}  # the held pairs, each once, in the order first given
+    for pair in pairs:
+        u, v = _checked_pair(pair, n)
+        if u == v:
+            raise StagedOrderError(f"cannot remove reflexive pair ({u}, {u})")
+        if matrix[u, v]:
+            removed[u, v] = None
+    matrix = matrix.copy()
+    for u, v in removed:
+        matrix[u, v] = False
+    for u, v in removed:
+        mid = np.flatnonzero(matrix[u] & matrix[:, v])
+        if mid.size:
+            raise TransitivityViolation(u, int(mid[0]), v)
+
+
+_ORDER_WORDS = {Kind.CE: "a growing (ce)", Kind.COCE: "a shrinking (coce)"}
 
 
 class StagedOrder:
-    """Append-only history of a staged order, mutated via add_pairs and
-    remove_pairs.
+    """Append-only history of a staged order, mutated a stage or a run of
+    stages at a time: add_stages and remove_stages take one list of pairs
+    per stage, and add_pairs and remove_pairs are their one-stage case.
 
     Every stage is a reflexive, antisymmetric, transitively closed
-    relation; each mutation appends one stage, numbered one past the last.
-    Mutations are atomic: on error nothing is appended.
+    relation; each stage is numbered one past the stage before it. A stage
+    is atomic: a call appends every stage before the first one it refuses,
+    as a loop of one-stage calls would, and then raises that stage's first
+    error, so a one-stage call that fails appends nothing.
+
+    A pair enters (ce) or leaves (coce) at one stage and never moves back,
+    so a call's whole run is one matrix of labels: the stage at which each
+    pair is first held (ce) or first lacking (coce). Each stage's delta,
+    the first refused stage and the last matrix are read off it in
+    whole-array passes (`_grown`, `_shrunk`). The labels are numbered over
+    the stages that carry pairs, in the smallest unsigned dtype that holds
+    them. Pairs are walked one at a time only for the refused stage, to
+    name its first error (`_refuse_additions`, `_refuse_removals`).
 
     The history is held as the first and `current` snapshots and, for
     each later stage, the strict pairs it added and removed: sorted int64
     (k, 2) arrays. No other stage's matrix is kept; `history` gives them
     as a `Replay`. A stage that changes nothing shares the matrix before
     it.
-
-    A ce stage is closed in one pass over its batch's heads
-    (`_close_batch`) and checked for antisymmetry once. A batch whose
-    tails are minimal, whose heads are maximal and whose heads are no
-    tails is already closed, and is set as it is; an empty batch appends
-    the current matrix at once. The pairs are walked one at a time only
-    when the pass refuses the batch, to name the first error
-    (`_add_pair_by_pair`).
     """
 
     def __init__(self, kind: Kind, initial: Snapshot):
@@ -645,63 +727,67 @@ class StagedOrder:
         middle = [(added, removed, labels) for added, removed in self._deltas[:-1]]
         return Replay(self._initial, middle, self._current)
 
-    def _append(self, matrix: np.ndarray, added: np.ndarray, removed: np.ndarray) -> Snapshot:
-        """Make `matrix`, read-only and owning its data, the next stage, and
-        record its delta: fresh arrays, made read-only here, not copied."""
-        added.setflags(write=False)
-        removed.setflags(write=False)
-        self._current = self._current._next(matrix, self._current.labels)
-        self._deltas.append((added, removed))
-        return self._current
-
     def add_pairs(self, pairs: Iterable[Tuple[int, int]]) -> Snapshot:
-        if self.kind is not Kind.CE:
-            raise StagedOrderError("add_pairs is only valid on a growing (ce) order")
-        pairs = list(pairs)
-        n = self.domain_size
-        before = self._current.matrix
-        if not pairs:
-            return self._append(before, _NO_PAIRS, _NO_PAIRS)
-        idx = _pair_array(pairs, n)
-        closed = None if idx is None else _close_batch(before, idx)
-        if closed is None:
-            matrix = _add_pair_by_pair(before.copy(), pairs, n)
-            added = np.argwhere(matrix & ~before)
-            closed = (matrix, added) if added.size else (before, _NO_PAIRS)
-        matrix, added = closed
-        matrix.setflags(write=False)  # fresh or the current one: no copy needed
-        return self._append(matrix, added, _NO_PAIRS)
+        return self._stages([pairs], Kind.CE, "add_pairs")
 
     def remove_pairs(self, pairs: Iterable[Tuple[int, int]]) -> Snapshot:
-        if self.kind is not Kind.COCE:
-            raise StagedOrderError("remove_pairs is only valid on a shrinking (coce) order")
-        before = self._current.matrix
+        return self._stages([pairs], Kind.COCE, "remove_pairs")
+
+    def add_stages(self, batches: Iterable[Iterable[Tuple[int, int]]]) -> Snapshot:
+        """Append one stage per batch, each adding its batch's pairs, and
+        return the last stage (the current one if there are no batches)."""
+        return self._stages(batches, Kind.CE, "add_stages")
+
+    def remove_stages(self, batches: Iterable[Iterable[Tuple[int, int]]]) -> Snapshot:
+        """Append one stage per batch, each removing its batch's pairs, and
+        return the last stage (the current one if there are no batches)."""
+        return self._stages(batches, Kind.COCE, "remove_stages")
+
+    def _stages(self, batches, kind: Kind, name: str) -> Snapshot:
+        if self.kind is not kind:
+            raise StagedOrderError(f"{name} is only valid on {_ORDER_WORDS[kind]} order")
+        grow = kind is Kind.CE
         n = self.domain_size
-        removed = {}  # the held pairs, each once, in the order first given
-        for pair in pairs:
-            u, v = _checked_pair(pair, n)
-            if u == v:
-                raise StagedOrderError(f"cannot remove reflexive pair ({u}, {u})")
-            if before[u, v]:
-                removed[u, v] = None
-        if not removed:
-            return self._append(before, _NO_PAIRS, _NO_PAIRS)
-        idx = np.array(sorted(removed), dtype=np.int64)
-        matrix = before.copy()
-        matrix[idx[:, 0], idx[:, 1]] = False
-        # Removing pairs from a closed relation can only break transitivity
-        # at a removed pair, so checking those is exact. They are checked
-        # in whole-array passes, a slice at a time to bound the (pairs, n)
-        # temporary; only a broken batch is walked pair by pair, in the
-        # order given, to name its first broken pair.
-        slices = (idx[lo:lo + 256] for lo in range(0, len(idx), 256))
-        if any((matrix.take(part[:, 0], 0) & matrix.take(part[:, 1], 1).T).any() for part in slices):
-            for u, v in removed:
-                mid = np.flatnonzero(matrix[u] & matrix[:, v])
-                if mid.size:
-                    raise TransitivityViolation(u, int(mid[0]), v)
-        matrix.setflags(write=False)  # fresh, so the snapshot takes it uncopied
-        return self._append(matrix, _NO_PAIRS, idx)
+        batches = [batch if type(batch) is list else list(batch) for batch in batches]
+        sizes = list(map(len, batches))
+        stop = len(batches)  # the first stage refused, or one past the last
+        idx = _pair_array(list(chain.from_iterable(batches)), n)
+        if idx is None:
+            stop, idx = _checked_stages(batches, n)
+        if not grow:  # a reflexive pair refuses its stage
+            loops = (idx[:, 0] == idx[:, 1]).nonzero()[0]
+            if loops.size:
+                stop = min(stop, int(np.searchsorted(np.cumsum(sizes), loops[0], "right")))
+        live = [t for t in range(stop) if sizes[t]]  # the stages with pairs, labelled from 1
+        top = _label_dtype(len(live)).type(len(live) + 1)
+        labels = np.repeat(np.arange(1, top, dtype=top.dtype), [sizes[t] for t in live])
+        idx = idx[: labels.size]
+        before = self._current.matrix
+        flat, labels, refused = (_grown if grow else _shrunk)(
+            before, idx[:, 0] * n + idx[:, 1], labels, top)
+        if refused != top:
+            stop = live[refused - 1]
+            flat, labels = flat[: np.searchsorted(labels, refused)], labels[: np.searchsorted(labels, refused)]
+        pairs = np.empty((flat.size, 2), dtype=np.int64)
+        pairs[:, 0], pairs[:, 1] = np.divmod(flat, n)
+        pairs.setflags(write=False)  # its slices are the deltas, read-only too
+        starts = np.searchsorted(labels, np.arange(1, len(live) + 2)).tolist()
+        deltas = [(_NO_PAIRS, _NO_PAIRS)] * stop
+        for t, lo, hi in zip(live, starts, starts[1:]):
+            if lo < hi:
+                deltas[t] = (pairs[lo:hi], _NO_PAIRS) if grow else (_NO_PAIRS, pairs[lo:hi])
+        if stop:
+            matrix = before
+            if flat.size:
+                matrix = before.copy()
+                matrix.reshape(-1)[flat] = grow
+                matrix.setflags(write=False)  # fresh, so the snapshot takes it uncopied
+            self._deltas += deltas
+            self._current = self._current._next(matrix, self._current.labels, stop)
+        if stop < len(batches):
+            (_refuse_additions if grow else _refuse_removals)(self._current.matrix, batches[stop], n)
+            raise AssertionError(f"a refused stage's walk found no error in {batches[stop]!r}")
+        return self._current
 
 
 def apply_permutation(snapshot: Snapshot, perm: Sequence[int]) -> Snapshot:

@@ -23,7 +23,7 @@ in the window are built but never mutated.
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import Iterator, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -180,24 +180,22 @@ def validate_predicate(pred: SyntheticSigma2Predicate, domain_bound: int) -> Non
                 )
 
 
-def _witness_stages(pred: SyntheticSigma2Predicate):
-    """The witness dynamics: for stages 1, 2, ..., yield the (i, x) pairs
-    defeated at that stage and the witnesses after it.
+def _defeats(pred: SyntheticSigma2Predicate, i: int, count: int) -> Iterator[int]:
+    """The stages at which index i's first `count` witnesses are defeated,
+    in order; fewer for a member whose resting witness comes first, as it
+    has no defeat stage.
 
-    Index i is eligible once s >= i. Witness x of index i is defeated at s
-    when its defeat stage is at or before s; the witness then advances to
-    x+1. Each index moves at most one witness per stage.
-    """
-    witnesses = [0] * pred.bound
-    for s in itertools.count(1):
-        defeated = []
-        for i in range(min(s, pred.bound - 1) + 1):
-            x = witnesses[i]
-            d = pred.defeat_stage(i, x)
-            if d is not None and d <= s:
-                defeated.append((i, x))
-                witnesses[i] = x + 1
-        yield defeated, tuple(witnesses)
+    Index i is eligible once s >= i, and moves at most one witness per
+    stage, so witness x, whose defeat stage is d, is defeated at
+    max(d, t + 1, i), t being the stage at which witness x - 1 was (0 for
+    x = 0, as no stage comes before 1)."""
+    t = 0
+    for x in range(count):
+        d = pred.defeat_stage(i, x)
+        if d is None:
+            return
+        t = max(d, t + 1, i)
+        yield t
 
 
 def stabilization_stage(pred: SyntheticSigma2Predicate, domain_bound: int) -> int:
@@ -205,20 +203,15 @@ def stabilization_stage(pred: SyntheticSigma2Predicate, domain_bound: int) -> in
 
     Members are stable once the witness reaches its resting value;
     nonmembers once the witness has marched past every b-element the
-    window contains. The walk always ends: a member has a finite defeat
-    stage for every witness below its resting one, a nonmember's rule
-    gives one for every witness, and an eligible index whose witness
-    waits on a stage at or before s is moved at s.
+    window contains. So this is the last stage at which a witness below
+    those targets is defeated, found in one step per such defeat: a
+    member has a finite defeat stage for every witness below its resting
+    one, and a nonmember's rule gives one for every witness.
     """
     count = b_count(domain_bound)
-    targets = [
-        spec.witness if isinstance(spec, MemberIndex) else count
-        for spec in pred.indices
-    ]
-    start = ((), (0,) * pred.bound)  # stage 0: nothing defeated, every witness at 0
-    for s, (_, witnesses) in enumerate(itertools.chain([start], _witness_stages(pred))):
-        if all(w >= t for w, t in zip(witnesses, targets)):
-            return s
+    targets = [spec.witness if isinstance(spec, MemberIndex) else count for spec in pred.indices]
+    return max((max(_defeats(pred, i, target), default=0) for i, target in enumerate(targets)),
+               default=0)
 
 
 def build_initial(domain_bound: int, pred: SyntheticSigma2Predicate) -> Snapshot:
@@ -265,21 +258,26 @@ def build_run(
     """The run through `stages` stages, and the witnesses after the last.
 
     A defeat of witness x of index i removes (b_x, a_{i,k}) for every
-    k <= i that fits the window.
+    k <= i that fits the window; a stage's pairs go by index, then by k.
+    Index i can be defeated at most once a stage from stage 1 on, so no
+    more than `stages` of its defeats come by the last stage.
     """
     n = domain_bound
     order = StagedOrder(Kind.COCE, build_initial(n, pred))
-    witnesses = (0,) * pred.bound
-    for _, (defeated, witnesses) in zip(range(stages), _witness_stages(pred)):
-        gone = []
-        for i, x in defeated:
+    batches = [[] for _ in range(stages)]
+    witnesses = []
+    for i in range(pred.bound):
+        defeats = list(itertools.takewhile(lambda t: t <= stages, _defeats(pred, i, stages)))
+        witnesses.append(len(defeats))
+        # a_{i,0}..a_{i,i} are every third code from a_{i,0} on
+        a_row = range(sigma2_a_code(i, 0), min(sigma2_a_code(i, i) + 1, n), 3)
+        for x, t in enumerate(defeats):
             b = sigma2_b_code(x)
-            if b < n:
-                # a_{i,0}..a_{i,i} are every third code from a_{i,0} on
-                a_row = range(sigma2_a_code(i, 0), min(sigma2_a_code(i, i) + 1, n), 3)
-                gone += [(b, a) for a in a_row]
-        order.remove_pairs(gone)
-    return order, witnesses
+            if b >= n:  # so are the codes of every later witness
+                break
+            batches[t - 1] += [(b, a) for a in a_row]
+    order.remove_stages(batches)
+    return order, tuple(witnesses)
 
 
 def _regions(m: np.ndarray, consts: Sigma2Consts) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -375,7 +373,7 @@ class Sigma2Construction(Construction):
     def build(self, plan):
         pred = predicate_from_config(plan.payload)
         plan.domain = plan.domain_or(required_domain_bound(pred))
-        stages = plan.stages_or(stabilization_stage(pred, plan.domain))
+        stages = plan.stages_or(lambda: stabilization_stage(pred, plan.domain))
         return build_run(pred, plan.domain, stages)[0].history, None
 
     def readout(self, snap, kind, consts, config, original) -> dict:

@@ -242,41 +242,41 @@ def build_spectrum_run(
     loses the mark to rung s. Between flips the active rung and its flag
     stay put, so every other rung's touch would re-assert a pair the
     order already holds (growing) or already lacks (shrinking), and the
-    kernel would drop it. Only the two are touched, by the same rules."""
+    kernel would drop it. So each pair's touches are scheduled from its
+    own events: stage j, the stages at which its later rungs come in
+    reach, and its flips after j, all within the stage count. The stages
+    are applied in one call, each stage's pairs in pair order."""
     windows = _windows(graph, domain_bound)
     need = _stages_needed(graph, windows.get((0, 1), []))
     if stages < need:
         raise InsufficientStages(f"stages {stages} below required {need}")
     order = StagedOrder(kind, build_spectrum_initial(kind, graph, domain_bound, windows))
     _, _, r0, r1 = DEFAULT_SPECTRUM_CONSTS
-    for s in range(1, stages + 1):
-        touched: List[Tuple[int, int]] = []
-        for (i, j), rungs in windows.items():
-            if j > s:
-                continue
-            flips = (i, j) in graph.flips  # without flips the active rung stays 0
-            active = graph.active_index(i, j, s) if flips else 0
+    marks = (r0, r1) if kind is Kind.CE else (r1, r0)  # the flag a mark keeps, by value
+    batches: List[List[Tuple[int, int]]] = [[] for _ in range(stages)]
+    for (i, j), rungs in windows.items():
+        flips = graph.flips_for(i, j)
+        active, value = graph.active_index(i, j, j), graph.value(i, j, j)
+        later = sorted({f for f in flips if f > j}.union(range(j + 1, len(rungs))))
+        for s in [j, *later]:
             # rungs[k] is rung k, and a slice past the window is empty
-            if j == s:
-                moved = rungs[: s + 1]
+            if s == j:
+                moved = rungs[: j + 1]
+            elif s in flips:  # the mark moves from the active rung to rung s
+                moved = rungs[active : active + 1] + rungs[s : s + 1]
+                active, value = s, value ^ 1
             else:
-                before = graph.active_index(i, j, s - 1) if flips else 0
                 moved = rungs[s : s + 1]
-                if before != active:
-                    moved = rungs[before : before + 1] + moved
+            touched = batches[s - 1]
             for k, code in moved:
                 if k == active:
-                    fval = graph.value(i, j, s)
-                    keep = r1 if fval else r0
-                    drop = r0 if fval else r1
-                    touched.append((code, keep if kind is Kind.CE else drop))
+                    touched.append((code, marks[value]))
                 else:
-                    touched.append((code, r0))
-                    touched.append((code, r1))
-        if kind is Kind.CE:
-            order.add_pairs(touched)
-        else:
-            order.remove_pairs(touched)
+                    touched += [(code, r0), (code, r1)]
+    if kind is Kind.CE:
+        order.add_stages(batches)
+    else:
+        order.remove_stages(batches)
     return order
 
 
@@ -385,7 +385,7 @@ class SpectrumConstruction(Construction):
     def build(self, plan):
         graph = graph_from_config(plan.payload)
         plan.domain = plan.domain_or(required_domain_bound(graph))
-        stages = plan.stages_or(required_stages(graph, plan.domain))
+        stages = plan.stages_or(lambda: required_stages(graph, plan.domain))
         return build_spectrum_run(self.kind, graph, plan.domain, stages).history, None
 
     def _read(self, snap, kind, consts, original=None):

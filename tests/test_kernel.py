@@ -351,24 +351,25 @@ def test_remove_pairs_matches_per_pair_rules(case):
 
 def _batch_outcome(monkeypatch, start, batch, n):
     """add_pairs on the closure of `start`, against add_pairs_reference:
-    the outcome must agree, and a batch the kernel takes must come back
-    from _close_batch with exactly the pairs it adds, sorted and unique.
-    Returns whether that batch took the direct path (no Warshall pass)."""
+    the outcome must agree, and a batch the kernel takes must record
+    exactly the pairs it adds, sorted and unique, as its stage's delta.
+    Returns whether the batch took the direct path (no label closure)."""
     order = StagedOrder(Kind.CE, Snapshot(n, 0, _matrix(start, n)))
     before = order.current.matrix
     want, error = add_pairs_reference(_rows(before), batch, n)
     pivots = []
-    real = kernel._close_in_place
-    monkeypatch.setattr(kernel, "_close_in_place", lambda m, ks: pivots.append(1) or real(m, ks))
+    real = kernel._close_labels
+    monkeypatch.setattr(kernel, "_close_labels", lambda m, ks, top: pivots.append(1) or real(m, ks, top))
     if error is not None:
         with pytest.raises(StagedOrderError) as caught:
             order.add_pairs(batch)
         assert (type(caught.value).__name__, str(caught.value)) == error
         return not pivots
-    assert _rows(order.add_pairs(batch).matrix) == want
-    del pivots[:]
-    closed, added = kernel._close_batch(before, np.array(batch, dtype=np.int64).reshape(-1, 2))
-    assert np.array_equal(added, np.argwhere(closed & ~before))
+    after = order.add_pairs(batch).matrix
+    assert _rows(after) == want
+    order.add_pairs([])  # so the batch's stage lies between first and last
+    [(added, removed, _)] = order.history.middle
+    assert np.array_equal(added, np.argwhere(after & ~before)) and not removed.size
     return not pivots
 
 
