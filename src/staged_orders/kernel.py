@@ -522,12 +522,6 @@ _NO_PAIRS = np.empty((0, 2), dtype=np.int64)
 _NO_PAIRS.setflags(write=False)
 
 
-def _label_dtype(count: int) -> np.dtype:
-    """The smallest unsigned dtype that holds the labels 0..count + 1."""
-    return next(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64)
-                if count + 1 <= np.iinfo(t).max)
-
-
 def _checked_stages(batches: List[list], n: int) -> Tuple[int, np.ndarray]:
     """The number of leading stages whose every pair passes `_checked_pair`,
     and their pairs as an int64 (k, 2) array. This is the walk for stages
@@ -551,36 +545,34 @@ def _close_labels(labels: np.ndarray, pivots: np.ndarray, top) -> None:
         labels[rows] = np.minimum(labels[rows], np.maximum(col[rows, None], labels[k]))
 
 
-def _by_label(flat: np.ndarray, labels: np.ndarray):
-    """Flat pair indices in ascending order and their labels, reordered by
-    label and, within a label, still by index."""
-    order = np.argsort(labels, kind="stable")
-    return flat[order], labels[order]
+def _staged(labels: np.ndarray, top) -> Tuple[np.ndarray, np.ndarray]:
+    """The pairs a label matrix gives a stage, neither 0 nor `top`, as flat
+    indices sorted by label and, within a label, by index; and their
+    labels."""
+    flat = labels.reshape(-1)
+    at = ((flat != 0) & (flat != top)).nonzero()[0]  # flat nonzero: 2-d is many times slower
+    order = flat[at].argsort(kind="stable")
+    return at[order], flat[at[order]]
 
 
-def _grown(before: np.ndarray, flat: np.ndarray, labels: np.ndarray, top):
-    """Stage labels for additions to the closed order `before`: the pairs
-    first held at each stage, as flat indices sorted by label and then by
-    index, their labels, and the first label whose stage closes a 2-cycle
-    (`top` if none). `flat` and `labels` give each pair added and the label
-    of its stage, in stage order.
+def _grown(labels: np.ndarray, before: np.ndarray, top):
+    """Close the labels of additions to the closed order `before`: 0 where
+    `before` holds a pair, an added pair's first stage, `top` elsewhere.
+    Returns `_staged` of the closed labels and the first label whose stage
+    closes a 2-cycle, `top` if none.
 
-    Label a pair 0 if `before` holds it and by its first stage if it is
-    added; a pair is first held at the stage of the least, over paths, of
-    the largest label on the path. Pairs of `before` are closed, so a path
-    can leave out every element that is not the tail or head of an added
-    pair, and every element with no predecessor or no successor in the
-    union: the pivots that remain are tails and heads that are middles.
-    With none, every tail is minimal, every head maximal and no head a
-    tail, so no path holds two added pairs and the labels are closed as
-    they stand. A 2-cycle runs through the tail of an added pair, which is
-    a pivot, so only the pivots' rows and columns are searched for one.
-    Only rows that reach a tail in `before` can gain a pair."""
+    A pair is first held at the stage of the least, over paths, of the
+    largest label on the path. Pairs of `before` are closed, so a path can
+    leave out every element that is not the tail or head of an added pair,
+    and every element with no predecessor or no successor in the union:
+    the pivots that remain are tails and heads that are middles. With none,
+    every tail is minimal, every head maximal and no head a tail, so no
+    path holds two added pairs, and the labels are closed as they stand.
+    A 2-cycle runs through the tail of an added pair, which is then a
+    pivot, so only the pivots' rows and columns are searched for one."""
     n = before.shape[0]
-    fresh = ~np.take(before, flat)
-    flat, first = np.unique(flat[fresh], return_index=True)  # a pair's first stage
-    labels = labels[fresh][first]
-    tails, heads = np.divmod(flat, n)
+    added = _staged(labels, top)
+    tails, heads = np.divmod(added[0], n)
     is_tail = np.zeros(n, dtype=bool)
     is_tail[tails] = True
     is_head = np.zeros(n, dtype=bool)
@@ -591,53 +583,35 @@ def _grown(before: np.ndarray, flat: np.ndarray, labels: np.ndarray, top):
         heads[is_tail[heads] | (np.count_nonzero(before.take(heads, 0), 1) > 1)],
     )
     if not pivots.size:
-        return (*_by_label(flat, labels), top)
-    reach = np.where(before, top.dtype.type(0), top)
-    reach.reshape(-1)[flat] = labels
-    _close_labels(reach, pivots, top)
-    cycles = np.maximum(reach.take(pivots, 0), reach.take(pivots, 1).T)
+        return (*added, top)
+    _close_labels(labels, pivots, top)
+    cycles = np.maximum(labels.take(pivots, 0), labels.take(pivots, 1).T)
     cycles[np.arange(pivots.size), pivots] = top
-    rows = np.logical_or.reduce(before.take(tails, 1), 1).nonzero()[0]
-    gained = reach.take(rows, 0).ravel()
-    at = ((gained != 0) & (gained != top)).nonzero()[0]  # flat nonzero: 2-d is many times slower
-    which, cols = np.divmod(at, n)
-    return (*_by_label(rows[which] * n + cols, gained[at]), np.minimum.reduce(cycles, None))
+    return (*_staged(labels, top), np.minimum.reduce(cycles, None))
 
 
-def _shrunk(before: np.ndarray, flat: np.ndarray, labels: np.ndarray, top):
-    """Stage labels for removals from the closed order `before`, as
-    `_grown` gives them: the pairs removed at each stage, sorted by label
-    and then by index, their labels, and the first label whose stage
-    breaks transitivity (`top` if none).
+def _shrunk(labels: np.ndarray, before: np.ndarray, top):
+    """Check the labels of removals from the closed order `before`: 0 where
+    `before` lacks a pair, a removed pair's first stage, `top` elsewhere.
+    Returns `_staged` of the labels and the first label whose stage breaks
+    transitivity, `top` if none.
 
-    Label a pair `top` if `before` holds it and no stage removes it, and by
-    its first stage if one does. Stage t holds the pairs labelled above t.
-    Removing pairs from a closed relation can break transitivity only at a
-    removed pair, so stage t is refused iff a pair (u, v) labelled t has
-    some w with min(label[u, w], label[w, v]) > t. Only the tails' rows
-    and the heads' columns are labelled, and the test runs over every
-    removed pair in whole-array passes, a slice at a time to bound the
-    (pairs, n) temporary, in label order, so the first broken slice holds
-    the least broken label."""
-    n = before.shape[0]
-    held = np.take(before, flat)
-    flat, first = np.unique(flat[held], return_index=True)  # a pair's first stage
-    flat, labels = _by_label(flat, labels[held][first])
-    tails, heads = np.divmod(flat, n)
-    tail_rows, at_tail = np.unique(tails, return_inverse=True)
-    head_cols, at_head = np.unique(heads, return_inverse=True)
-    zero = top.dtype.type(0)
-    rows = np.where(before.take(tail_rows, 0), top, zero)
-    rows[at_tail, heads] = labels
-    cols = np.where(before.take(head_cols, 1).T, top, zero)
-    cols[at_head, tails] = labels
+    Stage t holds the pairs labelled above t. Removing pairs from a closed
+    relation can break transitivity only at a removed pair, so stage t is
+    refused iff a pair (u, v) labelled t has some w with
+    min(labels[u, w], labels[w, v]) > t. The test runs over every removed
+    pair in whole-array passes, a slice at a time to bound the (pairs, n)
+    temporary, in label order, so the first broken slice holds the least
+    broken label."""
+    flat, staged = _staged(labels, top)
+    tails, heads = np.divmod(flat, before.shape[0])
     for lo in range(0, flat.size, 256):
         part = slice(lo, lo + 256)
-        paths = np.minimum(rows[at_tail[part]], cols[at_head[part]]) > labels[part, None]
-        broken = np.logical_or.reduce(paths, 1).nonzero()[0]
+        paths = np.minimum(labels.take(tails[part], 0), labels.take(heads[part], 1).T)
+        broken = np.logical_or.reduce(paths > staged[part, None], 1).nonzero()[0]
         if broken.size:
-            return flat, labels, labels[lo + broken[0]]
-    return flat, labels, top
+            return flat, staged, staged[lo + broken[0]]
+    return flat, staged, top
 
 
 def _refuse_additions(matrix: np.ndarray, pairs, n: int) -> None:
@@ -759,19 +733,24 @@ class StagedOrder:
             if loops.size:
                 stop = min(stop, int(np.searchsorted(np.cumsum(sizes), loops[0], "right")))
         live = [t for t in range(stop) if sizes[t]]  # the stages with pairs, labelled from 1
-        top = _label_dtype(len(live)).type(len(live) + 1)
-        labels = np.repeat(np.arange(1, top, dtype=top.dtype), [sizes[t] for t in live])
-        idx = idx[: labels.size]
+        top = np.min_scalar_type(len(live) + 1).type(len(live) + 1)
+        idx = idx[: sum(sizes[:stop])]
         before = self._current.matrix
-        flat, labels, refused = (_grown if grow else _shrunk)(
-            before, idx[:, 0] * n + idx[:, 1], labels, top)
+        zero = top.dtype.type(0)
+        # a pair no stage can move (held when growing, lacking when shrinking)
+        # is labelled 0; any other starts at top and takes its first stage
+        stage_of = np.where(before, zero, top) if grow else np.where(before, top, zero)
+        np.minimum.at(stage_of.reshape(-1), idx[:, 0] * n + idx[:, 1],
+                      np.arange(1, top, dtype=top.dtype).repeat([sizes[t] for t in live]))
+        flat, labels, refused = (_grown if grow else _shrunk)(stage_of, before, top)
         if refused != top:
             stop = live[refused - 1]
-            flat, labels = flat[: np.searchsorted(labels, refused)], labels[: np.searchsorted(labels, refused)]
+            cut = labels.searchsorted(refused)
+            flat, labels = flat[:cut], labels[:cut]
         pairs = np.empty((flat.size, 2), dtype=np.int64)
         pairs[:, 0], pairs[:, 1] = np.divmod(flat, n)
         pairs.setflags(write=False)  # its slices are the deltas, read-only too
-        starts = np.searchsorted(labels, np.arange(1, len(live) + 2)).tolist()
+        starts = labels.searchsorted(np.arange(1, len(live) + 2)).tolist()
         deltas = [(_NO_PAIRS, _NO_PAIRS)] * stop
         for t, lo, hi in zip(live, starts, starts[1:]):
             if lo < hi:
