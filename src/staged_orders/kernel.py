@@ -6,6 +6,13 @@ approximation, the relation only shrinks). Every stage must leave the
 relation reflexive and transitively closed; additions must also keep it
 antisymmetric. The kernel enforces those invariants at mutation time.
 
+A pair enters or leaves at one stage and never moves back, so a run of
+stages is one matrix of stage labels: the stage at which each pair is
+first held (ce) or first lacking (coce). `StagedOrder` takes every stage
+of a run in one call and checks them all from that matrix: for removals,
+a test at the removed pairs; for additions, a min-max closure of the
+labels. A one-stage mutation is the same call with one stage.
+
 An order check that passes returns after a few whole-matrix passes,
 without a witness search; only a relation that fails is searched for its
 first witness. The domain cap is checked wherever a matrix of a new size
@@ -555,11 +562,12 @@ def _staged(labels: np.ndarray, top) -> Tuple[np.ndarray, np.ndarray]:
     return at[order], flat[at[order]]
 
 
-def _grown(labels: np.ndarray, before: np.ndarray, top):
+def _grown(labels: np.ndarray, before: np.ndarray, top, pairs: np.ndarray):
     """Close the labels of additions to the closed order `before`: 0 where
     `before` holds a pair, an added pair's first stage, `top` elsewhere.
-    Returns `_staged` of the closed labels and the first label whose stage
-    closes a 2-cycle, `top` if none.
+    `pairs` are the pairs added, an int64 (k, 2) array. Returns `_staged`
+    of the closed labels and the first label whose stage closes a 2-cycle,
+    `top` if none.
 
     A pair is first held at the stage of the least, over paths, of the
     largest label on the path. Pairs of `before` are closed, so a path can
@@ -571,8 +579,8 @@ def _grown(labels: np.ndarray, before: np.ndarray, top):
     A 2-cycle runs through the tail of an added pair, which is then a
     pivot, so only the pivots' rows and columns are searched for one."""
     n = before.shape[0]
-    added = _staged(labels, top)
-    tails, heads = np.divmod(added[0], n)
+    fresh = pairs[~before[pairs[:, 0], pairs[:, 1]]]
+    tails, heads = fresh[:, 0], fresh[:, 1]
     is_tail = np.zeros(n, dtype=bool)
     is_tail[tails] = True
     is_head = np.zeros(n, dtype=bool)
@@ -583,17 +591,17 @@ def _grown(labels: np.ndarray, before: np.ndarray, top):
         heads[is_tail[heads] | (np.count_nonzero(before.take(heads, 0), 1) > 1)],
     )
     if not pivots.size:
-        return (*added, top)
+        return (*_staged(labels, top), top)
     _close_labels(labels, pivots, top)
     cycles = np.maximum(labels.take(pivots, 0), labels.take(pivots, 1).T)
     cycles[np.arange(pivots.size), pivots] = top
     return (*_staged(labels, top), np.minimum.reduce(cycles, None))
 
 
-def _shrunk(labels: np.ndarray, before: np.ndarray, top):
-    """Check the labels of removals from the closed order `before`: 0 where
-    `before` lacks a pair, a removed pair's first stage, `top` elsewhere.
-    Returns `_staged` of the labels and the first label whose stage breaks
+def _shrunk(labels: np.ndarray, top):
+    """Check the labels of removals from a closed order: 0 where the order
+    lacks a pair, a removed pair's first stage, `top` elsewhere. Returns
+    `_staged` of the labels and the first label whose stage breaks
     transitivity, `top` if none.
 
     Stage t holds the pairs labelled above t. Removing pairs from a closed
@@ -604,7 +612,7 @@ def _shrunk(labels: np.ndarray, before: np.ndarray, top):
     temporary, in label order, so the first broken slice holds the least
     broken label."""
     flat, staged = _staged(labels, top)
-    tails, heads = np.divmod(flat, before.shape[0])
+    tails, heads = np.divmod(flat, labels.shape[0])
     for lo in range(0, flat.size, 256):
         part = slice(lo, lo + 256)
         paths = np.minimum(labels.take(tails[part], 0), labels.take(heads[part], 1).T)
@@ -742,7 +750,10 @@ class StagedOrder:
         stage_of = np.where(before, zero, top) if grow else np.where(before, top, zero)
         np.minimum.at(stage_of.reshape(-1), idx[:, 0] * n + idx[:, 1],
                       np.arange(1, top, dtype=top.dtype).repeat([sizes[t] for t in live]))
-        flat, labels, refused = (_grown if grow else _shrunk)(stage_of, before, top)
+        if grow:
+            flat, labels, refused = _grown(stage_of, before, top, idx)
+        else:
+            flat, labels, refused = _shrunk(stage_of, top)
         if refused != top:
             stop = live[refused - 1]
             cut = labels.searchsorted(refused)

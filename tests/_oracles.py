@@ -299,3 +299,66 @@ def remove_pairs_reference(rows: List[int], pairs, n: int):
                 return None, ("TransitivityViolation",
                               f"transitivity violated: {u} <= {j} and {j} <= {v} but not {u} <= {v}")
     return rows, None
+
+
+def jump_batches_reference(entries, n: int, stages: int):
+    """jump's stage loop as first written, one list of pairs per stage
+    1..stages: at stage s, every pair strictly inside the window (least
+    element entering at s, min(s, n-1)], none if no element enters.
+    `entries` are the schedule's (element, stage) pairs."""
+    for s in range(1, stages + 1):
+        entering = [e for e, stage in entries if stage == s]
+        if not entering:
+            yield []
+            continue
+        lo, hi = min(entering) + 1, min(s, n - 1)
+        yield [(j, k) for j in range(lo, hi + 1) for k in range(j + 1, hi + 1)]
+
+
+def sigma2_witness_walk_reference(pred):
+    """sigma2's witness dynamics as first written, one stage at a time:
+    for stages 1, 2, ..., the (i, x) pairs defeated at that stage and the
+    witnesses after it. Index i is eligible once s >= i; its witness x is
+    defeated at s when its defeat stage is at or before s, and moves at
+    most once a stage."""
+    witnesses = [0] * pred.bound
+    s = 0
+    while True:
+        s += 1
+        defeated = []
+        for i in range(min(s, pred.bound - 1) + 1):
+            x = witnesses[i]
+            d = pred.defeat_stage(i, x)
+            if d is not None and d <= s:
+                defeated.append((i, x))
+                witnesses[i] = x + 1
+        yield defeated, tuple(witnesses)
+
+
+def sigma2_stabilization_reference(pred, targets) -> int:
+    """sigma2.stabilization_stage as first written: the first stage, from
+    0, after which every index's witness has reached its target (`targets`,
+    one per index), walked one stage at a time."""
+    if all(t == 0 for t in targets):
+        return 0
+    for s, (_, witnesses) in enumerate(sigma2_witness_walk_reference(pred), 1):
+        if all(w >= t for w, t in zip(witnesses, targets)):
+            return s
+
+
+def sigma2_batches_reference(pred, n: int, stages: int, a_code, b_code):
+    """sigma2.build_run's stage loop as first written: one list of pairs
+    per stage 1..stages, a defeat of witness x of index i removing
+    (b_x, a_{i,k}) for every k <= i that fits the window, by index; and
+    the witnesses after the last stage. `a_code(i, k)` and `b_code(x)` are
+    the role codes."""
+    batches, witnesses = [], (0,) * pred.bound
+    walk = sigma2_witness_walk_reference(pred)
+    for _ in range(stages):
+        defeated, witnesses = next(walk)
+        gone = []
+        for i, x in defeated:
+            if b_code(x) < n:
+                gone += [(b_code(x), a_code(i, k)) for k in range(i + 1) if a_code(i, k) < n]
+        batches.append(gone)
+    return batches, witnesses

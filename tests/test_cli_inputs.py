@@ -564,6 +564,21 @@ def test_build_checks_the_cap_before_building(tmp_path, cfg, flags):
     assert json.loads(proc.stderr)["error"] == "DomainLimitExceeded"
 
 
+def test_a_sigma2_stage_budget_is_built_without_walking_to_stabilization(tmp_path):
+    """A sigma2 config that sets `stages` still walked the witness dynamics
+    to stabilization, one stage at a time, for the default it did not use:
+    with a defeat at stage 2**70 the build never ended. A fresh
+    interpreter with a timeout, so a build that hangs fails instead."""
+    cfg = {"construction": "sigma2", "stages": 5,
+           "indices": [{"i": 0, "member": True, "witness": 1, "defeats": [2**70]}]}
+    config = _write(tmp_path / "cfg.json", cfg)
+    argv = ["build", "--config", config, "--out", str(tmp_path / "run")]
+    proc = subprocess.run([sys.executable, "-m", "staged_orders.cli", *argv], env=_child_env(),
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["stages"] == 5
+
+
 def test_export_dot_reduction_past_256_intermediates(tmp_path):
     """(0, 257) has 256 intermediates, so it is no covering pair."""
     m = np.eye(258, dtype=bool)

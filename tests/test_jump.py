@@ -1,7 +1,9 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from staged_orders.jump import (
     EnumerationSchedule,
@@ -19,14 +21,16 @@ from staged_orders.jump import (
 )
 from staged_orders.kernel import (
     ConfigError,
+    Kind,
     Snapshot,
+    StagedOrder,
     check_monotone,
     check_partial_order,
 )
 from staged_orders.solvers import longest_chain
 
 from _generators import random_schedule_config
-from _oracles import longest_chain_length
+from _oracles import jump_batches_reference, longest_chain_length
 
 
 def test_schedule_bookkeeping():
@@ -72,6 +76,25 @@ def test_histories_are_clean():
         assert check_monotone(order.history, order.kind).passed
         for snap in order.history:
             assert check_partial_order(snap).passed
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(0, 40))
+@settings(max_examples=150, deadline=None)
+def test_builds_match_the_stage_by_stage_loop(seed, n, stages):
+    """Each order, its stages scheduled from the entries and applied in one
+    call, is the order of one kernel call per stage of the loop that scans
+    every entry at every stage: the same stages and deltas."""
+    sched = schedule_from_config(random_schedule_config(random.Random(seed), n, 6, stages))
+    for kind, build in ((Kind.COCE, build_cochain_order), (Kind.CE, build_antichain_order)):
+        got = build(sched, n, stages).history
+        loop = StagedOrder(kind, got.first)
+        step = loop.add_pairs if kind is Kind.CE else loop.remove_pairs
+        for batch in jump_batches_reference(sched.entries, n, stages):
+            step(batch)
+        want = loop.history
+        assert got.last == want.last and len(got) == len(want) == stages + 1
+        for (g_added, g_removed, _), (w_added, w_removed, _) in zip(got.middle, want.middle):
+            assert np.array_equal(g_added, w_added) and np.array_equal(g_removed, w_removed)
 
 
 def test_decode_chain_on_the_single_entry_example():

@@ -349,6 +349,68 @@ def test_remove_pairs_matches_per_pair_rules(case):
             assert tuple(order.history) == before  # a failed batch appends nothing
 
 
+def _run_outcome(order, batches, one_call):
+    """Apply `batches` to `order`: in one add_stages or remove_stages call,
+    or in one add_pairs or remove_pairs call per batch, stopping at the
+    first error. Returns the error's type and text, or None."""
+    ce = order.kind is Kind.CE
+    try:
+        if one_call:
+            (order.add_stages if ce else order.remove_stages)(batches)
+        else:
+            for batch in batches:
+                (order.add_pairs if ce else order.remove_pairs)(batch)
+    except StagedOrderError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _same_runs(start, batches, kind):
+    """One call over every stage against one call per stage, from `start`:
+    the same error, current matrix and stage, deltas and stages."""
+    batched, looped = StagedOrder(kind, start), StagedOrder(kind, start)
+    assert _run_outcome(batched, batches, True) == _run_outcome(looped, batches, False)
+    assert np.array_equal(batched.current.matrix, looped.current.matrix)
+    assert batched.current.stage == looped.current.stage
+    got, want = batched.history, looped.history
+    assert len(got.middle) == len(want.middle)
+    for (g_added, g_removed, _), (w_added, w_removed, _) in zip(got.middle, want.middle):
+        assert np.array_equal(g_added, w_added) and np.array_equal(g_removed, w_removed)
+        assert g_added.dtype == g_removed.dtype == np.int64
+    assert tuple(got) == tuple(want)
+
+
+@given(add_histories())
+@example((3, [[(np.int64(0), np.int64(1))], [(1, 2)], [(np.int64(2), 0)]]))  # numpy integers
+@example((4, [[(0, 1)], [], [(1, 2), (2, 3)], [(3, 0), (0, 9)], [(0, 3)]]))  # a cycle over stages
+@settings(max_examples=300, deadline=None)
+def test_add_stages_matches_a_loop_of_add_pairs(case):
+    n, history = case
+    _same_runs(Snapshot.from_pairs(n, []), history, Kind.CE)
+
+
+@given(remove_histories())
+@example((3, np.triu(np.ones((3, 3), bool)), [[(0, 1)], [(np.int64(1), 2)], [], [(0, 2), (0, 0)]]))
+@example((4, np.triu(np.ones((4, 4), bool)), [[(0, 2)], [(1, 3), (0, 3)], [(0, 1)]]))
+@settings(max_examples=300, deadline=None)
+def test_remove_stages_matches_a_loop_of_remove_pairs(case):
+    n, start, history = case
+    _same_runs(Snapshot(n, 0, start), history, Kind.COCE)
+
+
+def test_a_run_of_stages_needs_labels_wider_than_a_byte():
+    """300 stages that each add a pair, and a 2-cycle at the last: the
+    labels take 16 bits, and every stage before the refused one lands."""
+    n = 302
+    batches = [[(k, k + 1)] for k in range(n - 2)] + [[(n - 2, 0)]]
+    order = StagedOrder(Kind.CE, Snapshot.from_pairs(n, []))
+    with pytest.raises(AntisymmetryViolation, match=r"^antisymmetry violated: 0 <= 300 and 300 <= 0"):
+        order.add_stages(batches)
+    assert order.current.stage == n - 2 and order.current.holds(0, n - 2)
+    assert [len(added) for added, _, _ in order.history.middle] == list(range(1, n - 2))
+    _same_runs(Snapshot.from_pairs(n, []), batches, Kind.CE)
+
+
 def _batch_outcome(monkeypatch, start, batch, n):
     """add_pairs on the closure of `start`, against add_pairs_reference:
     the outcome must agree, and a batch the kernel takes must record

@@ -1,12 +1,15 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from staged_orders.kernel import (
     ConfigError,
     DomainTooSmall,
+    Kind,
     Snapshot,
+    StagedOrder,
     apply_permutation,
     check_monotone,
     check_partial_order,
@@ -20,6 +23,7 @@ from staged_orders.sigma2 import (
     Sigma2Consts,
     SyntheticSigma2Predicate,
     _regions,
+    build_initial,
     build_run,
     b_count,
     locate_sequence,
@@ -31,7 +35,13 @@ from staged_orders.sigma2 import (
 )
 
 from _generators import random_permutation, random_sigma2_config
-from _oracles import sigma2_member_reference, sigma2_regions_reference, sigma2_row_reference
+from _oracles import (
+    sigma2_batches_reference,
+    sigma2_member_reference,
+    sigma2_regions_reference,
+    sigma2_row_reference,
+    sigma2_stabilization_reference,
+)
 
 
 def _mixed_pred():
@@ -164,6 +174,56 @@ def test_random_configs_decode_exactly():
             for i in range(pred.bound)
         ]
         assert tuple(got) == pred.membership()
+
+
+@st.composite
+def sigma2_budgets(draw):
+    """A random predicate of one to five indices, a window from the
+    required one to well past it, and a stage count from 0 to past
+    stabilization."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    pred = predicate_from_config(random_sigma2_config(rng, rng.randrange(1, 6)))
+    bound = required_domain_bound(pred) + draw(st.sampled_from([0, 0, 1, 9, 40]))
+    stages = draw(st.integers(0, stabilization_stage(pred, bound) + 3))
+    return pred, bound, stages
+
+
+@given(sigma2_budgets())
+@settings(max_examples=200, deadline=None)
+def test_stabilization_stage_matches_the_stage_by_stage_walk(case):
+    """One step per defeat gives the stage that walking the witness
+    dynamics one stage at a time gives."""
+    pred, bound, _ = case
+    count = b_count(bound)
+    targets = [spec.witness if isinstance(spec, MemberIndex) else count for spec in pred.indices]
+    assert stabilization_stage(pred, bound) == sigma2_stabilization_reference(pred, targets)
+
+
+@given(sigma2_budgets())
+@settings(max_examples=200, deadline=None)
+def test_build_run_matches_the_stage_by_stage_loop(case):
+    """The run scheduled from each index's defeats, in one call, is the
+    run of one remove_pairs call per stage of the stage-by-stage walk:
+    the same stages, deltas and last witnesses."""
+    pred, bound, stages = case
+    order, witnesses = build_run(pred, bound, stages)
+    batches, want_witnesses = sigma2_batches_reference(pred, bound, stages, sigma2_a_code, sigma2_b_code)
+    loop = StagedOrder(Kind.COCE, build_initial(bound, pred))
+    for batch in batches:
+        loop.remove_pairs(batch)
+    assert witnesses == want_witnesses
+    got, want = order.history, loop.history
+    assert got.first == want.first and got.last == want.last and len(got) == len(want) == stages + 1
+    for (g_added, g_removed, _), (w_added, w_removed, _) in zip(got.middle, want.middle):
+        assert np.array_equal(g_added, w_added) and np.array_equal(g_removed, w_removed)
+
+
+def test_stabilization_costs_defeats_not_stages():
+    """A defeat at stage 2**70 is one step: the walk took one per stage."""
+    member = SyntheticSigma2Predicate((MemberIndex(1, (2**70,)),))
+    assert stabilization_stage(member, required_domain_bound(member)) == 2**70
+    nonmember = SyntheticSigma2Predicate((NonmemberIndex(2**69, 0),))
+    assert b_count(14) == 3 and stabilization_stage(nonmember, 14) == 2**69 + 2
 
 
 def _outcome(call):
