@@ -177,7 +177,8 @@ def no_infinite_antichain_witness(
 
 
 def _merged_blocks(sched: EnumerationSchedule, n: int, stages: int) -> List[Tuple[int, int]]:
-    raw = sorted((lo, hi) for s, (lo, hi) in _entry_windows(sched, n).items() if s <= stages and lo < hi)
+    windows = _entry_windows(sched, n).items()
+    raw = sorted((lo, hi) for s, (lo, hi) in windows if s <= stages and lo < hi)
     merged: List[Tuple[int, int]] = []
     for lo, hi in raw:
         if merged and lo <= merged[-1][1]:

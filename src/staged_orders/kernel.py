@@ -586,10 +586,11 @@ def _grown(labels: np.ndarray, before: np.ndarray, top, pairs: np.ndarray):
     is_head = np.zeros(n, dtype=bool)
     is_head[heads] = True
     tails, heads = is_tail.nonzero()[0], is_head.nonzero()[0]
-    pivots = np.union1d(
-        tails[is_head[tails] | (np.count_nonzero(before.take(tails, 1), 0) > 1)],
-        heads[is_tail[heads] | (np.count_nonzero(before.take(heads, 0), 1) > 1)],
-    )
+    # a tail has a successor and a head a predecessor; each may have the other
+    middle = np.zeros(n, dtype=bool)
+    middle[tails] = is_head[tails] | (np.count_nonzero(before.take(tails, 1), 0) > 1)
+    middle[heads] |= is_tail[heads] | (np.count_nonzero(before.take(heads, 0), 1) > 1)
+    pivots = middle.nonzero()[0]
     if not pivots.size:
         return (*_staged(labels, top), top)
     _close_labels(labels, pivots, top)
@@ -774,8 +775,9 @@ class StagedOrder:
                 matrix.setflags(write=False)  # fresh, so the snapshot takes it uncopied
             self._deltas += deltas
             self._current = self._current._next(matrix, self._current.labels, stop)
-        if stop < len(batches):
-            (_refuse_additions if grow else _refuse_removals)(self._current.matrix, batches[stop], n)
+        if stop < len(batches):  # the walk raises the refused stage's first error
+            refuse = _refuse_additions if grow else _refuse_removals
+            refuse(self._current.matrix, batches[stop], n)
             raise AssertionError(f"a refused stage's walk found no error in {batches[stop]!r}")
         return self._current
 
