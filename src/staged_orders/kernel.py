@@ -532,12 +532,14 @@ _NO_PAIRS.setflags(write=False)
 def _checked_stages(batches: List[list], n: int) -> Tuple[int, np.ndarray]:
     """The number of leading stages whose every pair passes `_checked_pair`,
     and their pairs as an int64 (k, 2) array. This is the walk for stages
-    that `_pair_array` refuses as a whole: numpy integers, or a bad pair."""
+    that `_pair_array` refuses as a whole: numpy integers, or a bad pair.
+    The first stage with a bad pair is refused, and its own walk raises
+    the error again."""
     pairs: List[Tuple[int, int]] = []
     for t, batch in enumerate(batches):
         try:
             pairs += [tuple(map(int, _checked_pair(pair, n))) for pair in batch]
-        except Exception:  # the stage is refused; its walk raises the error again
+        except (StagedOrderError, TypeError, ValueError):  # a bad pair, or no pair to unpack
             return t, np.array(pairs, dtype=np.int64).reshape(-1, 2)
     return len(batches), np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
