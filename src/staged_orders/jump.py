@@ -15,7 +15,16 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .kernel import ConfigError, Construction, Kind, Record, Snapshot, StagedOrder, StagedOrderError
+from .kernel import (
+    ConfigError,
+    Construction,
+    Kind,
+    Record,
+    Snapshot,
+    StagedOrder,
+    StagedOrderError,
+    stage_batches,
+)
 from .serialize import is_natural
 from .solvers import longest_chain
 
@@ -86,10 +95,10 @@ def _entry_windows(sched: EnumerationSchedule, n: int) -> Dict[int, Tuple[int, i
 def _stage_blocks(sched: EnumerationSchedule, n: int, stages: int) -> List[List[Tuple[int, int]]]:
     """The pairs each stage 1..stages touches: everything strictly between
     two points of its window, none at a stage no element enters."""
-    blocks = [[] for _ in range(stages)]
-    for s, (lo, hi) in _entry_windows(sched, n).items():
-        blocks[s - 1] = [(j, k) for j in range(lo, hi + 1) for k in range(j + 1, hi + 1)]
-    return blocks
+    windows = _entry_windows(sched, n).items()
+    blocks = {s: [(j, k) for j in range(lo, hi + 1) for k in range(j + 1, hi + 1)]
+              for s, (lo, hi) in windows}
+    return stage_batches(blocks, stages)
 
 
 def _check_budget(sched: EnumerationSchedule, stages: int) -> None:

@@ -663,6 +663,17 @@ def _refuse_removals(matrix: np.ndarray, pairs, n: int) -> None:
             raise TransitivityViolation(u, int(mid[0]), v)
 
 
+def stage_batches(pairs_at: Mapping[int, list], stages: int) -> List[list]:
+    """One batch per stage 1..stages, for StagedOrder.add_stages or
+    remove_stages: the pairs `pairs_at` maps a stage to, or else one empty
+    list that every stage with no pairs shares, so each such stage costs
+    a pointer, and a stage count too large to hold fails at once."""
+    batches = [[]] * stages
+    for s, pairs in pairs_at.items():
+        batches[s - 1] = pairs
+    return batches
+
+
 _ORDER_WORDS = {Kind.CE: "a growing (ce)", Kind.COCE: "a shrinking (coce)"}
 
 

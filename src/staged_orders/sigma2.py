@@ -38,6 +38,7 @@ from .kernel import (
     StagedOrderError,
     _compose,
     close_matrix,
+    stage_batches,
 )
 from .roles import _sigma2_labels, _sigma2_roles, sigma2_a_code, sigma2_b_code, sigma2_c_code
 from .serialize import is_natural
@@ -264,7 +265,7 @@ def build_run(
     """
     n = domain_bound
     order = StagedOrder(Kind.COCE, build_initial(n, pred))
-    batches = [[] for _ in range(stages)]
+    removals = {}  # stage -> its pairs, by index
     witnesses = []
     for i in range(pred.bound):
         defeats = list(itertools.takewhile(lambda t: t <= stages, _defeats(pred, i, stages)))
@@ -275,8 +276,8 @@ def build_run(
             b = sigma2_b_code(x)
             if b >= n:  # so are the codes of every later witness
                 break
-            batches[t - 1] += [(b, a) for a in a_row]
-    order.remove_stages(batches)
+            removals.setdefault(t, []).extend((b, a) for a in a_row)
+    order.remove_stages(stage_batches(removals, stages))
     return order, tuple(witnesses)
 
 

@@ -28,6 +28,7 @@ from .kernel import (
     StagedOrder,
     StagedOrderError,
     _first_pair,
+    stage_batches,
 )
 from .roles import _spectrum_labels, spectrum_gadget_code, spectrum_vertex_code
 from .serialize import is_natural
@@ -253,7 +254,7 @@ def build_spectrum_run(
     order = StagedOrder(kind, build_spectrum_initial(kind, graph, domain_bound, windows))
     _, _, r0, r1 = DEFAULT_SPECTRUM_CONSTS
     marks = (r0, r1) if kind is Kind.CE else (r1, r0)  # the flag a mark keeps, by value
-    batches: List[List[Tuple[int, int]]] = [[] for _ in range(stages)]
+    touches: Dict[int, List[Tuple[int, int]]] = {}  # stage -> its pairs, by vertex pair
     for (i, j), rungs in windows.items():
         flips = graph.flips_for(i, j)
         active, value = graph.active_index(i, j, j), graph.value(i, j, j)
@@ -267,12 +268,13 @@ def build_spectrum_run(
                 active, value = s, value ^ 1
             else:
                 moved = rungs[s : s + 1]
-            touched = batches[s - 1]
+            touched = touches.setdefault(s, [])
             for k, code in moved:
                 if k == active:
                     touched.append((code, marks[value]))
                 else:
                     touched += [(code, r0), (code, r1)]
+    batches = stage_batches(touches, stages)
     if kind is Kind.CE:
         order.add_stages(batches)
     else:
