@@ -20,12 +20,13 @@ is made, so a stage made from a checked stage, by a mutation or by a
 walk of a history, is not checked against it again.
 
 A history takes one shape wherever it goes, from build through the run
-files to verify: a `Replay`, which holds two immutable boolean matrices,
-its first stage and its last, and for every stage between only the
-strict pairs that stage added and removed and its labels. Its memory
-grows with the pairs that change, not with the number of stages, and it
-rebuilds its stages one at a time when walked. `StagedOrder.history`
-gives an order's history so far in that shape.
+files to verify: a `Replay`, its first stage as an immutable boolean
+matrix and, for every later stage, only the strict pairs that stage
+added and removed and its labels, with the last stage's matrix kept
+beside them. Its memory grows with the pairs that change, not with the
+number of stages, and it rebuilds its stages one at a time when walked.
+`check_monotone` reads a history's deltas and rebuilds no stage.
+`StagedOrder.history` gives an order's history so far in that shape.
 
 `Record` is the base of the package's small immutable value classes
 (axiom and monotonicity reports, predicate specs, schedules). Its fields
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import os
 from enum import Enum
-from itertools import chain, pairwise
+from itertools import chain
 from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -462,22 +463,18 @@ class MonotoneReport(Record):
     failures: Tuple[Tuple[int, Tuple[int, int]], ...]
 
 
-def check_monotone(snapshots: Iterable[Snapshot], kind: Kind) -> MonotoneReport:
-    """Check the history only moves one way: CE grows, COCE shrinks. Each
-    stage is compared with the one before it in a single pass, so a
-    `Replay` is walked once, two stages at a time."""
+def check_monotone(history: Replay, kind: Kind) -> MonotoneReport:
+    """Check the history only moves one way: CE grows, COCE shrinks. A
+    stage moves the wrong way exactly at the pairs its delta removed (CE)
+    or added (COCE), so they are read off the deltas and no stage is
+    rebuilt. A delta written by hand may repeat or reorder its pairs, so
+    they are sorted and each named once."""
     failures = []
-    for prev, cur in pairwise(snapshots):
-        if prev.domain_size != cur.domain_size:
-            raise StagedOrderError("snapshots disagree on domain size")
-        if prev.matrix is cur.matrix:  # a stage that changed nothing
-            continue
-        if kind is Kind.CE:
-            lost = prev.matrix & ~cur.matrix
-        else:
-            lost = cur.matrix & ~prev.matrix
-        if lost.any():
-            failures += [(cur.stage, tuple(p)) for p in np.argwhere(lost).tolist()]
+    for t, (added, removed, _) in enumerate(history.deltas, 1):
+        wrong = removed if kind is Kind.CE else added
+        if wrong.size:
+            stage = history.first.stage + t
+            failures += [(stage, tuple(p)) for p in np.unique(wrong, axis=0).tolist()]
     return MonotoneReport(kind, not failures, tuple(failures))
 
 
@@ -485,34 +482,32 @@ Delta = Tuple[np.ndarray, np.ndarray, Mapping[int, str]]
 
 
 class Replay:
-    """A history held as its first and last snapshots and, for each stage
-    between, the strict pairs it added and removed and its labels
-    (`Delta`s: sorted int (k, 2) arrays and a dict). Iterating rebuilds the
-    stages in order, each from the one before by setting `added` and
-    clearing `removed`, then gives the last; len() counts them. A stage
+    """A history held as its first snapshot and, for each later stage, the
+    strict pairs it added and removed and its labels (`Delta`s: sorted int
+    (k, 2) arrays and a dict), with its last snapshot kept beside them.
+    Iterating rebuilds the stages in order, each from the one before by
+    setting `added` and clearing `removed`; len() counts them. A stage
     that changes nothing shares the matrix before it; any other gets a
     fresh read-only one, so a walk that keeps no stage holds two matrices
     at a time. An empty history has neither first nor last snapshot, and
     in a history of one stage they are the same."""
 
-    __slots__ = ("first", "middle", "last")
+    __slots__ = ("first", "deltas", "last")
 
-    def __init__(self, first: Optional[Snapshot], middle: Sequence[Delta], last: Optional[Snapshot]):
+    def __init__(self, first: Optional[Snapshot], deltas: Sequence[Delta], last: Optional[Snapshot]):
         self.first = first
-        self.middle = tuple(middle)
+        self.deltas = tuple(deltas)
         self.last = last
 
     def __len__(self) -> int:
-        if self.first is None:
-            return 0
-        return len(self.middle) + (1 if self.last is self.first else 2)
+        return 0 if self.first is None else len(self.deltas) + 1
 
     def __iter__(self) -> Iterator[Snapshot]:
         if self.first is None:
             return
         snapshot = self.first
         yield snapshot
-        for added, removed, labels in self.middle:
+        for added, removed, labels in self.deltas:
             matrix = snapshot.matrix
             if added.size or removed.size:
                 matrix = matrix.copy()
@@ -521,8 +516,6 @@ class Replay:
                 matrix.setflags(write=False)
             snapshot = snapshot._next(matrix, labels)
             yield snapshot
-        if self.last is not self.first:
-            yield self.last
 
 
 _NO_PAIRS = np.empty((0, 2), dtype=np.int64)
@@ -717,11 +710,11 @@ class StagedOrder:
 
     @property
     def history(self) -> Replay:
-        """Every stage so far: the first and current snapshots and the delta
-        of each stage between, all with the first's labels."""
+        """Every stage so far: the first snapshot and the delta of each
+        later stage, all with the first's labels, and the current one."""
         labels = self._initial.labels  # every stage keeps the first's labels
-        middle = [(added, removed, labels) for added, removed in self._deltas[:-1]]
-        return Replay(self._initial, middle, self._current)
+        deltas = [(added, removed, labels) for added, removed in self._deltas]
+        return Replay(self._initial, deltas, self._current)
 
     def add_pairs(self, pairs: Iterable[Tuple[int, int]]) -> Snapshot:
         return self._stages([pairs], Kind.CE, "add_pairs")

@@ -28,12 +28,14 @@ list is reflexive; the refusal names the delta's file. A full file is
 accepted at any stage. A domain size over the cap (kernel.max_domain) is
 refused before any pair is read.
 
-The fold gives a kernel.Replay: the first and last snapshots and, for
-each stage between, its checked added and removed pairs and its labels,
-equal labels shared (a full file between is kept as its delta). A lone
-file is the last snapshot of its chain's fold. A stage is rebuilt only
-when the replay is walked, so a walk holds two matrices at a time,
-however many stages the run has.
+The fold gives a kernel.Replay: the first snapshot and, for every later
+stage, its checked added and removed pairs and its labels, equal labels
+shared, with the last snapshot beside them. A full file after the first
+is kept as its delta against the stage before it. A lone file is the
+last snapshot of its chain's fold. A stage is rebuilt only when the
+replay is walked, so a walk holds two matrices at a time, however many
+stages the run has. write_run writes a replay back: its first and last
+stages as full files, and the delta of each stage between.
 
 All files are emitted with sorted keys, compact separators and a trailing
 newline so reruns are byte-identical.
@@ -66,8 +68,8 @@ from typing import Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from .kernel import (
-    ConfigError, Delta, DomainLimitExceeded, Kind, Replay, Snapshot, _check_domain_size,
-    _pair_array, _strict_pairs,
+    _NO_PAIRS, ConfigError, Delta, DomainLimitExceeded, Kind, Replay, Snapshot,
+    _check_domain_size, _pair_array, _strict_pairs,
 )
 
 MANIFEST_NAME = "manifest.json"
@@ -423,7 +425,7 @@ def write_run(
         domain_size = history.first.domain_size if count else 0
     if count:
         save_json(os.path.join(out_dir, names[0]), snapshot_to_obj(history.first, kind))
-    for i, (added, removed, labels) in enumerate(history.middle, 1):
+    for i, (added, removed, labels) in enumerate(history.deltas[:-1], 1):
         obj = _stage_obj(domain_size, first + i, kind, labels, base=names[i - 1],
                          added=added, removed=removed)
         save_json(os.path.join(out_dir, names[i]), obj)
@@ -487,21 +489,30 @@ def load_run(run_dir: str) -> Tuple[dict, dict, Replay, Kind]:
     return manifest, config, _fold([f[2:] for f in files], kind), kind
 
 
+def _moved(before: np.ndarray, after: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The pairs `after` holds and `before` lacks, and those `before` holds
+    and `after` lacks, as sorted int64 (k, 2) arrays. The matrices are
+    compared first, so an unchanged stage costs no search for pairs."""
+    changed = before ^ after
+    if not changed.any():
+        return _NO_PAIRS, _NO_PAIRS
+    return np.argwhere(changed & after), np.argwhere(changed & before)
+
+
 def _fold(files, kind: Kind) -> Replay:
     """The stages of `files`, (file name, Snapshot or delta object) pairs
     in stage order, as a Replay. Each delta's base must be the file before
     it; the delta is then checked against that stage and applied to one
     working matrix, copied only when a delta first writes to it. A full
-    file between is kept as its delta, a last stage written as a delta
-    becomes a Snapshot, and equal labels are shared between stages."""
-    first = entry = matrix = previous = None  # entry ends as the last stage
-    middle, labels = [], {}
-    for position, (name, entry) in enumerate(files):
-        between = 0 < position < len(files) - 1
+    file after the first is kept as its delta against that matrix, and
+    equal labels are shared between stages."""
+    first = entry = matrix = previous = None
+    deltas, labels = [], {}
+    for name, entry in files:
         if isinstance(entry, Snapshot):
-            if between:  # a full file between is kept as its delta
-                now, own = entry.matrix, entry.labels
-                added, removed = np.argwhere(now & ~matrix), np.argwhere(matrix & ~now)
+            if first is not None:
+                added, removed = _moved(matrix, entry.matrix)
+                own = entry.labels
             matrix = entry.matrix
         else:
             _expect(
@@ -510,14 +521,14 @@ def _fold(files, kind: Kind) -> Replay:
             )
             if not matrix.flags.writeable:
                 matrix = matrix.copy()
-            added, removed, own = _apply_delta(name, entry, matrix, first.stage + position - 1, kind)
-            if not between:  # the last stage: its matrix is no longer worked on
-                matrix.setflags(write=False)
-                entry = Snapshot(len(matrix), first.stage + position, matrix, own)
-        if between:
-            labels = labels if own == labels else own
-            middle.append((added, removed, labels))
-        if position == 0:
+            added, removed, own = _apply_delta(name, entry, matrix, first.stage + len(deltas), kind)
+        if first is None:
             first = entry
+        else:
+            labels = labels if own == labels else own
+            deltas.append((added, removed, labels))
         previous = name
-    return Replay(first, middle, entry)
+    if isinstance(entry, dict):  # the last stage was written as a delta
+        matrix.setflags(write=False)
+        entry = Snapshot(len(matrix), first.stage + len(deltas), matrix, own)
+    return Replay(first, deltas, entry)

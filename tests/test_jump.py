@@ -93,7 +93,7 @@ def test_builds_match_the_stage_by_stage_loop(seed, n, stages):
             step(batch)
         want = loop.history
         assert got.last == want.last and len(got) == len(want) == stages + 1
-        for (g_added, g_removed, _), (w_added, w_removed, _) in zip(got.middle, want.middle):
+        for (g_added, g_removed, _), (w_added, w_removed, _) in zip(got.deltas, want.deltas):
             assert np.array_equal(g_added, w_added) and np.array_equal(g_removed, w_removed)
 
 

@@ -265,9 +265,8 @@ def test_replayed_stages_are_their_files_loaded_alone(case, full, last_delta):
     """Each stage load_run replays is what load_snapshot gives for its
     file, which follows the chain of bases on its own; a middle stage
     written as a full file is kept as its delta, and a last stage may be
-    written as a delta. check_monotone reports the same failures, in the
-    same order, for the replay, a list and a tuple of its stages, and they
-    are the pairs each stage lost."""
+    written as a delta. check_monotone, which reads the replay's deltas,
+    reports the pairs each stage lost, in order."""
     kind, snapshots = case
     with tempfile.TemporaryDirectory() as out:
         _write_history(out, kind, snapshots, full, last_delta)
@@ -278,7 +277,6 @@ def test_replayed_stages_are_their_files_loaded_alone(case, full, last_delta):
             assert load_snapshot(path) == (stage, kind)
     assert list(stages) == snapshots  # and a second walk rebuilds them again
     report = check_monotone(stages, kind)
-    assert report == check_monotone(list(stages), kind) == check_monotone(tuple(stages), kind)
     lost = []
     for before, now in zip(snapshots, snapshots[1:]):
         gone = before.matrix & ~now.matrix if kind is Kind.CE else now.matrix & ~before.matrix

@@ -214,7 +214,7 @@ def test_build_run_matches_the_stage_by_stage_loop(case):
     assert witnesses == want_witnesses
     got, want = order.history, loop.history
     assert got.first == want.first and got.last == want.last and len(got) == len(want) == stages + 1
-    for (g_added, g_removed, _), (w_added, w_removed, _) in zip(got.middle, want.middle):
+    for (g_added, g_removed, _), (w_added, w_removed, _) in zip(got.deltas, want.deltas):
         assert np.array_equal(g_added, w_added) and np.array_equal(g_removed, w_removed)
 
 

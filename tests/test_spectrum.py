@@ -161,8 +161,8 @@ def test_stage_loop_matches_the_every_rung_loop(case):
         mutate(batch)
     want = order.history
     assert got.first == want.first and got.last == want.last
-    assert len(got.middle) == len(want.middle) == stages - 1
-    for (g_added, g_removed, g_labels), (w_added, w_removed, w_labels) in zip(got.middle, want.middle):
+    assert len(got.deltas) == len(want.deltas) == stages
+    for (g_added, g_removed, g_labels), (w_added, w_removed, w_labels) in zip(got.deltas, want.deltas):
         assert np.array_equal(g_added, w_added) and np.array_equal(g_removed, w_removed)
         assert g_labels == w_labels
 
