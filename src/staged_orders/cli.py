@@ -107,9 +107,14 @@ class RunPlan:
 
     def stages_or(self, need) -> int:
         """The stage budget, defaulting to need(), what the construction
-        needs; need is called only when no budget is given."""
+        needs, called only when no budget is given; either is checked
+        against kernel.MAX_STAGES before anything is built on it."""
+        from .kernel import MAX_STAGES, ConfigError
+
         if self.stages is None:
             self.stages = need()
+        if self.stages > MAX_STAGES:
+            raise ConfigError(f"stage budget {self.stages} exceeds cap {MAX_STAGES}")
         return self.stages
 
     def domain_or(self, default: int) -> int:
@@ -178,9 +183,10 @@ class Run(NamedTuple):
 def _suite_poset(run: Run) -> Tuple[List[str], bool]:
     from .kernel import check_partial_order
 
-    lines, ok = [], True
+    lines, ok, matrix = [], True, None
     for snap in run.snapshots:
-        failed = [c for c in check_partial_order(snap).checks() if not c.passed]
+        if snap.matrix is not matrix:  # a stage that changes nothing shares the matrix before it
+            matrix, failed = snap.matrix, [c for c in check_partial_order(snap).checks() if not c.passed]
         ok = ok and not failed
         lines += [f"stage {snap.stage}: {c.axiom} fails at {c.witness}" for c in failed]
         if not failed:
@@ -192,10 +198,7 @@ def _suite_monotone(run: Run) -> Tuple[List[str], bool]:
     from .kernel import check_monotone
 
     report = check_monotone(run.snapshots, run.kind)
-    lines = [
-        f"stage {stage}: pair {pair} moved the wrong way"
-        for stage, pair in report.failures
-    ]
+    lines = [f"stage {stage}: pair {pair} moved the wrong way" for stage, pair in report.failures]
     lines.append(f"direction {run.kind.value} over {len(run.snapshots)} snapshots")
     return lines, report.passed
 

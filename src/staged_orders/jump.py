@@ -135,8 +135,7 @@ def decode_chain(
     chain = list(chain)
     if len(chain) < i + 2:
         raise InvalidChain(f"need at least {i + 2} elements, got {len(chain)}")
-    for t in range(len(chain) - 1):
-        u, v = chain[t], chain[t + 1]
+    for t, (u, v) in enumerate(zip(chain, chain[1:])):
         if u == v or not snap.holds(u, v):
             raise InvalidChain(f"positions {t},{t + 1} are not strictly related")
     return sched.prefix(chain[i + 1], i)
@@ -152,13 +151,11 @@ def decode_antichain(
     ac = list(antichain)
     if len(ac) < i + 2:
         raise InvalidAntichain(f"need at least {i + 2} elements, got {len(ac)}")
-    for t in range(len(ac) - 1):
-        if ac[t] >= ac[t + 1]:
-            raise InvalidAntichain("elements must increase")
+    if any(x >= y for x, y in zip(ac, ac[1:])):
+        raise InvalidAntichain("elements must increase")
     rows = snap.matrix.tolist()  # lists index faster than numpy
-    for a in range(len(ac)):
-        for b in range(a + 1, len(ac)):
-            x, y = ac[a], ac[b]
+    for a, x in enumerate(ac):
+        for y in ac[a + 1:]:
             if rows[x][y] or rows[y][x]:
                 raise InvalidAntichain(f"{x} and {y} are comparable")
     return sched.prefix(ac[i + 1], i)
@@ -243,30 +240,31 @@ class JumpConstruction(Construction):
         builder = build_cochain_order if self.kind is Kind.COCE else build_antichain_order
         return builder(sched, n, stages).history, None
 
-    def _prefixes(self, snap, sched, holder: str, every: bool):
-        """(i, bits) read off the probe: the widest prefix, or all of them."""
+    def _probe(self, snap, sched, holder: str):
+        """The probe read off `snap`, a chain (cochain) or an antichain, and
+        the bits of its widest prefix. The decoder checks the whole probe at
+        any width, so its verdict holds for every narrower prefix too."""
         cochain = self.kind is Kind.COCE
         probe = longest_chain(snap) if cochain else greedy_antichain(snap)
         read = decode_chain if cochain else decode_antichain
         if len(probe) < 2:
             raise ConfigError(f"{holder} too small to carry any bits")
-        widths = range(len(probe) - 1) if every else (len(probe) - 2,)
-        return [(i, read(snap, probe, sched, i)) for i in widths]
+        return probe, read(snap, probe, sched, len(probe) - 2)
 
     def readout(self, snap, kind, consts, config, original) -> dict:
         if original is not None:
             raise ConfigError(
                 "jump decoding reads stage bounds off element names; it does not survive relabeling"
             )
-        [(i, bits)] = self._prefixes(snap, schedule_from_config(config()), "snapshot", False)
-        return {"construction": self.name, "i": i, "bits": list(bits)}
+        probe, bits = self._probe(snap, schedule_from_config(config()), "snapshot")
+        return {"construction": self.name, "i": len(probe) - 2, "bits": list(bits)}
 
     def decode(self, run):
-        final = run.final
         sched = schedule_from_config(run.config)
+        probe, _ = self._probe(run.final, sched, "run")
         lines, ok = [], True
-        for i, got in self._prefixes(final, sched, "run", True):
-            want = sched.true_prefix(i)
+        for i in range(len(probe) - 1):
+            got, want = sched.prefix(probe[i + 1], i), sched.true_prefix(i)
             ok = ok and got == want
             lines.append(
                 f"prefix {i}: {''.join(map(str, got))}"

@@ -20,13 +20,11 @@ is made, so a stage made from a checked stage, by a mutation or by a
 walk of a history, is not checked against it again.
 
 A history takes one shape wherever it goes, from build through the run
-files to verify: a `Replay`, its first stage as an immutable boolean
-matrix and, for every later stage, only the strict pairs that stage
-added and removed and its labels, with the last stage's matrix kept
-beside them. Its memory grows with the pairs that change, not with the
-number of stages, and it rebuilds its stages one at a time when walked.
-`check_monotone` reads a history's deltas and rebuilds no stage.
-`StagedOrder.history` gives an order's history so far in that shape.
+files to verify: a `Replay`, its first and last stages as immutable
+boolean matrices and, for every stage after the first, only the strict
+pairs that stage added and removed and its labels. Its memory grows with
+the pairs that change, not with the number of stages; it rebuilds its
+stages one at a time when walked, and `check_monotone` reads its deltas.
 
 `Record` is the base of the package's small immutable value classes
 (axiom and monotonicity reports, predicate specs, schedules). Its fields
@@ -45,6 +43,7 @@ from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 DEFAULT_MAX_DOMAIN = 4096
+MAX_STAGES = 2**20  # the largest stage budget a build takes; a run holds a file per stage
 
 
 class StagedOrderError(Exception):
@@ -466,9 +465,8 @@ class MonotoneReport(Record):
 def check_monotone(history: Replay, kind: Kind) -> MonotoneReport:
     """Check the history only moves one way: CE grows, COCE shrinks. A
     stage moves the wrong way exactly at the pairs its delta removed (CE)
-    or added (COCE), so they are read off the deltas and no stage is
-    rebuilt. A delta written by hand may repeat or reorder its pairs, so
-    they are sorted and each named once."""
+    or added (COCE), named sorted and once each, as a delta written by
+    hand may repeat or reorder them; no stage is rebuilt."""
     failures = []
     for t, (added, removed, _) in enumerate(history.deltas, 1):
         wrong = removed if kind is Kind.CE else added
@@ -691,10 +689,10 @@ class StagedOrder:
     name its first error (`_refuse_additions`, `_refuse_removals`).
 
     The history is held as the first and `current` snapshots and, for
-    each later stage, the strict pairs it added and removed: sorted int64
-    (k, 2) arrays. No other stage's matrix is kept; `history` gives them
-    as a `Replay`. A stage that changes nothing shares the matrix before
-    it.
+    each later stage, its `Delta`: the strict pairs it added and removed,
+    sorted int64 (k, 2) arrays, and the first stage's labels, which every
+    stage keeps. No other stage's matrix is kept; `history` gives them as
+    a `Replay`. A stage that changes nothing shares the matrix before it.
     """
 
     def __init__(self, kind: Kind, initial: Snapshot):
@@ -702,7 +700,7 @@ class StagedOrder:
         self.kind = kind
         self.domain_size = initial.domain_size
         self._initial = self._current = initial
-        self._deltas: List[Tuple[np.ndarray, np.ndarray]] = []
+        self._deltas: List[Delta] = []
 
     @property
     def current(self) -> Snapshot:
@@ -710,11 +708,9 @@ class StagedOrder:
 
     @property
     def history(self) -> Replay:
-        """Every stage so far: the first snapshot and the delta of each
-        later stage, all with the first's labels, and the current one."""
-        labels = self._initial.labels  # every stage keeps the first's labels
-        deltas = [(added, removed, labels) for added, removed in self._deltas]
-        return Replay(self._initial, deltas, self._current)
+        """Every stage so far: the first snapshot, the delta of each later
+        stage and the current one."""
+        return Replay(self._initial, self._deltas, self._current)
 
     def add_pairs(self, pairs: Iterable[Tuple[int, int]]) -> Snapshot:
         return self._stages([pairs], Kind.CE, "add_pairs")
@@ -769,10 +765,11 @@ class StagedOrder:
         pairs[:, 0], pairs[:, 1] = np.divmod(flat, n)
         pairs.setflags(write=False)  # its slices are the deltas, read-only too
         starts = labels.searchsorted(np.arange(1, len(live) + 2)).tolist()
-        deltas = [(_NO_PAIRS, _NO_PAIRS)] * stop
+        own = self._initial.labels
+        deltas = [(_NO_PAIRS, _NO_PAIRS, own)] * stop
         for t, lo, hi in zip(live, starts, starts[1:]):
             if lo < hi:
-                deltas[t] = (pairs[lo:hi], _NO_PAIRS) if grow else (_NO_PAIRS, pairs[lo:hi])
+                deltas[t] = (pairs[lo:hi], _NO_PAIRS, own) if grow else (_NO_PAIRS, pairs[lo:hi], own)
         if stop:
             matrix = before
             if flat.size:

@@ -28,14 +28,12 @@ list is reflexive; the refusal names the delta's file. A full file is
 accepted at any stage. A domain size over the cap (kernel.max_domain) is
 refused before any pair is read.
 
-The fold gives a kernel.Replay: the first snapshot and, for every later
-stage, its checked added and removed pairs and its labels, equal labels
-shared, with the last snapshot beside them. A full file after the first
-is kept as its delta against the stage before it. A lone file is the
-last snapshot of its chain's fold. A stage is rebuilt only when the
+The fold gives a kernel.Replay: the first and last snapshots and, for
+every later stage, its checked added and removed pairs and its labels,
+equal labels shared (a full file is kept as its delta). A lone file is
+the last snapshot of its chain's fold. A stage is rebuilt only when the
 replay is walked, so a walk holds two matrices at a time, however many
-stages the run has. write_run writes a replay back: its first and last
-stages as full files, and the delta of each stage between.
+stages the run has.
 
 All files are emitted with sorted keys, compact separators and a trailing
 newline so reruns are byte-identical.
@@ -490,9 +488,8 @@ def load_run(run_dir: str) -> Tuple[dict, dict, Replay, Kind]:
 
 
 def _moved(before: np.ndarray, after: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The pairs `after` holds and `before` lacks, and those `before` holds
-    and `after` lacks, as sorted int64 (k, 2) arrays. The matrices are
-    compared first, so an unchanged stage costs no search for pairs."""
+    """The pairs `after` adds to `before` and removes from it, as sorted
+    int64 (k, 2) arrays; an unchanged stage costs one compare, no search."""
     changed = before ^ after
     if not changed.any():
         return _NO_PAIRS, _NO_PAIRS
@@ -511,8 +508,7 @@ def _fold(files, kind: Kind) -> Replay:
     for name, entry in files:
         if isinstance(entry, Snapshot):
             if first is not None:
-                added, removed = _moved(matrix, entry.matrix)
-                own = entry.labels
+                (added, removed), own = _moved(matrix, entry.matrix), entry.labels
             matrix = entry.matrix
         else:
             _expect(

@@ -362,3 +362,77 @@ def sigma2_batches_reference(pred, n: int, stages: int, a_code, b_code):
                 gone += [(b_code(x), a_code(i, k)) for k in range(i + 1) if a_code(i, k) < n]
         batches.append(gone)
     return batches, witnesses
+
+
+def poset_suite_reference(stages):
+    """verify --suite poset as first written: the full check of every
+    stage, one line per failing axiom or one "ok" line. `stages` are
+    (stage, rows) pairs, rows a matrix's tolist(). Returns the lines and
+    the verdict."""
+    lines, ok = [], True
+    for stage, rows in stages:
+        failed = [(axiom, witness) for axiom, passed, witness in order_checks_reference(rows, True)
+                  if not passed]
+        ok = ok and not failed
+        lines += [f"stage {stage}: {axiom} fails at {witness}" for axiom, witness in failed]
+        if not failed:
+            lines.append(f"stage {stage}: ok")
+    return lines, ok
+
+
+def monotone_suite_reference(stages, grows: bool):
+    """verify --suite monotone as first written: each stage compared with
+    the whole stage before it, naming every pair it lost (grows) or gained
+    in row-major order. `stages` are (stage, rows) pairs. Returns the lines
+    and the verdict."""
+    lines = []
+    for (_, before), (stage, now) in zip(stages, stages[1:]):
+        for i, (was, row) in enumerate(zip(before, now)):
+            for j, (held, holds) in enumerate(zip(was, row)):
+                if (held and not holds) if grows else (holds and not held):
+                    lines.append(f"stage {stage}: pair ({i}, {j}) moved the wrong way")
+    ok = not lines
+    return lines + [f"direction {'ce' if grows else 'coce'} over {len(stages)} snapshots"], ok
+
+
+def _probe_error(rows, probe, cochain: bool):
+    """decode_chain's (cochain) or decode_antichain's refusal of the whole
+    probe as (error name, text), or None."""
+    if cochain:
+        for t, (u, v) in enumerate(zip(probe, probe[1:])):
+            if u == v or not rows[u][v]:
+                return "InvalidChain", f"positions {t},{t + 1} are not strictly related"
+        return None
+    if any(x >= y for x, y in zip(probe, probe[1:])):
+        return "InvalidAntichain", "elements must increase"
+    for a, x in enumerate(probe):
+        for y in probe[a + 1:]:
+            if rows[x][y] or rows[y][x]:
+                return "InvalidAntichain", f"{x} and {y} are comparable"
+    return None
+
+
+def jump_decode_reference(rows, probe, entries, cochain: bool):
+    """The jump decode suite as first written: for each width i of the
+    probe, decode_chain (cochain) or decode_antichain checks the whole
+    probe and reads the bits of K below i at stage probe[i + 1], which
+    are compared with K's. `rows` is the last stage's matrix as lists and
+    `entries` the schedule's (element, stage) pairs. Returns (lines,
+    verdict, None), or (None, None, (error name, text)) for the first
+    refusal."""
+    if len(probe) < 2:
+        return None, None, ("ConfigError", "run too small to carry any bits")
+
+    def bits(stage, i):
+        return "".join("1" if any(e == x and s <= stage for x, s in entries) else "0" for e in range(i))
+
+    lines, ok = [], True
+    last = max((s for _, s in entries), default=0)
+    for i in range(len(probe) - 1):
+        error = _probe_error(rows, probe, cochain)
+        if error is not None:
+            return None, None, error
+        got, want = bits(probe[i + 1], i), bits(last, i)
+        ok = ok and got == want
+        lines.append(f"prefix {i}: {got}" + ("" if got == want else f" expected {want}"))
+    return lines, ok, None

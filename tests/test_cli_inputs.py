@@ -9,6 +9,7 @@ import operator
 import os
 import random
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -17,11 +18,13 @@ import tempfile
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import staged_orders
-from staged_orders.cli import main
-from staged_orders.kernel import ConfigError, DomainLimitExceeded, Kind, Snapshot, _strict_pairs
+from staged_orders.cli import RunPlan, main
+from staged_orders.kernel import (
+    MAX_STAGES, ConfigError, DomainLimitExceeded, Kind, Snapshot, _strict_pairs,
+)
 from staged_orders.serialize import (
     canonical_dumps,
     load_json,
@@ -579,6 +582,51 @@ def test_a_sigma2_stage_budget_is_built_without_walking_to_stabilization(tmp_pat
     assert json.loads(proc.stdout)["stages"] == 5
 
 
+def _cap_address_space():
+    """Run in a CLI child before it starts: a build that allocates per stage
+    fails at 3 GiB of address space instead of filling the machine."""
+    resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+
+@pytest.mark.parametrize(
+    "cfg, budget",
+    [
+        ({"construction": "family", "n": 2, "limit_pairs": [], "removals": [[0, 1, 2**70], [1, 0, 0]]},
+         2**70 + 1),
+        ({"construction": "jump-cochain", "entries": [[0, 2**70]], "n": 5}, 2**70),
+        ("sigma2", 2**40),
+    ],
+    ids=["family-removal", "jump-entry", "sigma2-stages"],
+)
+def test_a_stage_budget_over_the_cap_is_refused_before_building(tmp_path, cfg, budget):
+    """A stage budget over kernel.MAX_STAGES, defaulted (a removal or entry
+    at stage 2**70) or given (the shipped sigma2 config with 2**40 stages),
+    is a JSON error with exit 2 before anything is built. The family build
+    never ended, the jump build raised OverflowError and the sigma2 build
+    MemoryError. A fresh interpreter with a timeout and a capped address
+    space, so a build that hangs or grows fails instead."""
+    if cfg == "sigma2":
+        cfg = dict(load_json(shipped_config_path("sigma2")), stages=budget)
+    config = _write(tmp_path / "cfg.json", cfg)
+    argv = ["build", "--config", config, "--out", str(tmp_path / "run")]
+    proc = subprocess.run([sys.executable, "-m", "staged_orders.cli", *argv], env=_child_env(),
+                          capture_output=True, text=True, timeout=20, preexec_fn=_cap_address_space)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
+    assert json.loads(proc.stderr) == {
+        "error": "ConfigError", "message": f"stage budget {budget} exceeds cap {MAX_STAGES}"}
+
+
+def test_the_stage_cap_holds_for_given_and_default_budgets():
+    """kernel.MAX_STAGES itself is a budget a build may take; one more is
+    refused, whether given or the construction's default."""
+    plan = RunPlan({}, "jump-cochain", MAX_STAGES, None, None)
+    assert plan.stages_or(lambda: 0) == MAX_STAGES
+    assert RunPlan({}, "jump-cochain", None, None, None).stages_or(lambda: MAX_STAGES) == MAX_STAGES
+    for stages, need in ((MAX_STAGES + 1, None), (None, lambda: MAX_STAGES + 1)):
+        with pytest.raises(ConfigError, match=f"^stage budget {MAX_STAGES + 1} exceeds cap {MAX_STAGES}$"):
+            RunPlan({}, "jump-cochain", stages, None, None).stages_or(need)
+
+
 def test_export_dot_reduction_past_256_intermediates(tmp_path):
     """(0, 257) has 256 intermediates, so it is no covering pair."""
     m = np.eye(258, dtype=bool)
@@ -722,7 +770,7 @@ def test_a_damaged_run_is_refused_or_judged_never_crashes(fuzz_runs, data):
 
 
 _CONFIG_VALUES = [None, False, True, -1, 0, 1, 2.5, "x", "1", [], {}, [1], [[1]], [[-1, 0]],
-                  [[0, 2**70]], {"a": 1}]
+                  [[0, 2**70]], 2**70, {"a": 1}]
 
 
 def _places(value, path=()):
@@ -758,9 +806,6 @@ def test_a_mutated_build_config_is_refused_or_built_never_crashes(data):
             parent[key] = [parent[key]]
     flag = draw(st.sampled_from([None, "--stages", "--domain"]))
     flags = [flag, str(draw(st.sampled_from([0, 1, 5])))] if flag else []
-    # A jump entry at stage 2**70 with no stage budget is a valid config that
-    # builds 2**70 stages, as a bare `stages` of 2**70 would.
-    assume("stages" in cfg or flag == "--stages" or str(2**70) not in json.dumps(cfg))
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         patch.setenv("STAGED_ORDERS_MAX_DOMAIN", "200")
         config = _write(os.path.join(tmp, "cfg.json"), cfg)
