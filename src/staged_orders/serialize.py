@@ -66,8 +66,8 @@ from typing import Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from .kernel import (
-    _NO_PAIRS, ConfigError, Delta, DomainLimitExceeded, Kind, Replay, Snapshot,
-    _check_domain_size, _pair_array, _strict_pairs,
+    ConfigError, Delta, DomainLimitExceeded, Kind, Replay, Snapshot, _check_domain_size,
+    _pair_array, _strict_pairs,
 )
 
 MANIFEST_NAME = "manifest.json"
@@ -489,11 +489,10 @@ def load_run(run_dir: str) -> Tuple[dict, dict, Replay, Kind]:
 
 def _moved(before: np.ndarray, after: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The pairs `after` adds to `before` and removes from it, as sorted
-    int64 (k, 2) arrays; an unchanged stage costs one compare, no search."""
-    changed = before ^ after
-    if not changed.any():
-        return _NO_PAIRS, _NO_PAIRS
-    return np.argwhere(changed & after), np.argwhere(changed & before)
+    int64 (k, 2) arrays, from one search of where the two differ."""
+    at = (before ^ after).reshape(-1).nonzero()[0]  # flat nonzero: 2-d is many times slower
+    up = after.reshape(-1)[at]
+    return tuple(np.stack(np.divmod(moved, len(before)), 1) for moved in (at[up], at[~up]))
 
 
 def _fold(files, kind: Kind) -> Replay:
