@@ -103,13 +103,14 @@ def preorder_from_config(blob: dict) -> CoCEPreorder:
 
 def speedup(pre: CoCEPreorder, s: int) -> int:
     """Least stage s' >= s whose view is transitive on the working window
-    {0..s+1}. The enumeration is fast-forwarded, never edited. The search
-    stops by the last removal stage: from there on the view is the limit,
-    which CoCEPreorder has checked is a preorder."""
+    {0..s+1}. The enumeration is fast-forwarded, never edited. A view
+    changes only at a removal stage, so the search steps from one removal
+    stage to the next, and stops by the last: from there on the view is
+    the limit, which CoCEPreorder has checked is a preorder."""
     window = min(s + 1, pre.n - 1) + 1 if pre.n else 0
     t = s
     while not _is_transitive(pre.view(t)[:window, :window]):
-        t += 1
+        t = min(stage for _, stage in pre.removal_stage if stage > t)
     return t
 
 

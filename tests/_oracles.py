@@ -436,3 +436,20 @@ def jump_decode_reference(rows, probe, entries, cochain: bool):
         ok = ok and got == want
         lines.append(f"prefix {i}: {got}" + ("" if got == want else f" expected {want}"))
     return lines, ok, None
+
+
+def family_speedup_reference(pre, s: int) -> int:
+    """family.speedup as first written: stage by stage from s, the first
+    stage whose view, restricted to the window {0..s+1}, is transitive.
+    Rows are int bitmasks, so no numpy is involved."""
+    n = pre.n
+    window = min(s + 1, n - 1) + 1 if n else 0
+    t = s
+    while True:
+        rows = [[bool(pre.limit.matrix[i, j]) for j in range(window)] for i in range(window)]
+        for (i, j), stage in pre.removal_stage:
+            if stage > t and i < window and j < window:
+                rows[i][j] = True
+        if order_checks_reference(rows, False)[2][1]:  # the transitive check passed
+            return t
+        t += 1

@@ -15,6 +15,7 @@ from staged_orders.family import (
 from staged_orders.kernel import ConfigError, Snapshot
 
 from _generators import random_coce_preorder_config
+from _oracles import family_speedup_reference
 
 
 def _staggered():
@@ -53,6 +54,27 @@ def test_speedup_skips_intransitive_views():
     ]
     wide = preorder_from_config({"n": 258, "limit_pairs": [], "removals": removals})
     assert speedup(wide, 256) == 257
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_speedup_matches_the_stage_by_stage_search(seed):
+    """Stepping from one removal stage to the next finds the stage that
+    trying every stage found, from every start up to past the last
+    removal."""
+    rng = random.Random(seed)
+    pre = preorder_from_config(random_coce_preorder_config(rng, rng.randrange(1, 7), horizon=12))
+    for s in range(pre.max_removal_stage + 2):
+        assert speedup(pre, s) == family_speedup_reference(pre, s)
+
+
+def test_speedup_skips_to_a_removal_stage_far_ahead():
+    """A view that stays intransitive until a removal at stage 2**70 was
+    searched one stage at a time, so a family build with that removal
+    never ended, even with a budget of a few stages."""
+    removals = [[0, 2, 1], [0, 1, 2**70], [1, 2, 2**70], [1, 0, 0], [2, 0, 0], [2, 1, 0]]
+    pre = preorder_from_config({"n": 3, "limit_pairs": [], "removals": removals})
+    assert speedup(pre, 0) == 0 and speedup(pre, 1) == 2**70
+    assert build_family(pre, 5).n == 3
 
 
 def test_schedule_must_cover_exactly_the_complement():
