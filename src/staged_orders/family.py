@@ -2,16 +2,20 @@
 
 A co-c.e. preorder is given by its limit plus a removal stage for every
 pair outside the limit; the stage-s view contains the limit and every
-pair not yet removed. The construction allocates one fresh element per
-witnessed non-relation per stage and the inclusion order of the grown
-family reproduces the limit: i is below j exactly when A_i is a subset
-of A_j.
+pair not yet removed. Each pair leaves once, so the schedule is one
+matrix of stage labels, and a view is one comparison against it. At
+each stage the construction allocates one fresh element for every index
+that the view does not put below all of the window, and the inclusion
+order of the grown family reproduces the limit: i is below j exactly
+when A_i is a subset of A_j.
 """
 
 from __future__ import annotations
 
 import os
 import random
+from bisect import bisect_right
+from functools import cached_property
 from itertools import pairwise
 from typing import List, Tuple
 
@@ -55,17 +59,27 @@ class CoCEPreorder(Record):
         if any(stage < 0 for _, stage in self.removal_stage):
             raise ConfigError("removal stages are naturals")
 
+    @cached_property
+    def _stages(self) -> List[int]:
+        """The distinct removal stages, ascending; Python ints, as a stage may pass int64."""
+        return sorted({stage for _, stage in self.removal_stage})
+
+    @cached_property
+    def _labels(self) -> np.ndarray:
+        """Each pair's removal stage as its rank in _stages; limit pairs rank past all."""
+        rank = {stage: r for r, stage in enumerate(self._stages)}
+        labels = np.where(self.limit.matrix, len(rank), 0)
+        idx = _pair_array([pair for pair, _ in self.removal_stage], self.n)
+        labels[idx[:, 0], idx[:, 1]] = [rank[stage] for _, stage in self.removal_stage]
+        return labels
+
     @property
     def max_removal_stage(self) -> int:
-        return max((stage for _, stage in self.removal_stage), default=0)
+        return self._stages[-1] if self._stages else 0
 
     def view(self, s: int) -> np.ndarray:
         """Pairs held at stage s: the limit plus pairs removed later."""
-        matrix = self.limit.matrix.copy()
-        for (i, j), stage in self.removal_stage:
-            if stage > s:
-                matrix[i, j] = True
-        return matrix
+        return self._labels >= bisect_right(self._stages, s)
 
 
 def _limit_pairs(blob: dict) -> Tuple[int, list]:
@@ -110,7 +124,7 @@ def speedup(pre: CoCEPreorder, s: int) -> int:
     window = min(s + 1, pre.n - 1) + 1 if pre.n else 0
     t = s
     while not _is_transitive(pre.view(t)[:window, :window]):
-        t = min(stage for _, stage in pre.removal_stage if stage > t)
+        t = pre._stages[bisect_right(pre._stages, t)]
     return t
 
 
@@ -159,8 +173,13 @@ def sufficient_stages(pre: CoCEPreorder) -> int:
 
 def build_family(pre: CoCEPreorder, stages: int) -> SetFamily:
     """Stage s: first fold A_i into A_s for each i held below s by the
-    sped-up view; then every witnessed non-relation i /<= j gets a fresh
-    element placed in exactly the A_k the view puts above i."""
+    sped-up view; then every index i of the window {0..s} that the view
+    does not put below all of the window gets one fresh element, placed
+    in exactly the A_k the view puts above i.
+
+    This is exact: an element per witnessed i /<= j would join the same
+    sets, and only whole-row folds change membership later, so all of
+    them would stay identical."""
     rows: List[set] = [set() for _ in range(pre.n)]
     fresh = 0
     for s in range(stages):
@@ -171,13 +190,11 @@ def build_family(pre: CoCEPreorder, stages: int) -> SetFamily:
                 if view[i][s]:
                     rows[s] |= rows[i]
         for i in range(w + 1):
-            for j in range(w + 1):
-                if i != j and not view[i][j]:
-                    e = fresh
-                    fresh += 1
-                    for k in range(w + 1):
-                        if view[i][k]:
-                            rows[k].add(e)
+            above = [k for k in range(w + 1) if view[i][k]]
+            if len(above) <= w:  # the view is reflexive, so some j != i is missing
+                for k in above:
+                    rows[k].add(fresh)
+                fresh += 1
     return SetFamily(pre.n, fresh, tuple(frozenset(r) for r in rows))
 
 
@@ -216,6 +233,8 @@ class FamilyConstruction(Construction):
     def build(self, plan):
         """A `removal_horizon` in place of `removals` is drawn from the
         seed, and the drawn list replaces it in the resolved config."""
+        if plan.domain is not None:
+            raise ConfigError("family takes no domain bound: its domain is the config's n")
         payload = plan.payload = dict(plan.payload)
         horizon = payload.pop("removal_horizon", None)
         if "removals" not in payload:

@@ -20,6 +20,7 @@ from .kernel import (
     Snapshot,
     StagedOrderError,
     _first_pair,
+    _require,
     _strict,
     check_partial_order,
     check_preorder,
@@ -57,10 +58,13 @@ def ceil_sqrt(n: int) -> int:
     return math.isqrt(n - 1) + 1
 
 
+def _refusal(error, what: str):
+    """What kernel._require raises: `error` naming the axiom and its witness."""
+    return lambda check: error(f"input is not {what}: {check.axiom} fails at {check.witness}")
+
+
 def _require_partial_order(snapshot: Snapshot) -> None:
-    report = check_partial_order(snapshot)
-    if not report.passed:
-        raise NotPartialOrder(f"input is not a partial order: {report}")
+    _require(check_partial_order(snapshot), _refusal(NotPartialOrder, "a partial order"))
 
 
 def _incomparable_witness(matrix: np.ndarray) -> Optional[Tuple[int, int]]:
@@ -176,9 +180,7 @@ def condense(pre: Snapshot) -> CondensationResult:
     Representatives are chosen greedily least-first; the induced relation
     compares representatives and is a linear order on class indices.
     """
-    report = check_preorder(pre)
-    if not report.passed:
-        raise NotTotalPreorder(f"input is not a preorder: {report}")
+    _require(check_preorder(pre), _refusal(NotTotalPreorder, "a preorder"))
     witness = _incomparable_witness(pre.matrix)
     if witness is not None:
         raise NotTotalPreorder(

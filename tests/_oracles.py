@@ -438,6 +438,21 @@ def jump_decode_reference(rows, probe, entries, cochain: bool):
     return lines, ok, None
 
 
+def family_view_reference(pre, s: int):
+    """CoCEPreorder.view as first written, as a matrix's tolist(): the
+    limit, plus every pair whose removal stage lies after s, found by a
+    walk over every removal entry."""
+    rows = pre.limit.matrix.tolist()
+    for (i, j), stage in pre.removal_stage:
+        if stage > s:
+            rows[i][j] = True
+    return rows
+
+
+def _window_transitive(view, window: int) -> bool:
+    return order_checks_reference([row[:window] for row in view[:window]], False)[2][1]
+
+
 def family_speedup_reference(pre, s: int) -> int:
     """family.speedup as first written: stage by stage from s, the first
     stage whose view, restricted to the window {0..s+1}, is transitive.
@@ -445,11 +460,40 @@ def family_speedup_reference(pre, s: int) -> int:
     n = pre.n
     window = min(s + 1, n - 1) + 1 if n else 0
     t = s
-    while True:
-        rows = [[bool(pre.limit.matrix[i, j]) for j in range(window)] for i in range(window)]
-        for (i, j), stage in pre.removal_stage:
-            if stage > t and i < window and j < window:
-                rows[i][j] = True
-        if order_checks_reference(rows, False)[2][1]:  # the transitive check passed
-            return t
+    while not _window_transitive(family_view_reference(pre, t), window):
         t += 1
+    return t
+
+
+def family_build_reference(pre, stages: int):
+    """family.build_family as first written: a fresh element for every
+    witnessed non-relation (i, j) at every stage, with the speedup
+    stepping to the least removal stage past the current one by a walk
+    over every entry. Returns the rows, as frozensets of elements, and
+    the (stage, index i) each element was made for."""
+    n = pre.n
+
+    def speedup(s):
+        window = min(s + 1, n - 1) + 1 if n else 0
+        t = s
+        while not _window_transitive(family_view_reference(pre, t), window):
+            t = min(stage for _, stage in pre.removal_stage if stage > t)
+        return t
+
+    rows: List[Set[int]] = [set() for _ in range(n)]
+    made: List[Tuple[int, int]] = []
+    for s in range(stages):
+        view = family_view_reference(pre, speedup(s))
+        w = min(s, n - 1)
+        if n and s <= n - 1:
+            for i in range(s + 1):
+                if view[i][s]:
+                    rows[s] |= rows[i]
+        for i in range(w + 1):
+            for j in range(w + 1):
+                if i != j and not view[i][j]:
+                    for k in range(w + 1):
+                        if view[i][k]:
+                            rows[k].add(len(made))
+                    made.append((s, i))
+    return tuple(frozenset(row) for row in rows), made

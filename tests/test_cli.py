@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -105,6 +106,29 @@ def test_family_build_draws_removals_from_seed(tmp_path):
     assert "removal_horizon" not in load_json(os.path.join(out1, "config.json"))
     missing_seed = _invoke("build", "--config", cfg, "--out", str(tmp_path / "d"))
     assert missing_seed.exit_code == 2
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_family_build_refuses_a_domain_bound(tmp_path, where):
+    """The family's domain is its config's n, so a bound would go unused."""
+    config = dict(TINY_FAMILY_HORIZON, domain_bound=4096) if where == "config" else TINY_FAMILY_HORIZON
+    cfg = _write(tmp_path / "cfg.json", config)
+    flags = ("--domain", "4096") if where == "flag" else ()
+    out = tmp_path / "run"
+    result = _invoke("build", "--config", cfg, "--seed", "1", *flags, "--out", str(out))
+    assert result.exit_code == 2
+    err = json.loads(result.stderr)  # one JSON object, nothing after it
+    assert err["error"] == "ConfigError" and "domain bound" in err["message"]
+    assert not out.exists()
+
+
+def test_a_family_run_written_with_an_element_per_pair_still_verifies():
+    """A run written when every witnessed non-relation got its own
+    element: the shipped config's, with 300 elements where 77 now do."""
+    run = os.path.join(os.path.dirname(__file__), "runs", "family_per_pair")
+    result = _invoke("verify", "--dir", run, "--suite", "isomorphism")
+    assert result.exit_code == 0, result.output
+    assert result.output.splitlines() == ["6 indices against 300 elements", "PASS"]
 
 
 def test_build_errors_are_json_on_stderr(tmp_path):
@@ -259,6 +283,42 @@ def test_solve_rejects_unsuitable_orders(shipped_runs):
     result = _invoke("solve", "--order", snap_path, "--principle", "ads")
     assert result.exit_code == 2
     assert json.loads(result.stderr)["error"] == "NotTotal"
+
+
+@pytest.mark.parametrize("principle", ["cac", "ads", "ads-preorder"])
+def test_solve_names_the_axiom_an_order_fails(tmp_path, principle):
+    """A 2-cycle is a preorder but no partial order; 0 < 1 < 2 without
+    0 < 2 is neither. The error names the axiom and its witness."""
+    from staged_orders.kernel import Kind, Snapshot
+    from staged_orders.serialize import snapshot_to_obj
+
+    two_cycle = np.ones((2, 2), dtype=bool)
+    intransitive = np.eye(3, dtype=bool)
+    intransitive[0, 1] = intransitive[1, 2] = True
+    errors = {}
+    for name, matrix in (("two_cycle", two_cycle), ("intransitive", intransitive)):
+        path = _write(tmp_path / f"{name}.json", snapshot_to_obj(Snapshot(len(matrix), 0, matrix), Kind.CE))
+        result = _invoke("solve", "--order", path, "--principle", principle)
+        errors[name] = json.loads(result.stderr) if result.exit_code == 2 else result.exit_code
+    if principle == "ads-preorder":
+        assert errors == {
+            "two_cycle": 0,
+            "intransitive": {
+                "error": "NotTotalPreorder",
+                "message": "input is not a preorder: transitive fails at (0, 1, 2)",
+            },
+        }
+    else:
+        assert errors == {
+            "two_cycle": {
+                "error": "NotPartialOrder",
+                "message": "input is not a partial order: antisymmetric fails at (0, 1)",
+            },
+            "intransitive": {
+                "error": "NotPartialOrder",
+                "message": "input is not a partial order: transitive fails at (0, 1, 2)",
+            },
+        }
 
 
 def test_export_dot_shape(tmp_path):

@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from staged_orders.family import (
     CoCEPreorder,
@@ -15,7 +16,7 @@ from staged_orders.family import (
 from staged_orders.kernel import ConfigError, Snapshot
 
 from _generators import random_coce_preorder_config
-from _oracles import family_speedup_reference
+from _oracles import family_build_reference, family_speedup_reference, family_view_reference
 
 
 def _staggered():
@@ -67,14 +68,55 @@ def test_speedup_matches_the_stage_by_stage_search(seed):
         assert speedup(pre, s) == family_speedup_reference(pre, s)
 
 
-def test_speedup_skips_to_a_removal_stage_far_ahead():
-    """A view that stays intransitive until a removal at stage 2**70 was
-    searched one stage at a time, so a family build with that removal
-    never ended, even with a budget of a few stages."""
+def _far_ahead():
+    """Three points whose view stays intransitive until a removal at
+    stage 2**70, a stage beyond int64."""
     removals = [[0, 2, 1], [0, 1, 2**70], [1, 2, 2**70], [1, 0, 0], [2, 0, 0], [2, 1, 0]]
-    pre = preorder_from_config({"n": 3, "limit_pairs": [], "removals": removals})
+    return preorder_from_config({"n": 3, "limit_pairs": [], "removals": removals})
+
+
+def test_speedup_skips_to_a_removal_stage_far_ahead():
+    """That view was searched one stage at a time, so a family build with
+    that removal never ended, even with a budget of a few stages."""
+    pre = _far_ahead()
     assert speedup(pre, 0) == 0 and speedup(pre, 1) == 2**70
     assert build_family(pre, 5).n == 3
+
+
+def _matches_the_references(pre, stages, view_stages):
+    """build_family is the per-pair build with every element after the
+    first of its (stage, index) dropped, and those dropped elements sat in
+    exactly the sets of the one kept; each view is the entry walk's."""
+    rows, made = family_build_reference(pre, stages)
+    firsts = {}  # element -> the first element of its (stage, index)
+    for e, tag in enumerate(made):
+        firsts[e] = e if e == 0 or tag != made[e - 1] else firsts[e - 1]
+    assert all((e in row) == (firsts[e] in row) for row in rows for e in range(len(made)))
+    kept = sorted(set(firsts.values()))
+    renumber = {e: new for new, e in enumerate(kept)}
+    fam = build_family(pre, stages)
+    assert fam.element_count == len(kept)
+    assert fam.rows == tuple(frozenset(renumber[e] for e in row if e in renumber) for row in rows)
+    for s in view_stages:
+        assert pre.view(s).tolist() == family_view_reference(pre, s), s
+    return fam
+
+
+@given(st.randoms(), st.integers(0, 7), st.integers(0, 12), st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_build_is_the_per_pair_build_without_repeated_elements(rng, n, horizon, extra):
+    """At the sufficient budget plus `extra`, and at a budget short of it."""
+    pre = preorder_from_config(random_coce_preorder_config(rng, n, horizon=horizon))
+    views = range(pre.max_removal_stage + 2)
+    fam = _matches_the_references(pre, sufficient_stages(pre) + extra, views)
+    assert verify_isomorphism(pre, fam).passed
+    _matches_the_references(pre, rng.randrange(sufficient_stages(pre)), ())
+
+
+def test_build_and_views_match_the_references_past_int64():
+    pre = _far_ahead()
+    views = {0, 1, 2, 2**70 - 1, 2**70, 2**70 + 1}
+    _matches_the_references(pre, 5, views)
 
 
 def test_schedule_must_cover_exactly_the_complement():
