@@ -111,8 +111,8 @@ def test_family_build_draws_removals_from_seed(tmp_path):
 @pytest.mark.parametrize("where", ["flag", "config"])
 def test_family_build_refuses_a_domain_bound(tmp_path, where):
     """The family's domain is its config's n, so a bound would go unused."""
-    config = dict(TINY_FAMILY_HORIZON, domain_bound=4096) if where == "config" else TINY_FAMILY_HORIZON
-    cfg = _write(tmp_path / "cfg.json", config)
+    bound = {"domain_bound": 4096} if where == "config" else {}
+    cfg = _write(tmp_path / "cfg.json", dict(TINY_FAMILY_HORIZON, **bound))
     flags = ("--domain", "4096") if where == "flag" else ()
     out = tmp_path / "run"
     result = _invoke("build", "--config", cfg, "--seed", "1", *flags, "--out", str(out))
@@ -297,7 +297,8 @@ def test_solve_names_the_axiom_an_order_fails(tmp_path, principle):
     intransitive[0, 1] = intransitive[1, 2] = True
     errors = {}
     for name, matrix in (("two_cycle", two_cycle), ("intransitive", intransitive)):
-        path = _write(tmp_path / f"{name}.json", snapshot_to_obj(Snapshot(len(matrix), 0, matrix), Kind.CE))
+        order = snapshot_to_obj(Snapshot(len(matrix), 0, matrix), Kind.CE)
+        path = _write(tmp_path / f"{name}.json", order)
         result = _invoke("solve", "--order", path, "--principle", principle)
         errors[name] = json.loads(result.stderr) if result.exit_code == 2 else result.exit_code
     if principle == "ads-preorder":
